@@ -12,11 +12,6 @@
  * run that drifts from the serial loop aborts the benchmark rather
  * than publishing a wrong number.
  *
- * BM_FlowSimChurn/<shards> drives the flow-level network model's churn
- * loop with its scan reductions parallelised onto <shards> workers
- * (FlowSim::setParallel) and asserts bytes delivered and finish time
- * are bit-identical to the serial scans.
- *
  * tools/run_fleet_bench.py wraps this binary and emits BENCH_fleet.json
  * (best-of-N events/s by shard count plus the N-vs-1 speedups).  On a
  * single-core host the speedup is ~1.0x by construction; the identity
@@ -29,16 +24,11 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "common/thread_pool.hpp"
-#include "common/units.hpp"
-#include "network/flowsim.hpp"
 #include "ops/fleet_ops.hpp"
 #include "sim/simulator.hpp"
 
 using namespace dhl;
-namespace u = dhl::units;
 
 namespace {
 
@@ -124,52 +114,6 @@ BM_FleetParallel(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_FleetParallel)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-//===========================================================================
-// Flow-sim scan parallelism (FlowSim::setParallel)
-//===========================================================================
-
-/** Heavy churn: many concurrent flows over shared links, so the
- *  next-completion scan and drain loops dominate. */
-std::pair<std::string, std::uint64_t>
-flowChurn(std::size_t workers)
-{
-    sim::Simulator sim;
-    network::FlowSim fs(sim);
-    ThreadPool pool(workers);
-    if (workers > 1)
-        fs.setParallel(&pool, /*grain=*/64);
-    std::vector<int> links;
-    for (int i = 0; i < 16; ++i)
-        links.push_back(fs.addLink(u::gigabitsPerSecond(400)));
-    for (int i = 0; i < 2048; ++i) {
-        fs.startFlow({links[i % 16], links[(i + 5) % 16]},
-                     u::gigabytes(1 + i % 7), 24.0, nullptr);
-    }
-    sim.run();
-    std::ostringstream os;
-    os << std::hexfloat << fs.bytesDelivered() << "|" << sim.now();
-    return {os.str(), sim.eventsExecuted()};
-}
-
-void
-BM_FlowSimChurn(benchmark::State &state)
-{
-    const auto workers = static_cast<std::size_t>(state.range(0));
-
-    static const std::string serial_digest = flowChurn(1).first;
-    if (flowChurn(workers).first != serial_digest) {
-        state.SkipWithError("parallel flow scans diverged from serial");
-        return;
-    }
-
-    std::uint64_t events = 0;
-    for (auto _ : state)
-        events += flowChurn(workers).second;
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_FlowSimChurn)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

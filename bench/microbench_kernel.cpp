@@ -1,16 +1,22 @@
 /**
  * @file
  * Experiment E13 — google-benchmark microbenchmarks of the simulation
- * substrates: DES event throughput, flow-sim reallocation cost, and the
+ * substrates: DES event throughput, flow-sim reallocation cost (a
+ * synthetic churn and a serving-shaped shared uplink), and the
  * closed-form model evaluation rate (how fast the design space can be
  * swept).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/random.hpp"
 #include "common/units.hpp"
 #include "dhl/analytical.hpp"
 #include "dhl/simulation.hpp"
@@ -91,6 +97,59 @@ BM_FlowSimChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n_flows);
 }
 BENCHMARK(BM_FlowSimChurn)->Arg(16)->Arg(64)->Arg(256);
+
+/** Arrivals in one BM_FlowSimSharedUplink run. */
+constexpr int kUplinkFlows = 4000;
+
+/** Exact bytes delivered and finish time of the run below (hexfloat). */
+constexpr const char *kUplinkDigest =
+    "0x1.d1f03d6916fdbp+42|0x1.4049e4c714553p+9";
+
+/**
+ * One 100 Gbit/s uplink fed by open-loop Poisson arrivals at about twice
+ * its capacity, sizes lognormal (median 1 GB, sigma 1.5) capped at 8 GB:
+ * the shape of the serving study's optical substrate.  An arrival finds
+ * about 800 flows in flight on average, so every start and completion
+ * pays for the whole population.  Returns bytes delivered and the
+ * finish time as hexfloat.
+ */
+static std::string
+sharedUplinkRun()
+{
+    sim::Simulator sim;
+    network::FlowSim fs(sim);
+    const std::vector<int> uplink{fs.addLink(u::gigabitsPerSecond(100))};
+    Rng rng(13);
+    int left = kUplinkFlows;
+    std::function<void()> arrive = [&] {
+        const double bytes =
+            std::min(rng.lognormal(std::log(u::gigabytes(1)), 1.5),
+                     u::gigabytes(8));
+        fs.startFlow(uplink, bytes, 24.0, nullptr);
+        if (--left > 0)
+            sim.schedule(rng.exponential(1.0 / 12.0), arrive);
+    };
+    sim.schedule(0.0, arrive);
+    sim.run();
+    std::ostringstream os;
+    os << std::hexfloat << fs.bytesDelivered() << "|" << sim.now();
+    return os.str();
+}
+
+static void
+BM_FlowSimSharedUplink(benchmark::State &state)
+{
+    // Identity gate: a kernel that computes different bytes or finish
+    // times is not measured.
+    if (sharedUplinkRun() != kUplinkDigest) {
+        state.SkipWithError("shared-uplink run diverged from its digest");
+        return;
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sharedUplinkRun());
+    state.SetItemsProcessed(state.iterations() * kUplinkFlows);
+}
+BENCHMARK(BM_FlowSimSharedUplink)->Unit(benchmark::kMillisecond);
 
 //===========================================================================
 // Closed-form model and DES end-to-end

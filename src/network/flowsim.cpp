@@ -2,75 +2,40 @@
  * @file
  * Implementation of the max-min fair fluid flow simulator.
  *
- * Water-filling operates over the link→flow adjacency: each round scans
- * the links once for the bottleneck share, then freezes only the flows
- * of the links that are tight at that share, updating the residual
- * capacity and unfrozen counts of just the links those flows touch.
- * Total work per reallocation is O(Σ path lengths + rounds·links)
- * instead of the previous O(rounds·flows·path length).
+ * Three exact facts let the kernel work on path groups while staying
+ * bit-identical to the per-flow, id-ordered original:
+ *
+ *  (a) Flows with the same link list share a rate.  They cross the same
+ *      links, so water-filling freezes them in the same round at the
+ *      same share.  A link's unfrozen count is the sum of its groups'
+ *      counts, and freezing a group applies `count` identical
+ *      `residual -= share; clamp; allocated += share` steps to each of
+ *      its links — the same sequence the per-flow loop produced, since
+ *      within a round every step on a link uses the same share.
+ *  (b) The next completion can be found per group.  Correctly rounded
+ *      division by a positive constant is monotone, so
+ *      min_i(rem_i / r) == min_i(rem_i) / r exactly.
+ *  (c) The drain is elementwise: rem = max(0, rem - rate·dt) per flow.
+ *      It is also monotone in rem, so a group's minimum drains by the
+ *      same formula without rescanning its members.
  */
 
 #include "network/flowsim.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 
 namespace dhl {
 namespace network {
 
 namespace {
 
-/**
- * Exact parallel min over [0, n): contiguous ranges are reduced
- * concurrently with the serial loop and the per-range minima are
- * folded in range order.  min never rounds, so the result is
- * bit-identical to the serial scan for any range split.
- */
-template <typename Value>
-double
-rangeMin(ThreadPool &pool, std::size_t grain, std::size_t n,
-         const Value &value)
-{
-    const std::size_t jobs =
-        std::min(pool.size(), (n + grain - 1) / grain);
-    std::vector<double> local(jobs,
-                              std::numeric_limits<double>::infinity());
-    const std::size_t chunk = (n + jobs - 1) / jobs;
-    pool.parallelFor(jobs, [&](std::size_t j) {
-        const std::size_t lo = j * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        double m = std::numeric_limits<double>::infinity();
-        for (std::size_t i = lo; i < hi; ++i)
-            m = std::min(m, value(i));
-        local[j] = m;
-    });
-    double m = std::numeric_limits<double>::infinity();
-    for (const double v : local)
-        m = std::min(m, v);
-    return m;
-}
-
-/** Run body(i) for every i in [0, n) on the pool in contiguous
- *  chunks; the bodies must be independent. */
-template <typename Body>
-void
-rangeFor(ThreadPool &pool, std::size_t grain, std::size_t n,
-         const Body &body)
-{
-    const std::size_t jobs =
-        std::min(pool.size(), (n + grain - 1) / grain);
-    const std::size_t chunk = (n + jobs - 1) / jobs;
-    pool.parallelFor(jobs, [&](std::size_t j) {
-        const std::size_t lo = j * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i)
-            body(i);
-    });
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** Absolute byte floor below which a flow counts as drained. */
 constexpr double kDrainEpsilon = 1e-6;
@@ -124,6 +89,47 @@ FlowSim::linkCapacity(int link) const
     return links_[static_cast<std::size_t>(link)].capacity;
 }
 
+std::uint32_t
+FlowSim::internGroup(std::vector<int> &links)
+{
+    auto it = group_index_.find(links);
+    if (it != group_index_.end())
+        return it->second;
+
+    std::uint32_t g;
+    if (!free_groups_.empty()) {
+        g = free_groups_.back();
+        free_groups_.pop_back();
+    } else {
+        g = static_cast<std::uint32_t>(groups_.size());
+        groups_.emplace_back();
+    }
+    // The map key takes the caller's vector; a recycled slot copies it
+    // into the capacity its previous path left behind.
+    const std::vector<int> &key =
+        group_index_.emplace(std::move(links), g).first->first;
+    Group &grp = groups_[g];
+    grp.links.assign(key.begin(), key.end());
+    grp.rate = 0.0;
+    grp.min_remaining = kInf;
+    grp.count = 0;
+    for (int l : grp.links)
+        links_[static_cast<std::size_t>(l)].groups.push_back(g);
+    return g;
+}
+
+void
+FlowSim::retireGroup(std::uint32_t g)
+{
+    Group &grp = groups_[g];
+    group_index_.erase(grp.links);
+    for (int l : grp.links) {
+        auto &lg = links_[static_cast<std::size_t>(l)].groups;
+        lg.erase(std::remove(lg.begin(), lg.end(), g), lg.end());
+    }
+    free_groups_.push_back(g);
+}
+
 FlowId
 FlowSim::startFlow(std::vector<int> links, double bytes, double route_power,
                    Callback cb)
@@ -136,22 +142,16 @@ FlowSim::startFlow(std::vector<int> links, double bytes, double route_power,
 
     drainFlows();
 
-    Flow f{};
-    f.id = next_id_++;
-    f.links = std::move(links);
-    f.total = bytes;
-    f.remaining = bytes;
-    f.rate = 0.0;
-    f.route_power = route_power;
-    f.start_time = now();
-    f.cb = std::move(cb);
-    const FlowId id = f.id;
-    auto [it, inserted] = flows_.emplace(id, std::move(f));
-    (void)inserted;
+    const std::uint32_t g = internGroup(links);
+    const FlowId id = next_id_++;
+    remaining_.push_back(bytes);
+    total_.push_back(bytes);
+    group_.push_back(g);
+    meta_.push_back(FlowMeta{id, route_power, now(), std::move(cb)});
+    Group &grp = groups_[g];
+    ++grp.count;
+    grp.min_remaining = std::min(grp.min_remaining, bytes);
 
-    // Ids are monotonic, so appending keeps each adjacency list sorted.
-    for (int l : it->second.links)
-        links_[static_cast<std::size_t>(l)].flows.push_back(&it->second);
     active_power_ += route_power;
     active_power_tstart_ += route_power * now();
 
@@ -160,15 +160,61 @@ FlowSim::startFlow(std::vector<int> links, double bytes, double route_power,
     return id;
 }
 
+std::size_t
+FlowSim::slotOf(FlowId id) const
+{
+    for (std::size_t i = meta_.size(); i-- > 0;) {
+        if (meta_[i].id == id)
+            return i;
+    }
+    return meta_.size();
+}
+
+void
+FlowSim::removeSlot(std::size_t slot)
+{
+    const std::uint32_t g = group_[slot];
+    const std::size_t last = remaining_.size() - 1;
+    if (slot != last) {
+        remaining_[slot] = remaining_[last];
+        total_[slot] = total_[last];
+        group_[slot] = group_[last];
+        meta_[slot] = std::move(meta_[last]);
+    }
+    remaining_.pop_back();
+    total_.pop_back();
+    group_.pop_back();
+    meta_.pop_back();
+    if (--groups_[g].count == 0)
+        retireGroup(g);
+}
+
+void
+FlowSim::recomputeMinRemaining()
+{
+    for (Group &grp : groups_)
+        grp.min_remaining = kInf;
+    for (std::size_t i = 0; i < remaining_.size(); ++i) {
+        Group &grp = groups_[group_[i]];
+        grp.min_remaining = std::min(grp.min_remaining, remaining_[i]);
+    }
+}
+
 bool
 FlowSim::cancelFlow(FlowId id)
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
+    const std::size_t slot = slotOf(id);
+    if (slot == meta_.size())
         return false;
     drainFlows();
-    detachFlow(it->second);
-    flows_.erase(it);
+    const FlowMeta &m = meta_[slot];
+    active_power_ -= m.route_power;
+    active_power_tstart_ -= m.route_power * m.start_time;
+    const std::uint32_t g = group_[slot];
+    const bool was_min = remaining_[slot] == groups_[g].min_remaining;
+    removeSlot(slot);
+    if (was_min && groups_[g].count > 0)
+        recomputeMinRemaining();
     reallocate();
     return true;
 }
@@ -176,9 +222,9 @@ FlowSim::cancelFlow(FlowId id)
 double
 FlowSim::flowRate(FlowId id) const
 {
-    auto it = flows_.find(id);
-    fatal_if(it == flows_.end(), "unknown or finished flow");
-    return it->second.rate;
+    const std::size_t slot = slotOf(id);
+    fatal_if(slot == meta_.size(), "unknown or finished flow");
+    return groups_[group_[slot]].rate;
 }
 
 double
@@ -196,48 +242,25 @@ FlowSim::linkUtilisation(int link) const
 }
 
 void
-FlowSim::setParallel(ThreadPool *pool, std::size_t grain)
-{
-    fatal_if(grain == 0, "parallel scan grain must be positive");
-    pool_ = pool;
-    grain_ = grain;
-}
-
-void
 FlowSim::drainFlows()
 {
     const double dt = now() - last_update_;
     last_update_ = now();
     if (dt <= 0.0)
         return;
-    if (pool_ != nullptr && flows_.size() >= grain_ * 2) {
-        std::vector<Flow *> order;
-        order.reserve(flows_.size());
-        for (auto &[id, f] : flows_) {
-            (void)id;
-            order.push_back(&f);
+    const std::size_t n = remaining_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        remaining_[i] = std::max(
+            0.0, remaining_[i] - groups_[group_[i]].rate * dt);
+    }
+    // Fact (c): the drain is monotone, so it maps each group's minimum
+    // to the minimum of the drained members.
+    for (Group &grp : groups_) {
+        if (grp.count > 0) {
+            grp.min_remaining =
+                std::max(0.0, grp.min_remaining - grp.rate * dt);
         }
-        rangeFor(*pool_, grain_, order.size(), [&](std::size_t i) {
-            Flow &f = *order[i];
-            f.remaining = std::max(0.0, f.remaining - f.rate * dt);
-        });
-        return;
     }
-    for (auto &[id, f] : flows_) {
-        (void)id;
-        f.remaining = std::max(0.0, f.remaining - f.rate * dt);
-    }
-}
-
-void
-FlowSim::detachFlow(Flow &f)
-{
-    for (int l : f.links) {
-        auto &lf = links_[static_cast<std::size_t>(l)].flows;
-        lf.erase(std::remove(lf.begin(), lf.end(), &f), lf.end());
-    }
-    active_power_ -= f.route_power;
-    active_power_tstart_ -= f.route_power * f.start_time;
 }
 
 void
@@ -246,7 +269,7 @@ FlowSim::reallocate()
     simulator().cancel(completion_event_);
     completion_event_ = sim::EventHandle();
 
-    if (flows_.empty()) {
+    if (remaining_.empty()) {
         // Clamp floating-point residue in the maintained aggregates.
         active_power_ = 0.0;
         active_power_tstart_ = 0.0;
@@ -255,95 +278,84 @@ FlowSim::reallocate()
         return;
     }
 
-    // Progressive water-filling: repeatedly find the most-contended link
-    // (smallest residual capacity per unfrozen flow), fix its flows at
-    // that fair share, and continue with the remaining capacity.
+    // Progressive water-filling over groups: repeatedly find the
+    // most-contended link (smallest residual capacity per unfrozen
+    // flow), fix its groups at that fair share, and continue with the
+    // remaining capacity.
     for (auto &l : links_) {
         l.allocated = 0.0;
         l.residual = l.capacity;
         l.unfrozen = 0;
     }
-    for (auto &[id, f] : flows_) { // id order: deterministic FP order
-        (void)id;
-        f.rate = -1.0; // unfrozen marker
-        for (int l : f.links)
-            ++links_[static_cast<std::size_t>(l)].unfrozen;
+    std::size_t unfrozen_groups = 0;
+    for (Group &grp : groups_) {
+        if (grp.count == 0)
+            continue;
+        grp.rate = -1.0; // unfrozen marker
+        ++unfrozen_groups;
+        for (int l : grp.links)
+            links_[static_cast<std::size_t>(l)].unfrozen += grp.count;
     }
 
-    std::size_t remaining_flows = flows_.size();
-    while (remaining_flows > 0) {
-        // Find the bottleneck share.
-        double share = std::numeric_limits<double>::infinity();
-        if (pool_ != nullptr && links_.size() >= grain_ * 2) {
-            share = rangeMin(
-                *pool_, grain_, links_.size(), [this](std::size_t i) {
-                    const Link &l = links_[i];
-                    return l.unfrozen > 0
-                               ? l.residual / l.unfrozen
-                               : std::numeric_limits<double>::infinity();
-                });
-        } else {
-            for (const auto &l : links_) {
-                if (l.unfrozen > 0)
-                    share = std::min(share, l.residual / l.unfrozen);
-            }
+    while (unfrozen_groups > 0) {
+        double share = kInf;
+        for (const auto &l : links_) {
+            if (l.unfrozen > 0)
+                share = std::min(share, l.residual / l.unfrozen);
         }
         panic_if(!std::isfinite(share),
                  "active flows but no link carries any of them");
 
-        // Freeze the unfrozen flows of every link that is tight at this
-        // share, walking links in id order and each link's flows in
-        // flow-id order (both maintained sorted) so the floating-point
-        // update order is platform-independent.
+        // Freeze the unfrozen groups of every link that is tight at
+        // this share, walking links in id order: a link's tightness is
+        // judged after the freezes of the links before it.
         bool froze_any = false;
-        for (auto &bottleneck : links_) {
+        for (const auto &bottleneck : links_) {
             if (bottleneck.unfrozen <= 0)
                 continue;
             if (bottleneck.residual / bottleneck.unfrozen >
                 share * (1.0 + 1e-12)) {
                 continue;
             }
-            for (Flow *f : bottleneck.flows) {
-                if (f->rate >= 0.0)
+            for (std::uint32_t g : bottleneck.groups) {
+                Group &grp = groups_[g];
+                if (grp.rate >= 0.0)
                     continue; // frozen in an earlier round or link
-                f->rate = share;
+                grp.rate = share;
                 froze_any = true;
-                --remaining_flows;
-                for (int fl : f->links) {
+                --unfrozen_groups;
+                // Fact (a): one step per member flow.  A link whose
+                // last unfrozen flows freeze here never has its
+                // residual read again before the next reset.
+                for (int fl : grp.links) {
                     Link &m = links_[static_cast<std::size_t>(fl)];
-                    m.residual -= share;
-                    if (m.residual < 0.0)
-                        m.residual = 0.0;
-                    --m.unfrozen;
-                    m.allocated += share;
+                    m.unfrozen -= grp.count;
+                    double allocated = m.allocated;
+                    for (int k = 0; k < grp.count; ++k)
+                        allocated += share;
+                    m.allocated = allocated;
+                    if (m.unfrozen == 0)
+                        continue;
+                    double residual = m.residual;
+                    for (int k = 0; k < grp.count; ++k) {
+                        residual -= share;
+                        if (residual < 0.0)
+                            residual = 0.0;
+                    }
+                    m.residual = residual;
                 }
             }
         }
         panic_if(!froze_any, "water-filling failed to make progress");
     }
 
-    // Schedule the next completion.
-    double next = std::numeric_limits<double>::infinity();
-    if (pool_ != nullptr && flows_.size() >= grain_ * 2) {
-        std::vector<const Flow *> order;
-        order.reserve(flows_.size());
-        for (const auto &[id, f] : flows_) {
-            (void)id;
-            order.push_back(&f);
-        }
-        next = rangeMin(
-            *pool_, grain_, order.size(), [&order](std::size_t i) {
-                const Flow &f = *order[i];
-                panic_if(f.rate <= 0.0,
-                         "flow allocated a non-positive rate");
-                return f.remaining / f.rate;
-            });
-    } else {
-        for (const auto &[id, f] : flows_) {
-            (void)id;
-            panic_if(f.rate <= 0.0, "flow allocated a non-positive rate");
-            next = std::min(next, f.remaining / f.rate);
-        }
+    // Schedule the next completion (fact (b)).
+    double next = kInf;
+    for (const Group &grp : groups_) {
+        if (grp.count == 0)
+            continue;
+        panic_if(grp.rate <= 0.0, "flow allocated a non-positive rate");
+        next = std::min(next, grp.min_remaining / grp.rate);
     }
     completion_event_ = simulator().schedule(
         std::max(0.0, next), [this] { onCompletionEvent(); });
@@ -352,60 +364,82 @@ FlowSim::reallocate()
 void
 FlowSim::onCompletionEvent()
 {
-    drainFlows();
-
-    // Collect drained flows first (in flow-id order — the force-complete
-    // fallback below inherits the same deterministic order); callbacks
-    // may start new flows.
-    std::vector<Flow> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        Flow &f = it->second;
-        if (drained(f.remaining, f.total, f.rate)) {
-            detachFlow(f);
-            done.push_back(std::move(f));
-            it = flows_.erase(it);
-        } else {
-            ++it;
+    // One pass: drain to now(), collect the drained flows, and take
+    // each group's minimum over the flows that stay.
+    const double dt = now() - last_update_;
+    last_update_ = now();
+    for (Group &grp : groups_)
+        grp.min_remaining = kInf;
+    done_.clear();
+    const std::size_t n = remaining_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        Group &grp = groups_[group_[i]];
+        double rem = remaining_[i];
+        if (dt > 0.0) {
+            rem = std::max(0.0, rem - grp.rate * dt);
+            remaining_[i] = rem;
         }
+        if (drained(rem, total_[i], grp.rate))
+            done_.push_back(i);
+        else
+            grp.min_remaining = std::min(grp.min_remaining, rem);
     }
-    if (done.empty()) {
+    const bool forced = done_.empty();
+    if (forced) {
         // Pure floating-point jitter: the scheduled completion landed a
         // hair before the flow's residue cleared.  Force-complete the
         // flow(s) that are next to finish rather than spinning.
-        double min_tt = std::numeric_limits<double>::infinity();
-        for (const auto &[id, f] : flows_) {
-            (void)id;
-            min_tt = std::min(min_tt, f.remaining / f.rate);
+        double min_tt = kInf;
+        for (const Group &grp : groups_) {
+            if (grp.count > 0)
+                min_tt = std::min(min_tt, grp.min_remaining / grp.rate);
         }
         panic_if(!std::isfinite(min_tt) || min_tt > 1e-6,
                  "completion event fired with no flow near completion");
-        for (auto it = flows_.begin(); it != flows_.end();) {
-            Flow &f = it->second;
-            if (f.remaining / f.rate <= min_tt * (1.0 + 1e-9)) {
-                detachFlow(f);
-                done.push_back(std::move(f));
-                it = flows_.erase(it);
-            } else {
-                ++it;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (remaining_[i] / groups_[group_[i]].rate <=
+                min_tt * (1.0 + 1e-9)) {
+                done_.push_back(i);
             }
         }
     }
 
-    for (auto &f : done) {
+    // The power aggregates and the callbacks see the completed flows in
+    // flow-id order, as the per-flow kernel did.
+    std::sort(done_.begin(), done_.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return meta_[a].id < meta_[b].id;
+              });
+    for (const std::size_t slot : done_) {
+        FlowMeta &m = meta_[slot];
+        active_power_ -= m.route_power;
+        active_power_tstart_ -= m.route_power * m.start_time;
         FlowRecord rec{};
-        rec.id = f.id;
-        rec.start_time = f.start_time;
+        rec.id = m.id;
+        rec.start_time = m.start_time;
         rec.finish_time = now();
-        rec.energy = f.route_power * (now() - f.start_time);
-        rec.bytes = f.total;
-        bytes_delivered_ += f.total;
-        stat_bytes_delivered_->add(f.total);
+        rec.energy = m.route_power * (now() - m.start_time);
+        rec.bytes = total_[slot];
+        finished_.emplace_back(rec, std::move(m.cb));
+    }
+    // Highest slot first, so no swap moves a flow still to be removed.
+    std::sort(done_.begin(), done_.end(), std::greater<>());
+    for (const std::size_t slot : done_)
+        removeSlot(slot);
+    if (forced)
+        recomputeMinRemaining();
+
+    // Callbacks may start new flows.
+    for (auto &[rec, cb] : finished_) {
+        bytes_delivered_ += rec.bytes;
+        stat_bytes_delivered_->add(rec.bytes);
         finished_energy_ += rec.energy;
         stat_flows_completed_->increment();
         stat_flow_duration_->sample(rec.duration());
-        if (f.cb)
-            f.cb(rec);
+        if (cb)
+            cb(rec);
     }
+    finished_.clear();
 
     reallocate();
 }

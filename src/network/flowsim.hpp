@@ -11,16 +11,23 @@
  * model cannot (bulk backups squeezing foreground traffic, the paper's
  * §II motivation).
  *
- * Determinism: flows are stored and iterated in flow-id order, so rate
- * allocation, completion detection, and the resulting floating-point
- * operation order are identical on every platform (no dependence on
- * hash-map layout).
+ * Path groups (see DESIGN.md §"Kernel internals"): flows with the same
+ * link list always receive the same max-min rate, so rates live on an
+ * interned path group carrying a live-flow count, and water-filling
+ * runs over groups instead of flows.  The per-flow hot state
+ * (remaining bytes, size, group) sits in dense slot arrays, so each
+ * event costs one streaming pass over the in-flight flows plus a
+ * water-filling over the live groups.  Groups are retired when their
+ * last flow leaves, so the cost tracks the active paths, not every
+ * path ever seen.
  *
- * Performance (see DESIGN.md §"Kernel internals"): each link keeps the
- * list of flows crossing it plus its currently allocated rate, and the
- * simulator maintains active-power aggregates, so water-filling walks
- * only the link→flow adjacency it touches and `linkUtilisation()` /
- * `totalEnergy()` are O(1) instead of scanning every flow.
+ * Determinism: every rate, finish time and energy is bit-identical to
+ * the original per-flow, id-ordered kernel (tests/flowsim_reference.hpp
+ * is that kernel, kept as a test oracle).  The two steps whose
+ * floating-point order depends on flow ids — completion callbacks and
+ * the power-aggregate subtractions — run over the completed set sorted
+ * by id; everything else is elementwise, a min, or a sequence of
+ * identical updates whose order cannot matter.
  */
 
 #ifndef DHL_NETWORK_FLOWSIM_HPP
@@ -29,15 +36,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_object.hpp"
 #include "sim/simulator.hpp"
 
 namespace dhl {
-
-class ThreadPool;
-
 namespace network {
 
 /** Identifier of a flow inside a FlowSim. */
@@ -87,11 +92,19 @@ class FlowSim : public sim::SimObject
     /** Cancel an in-flight flow; returns false if unknown/finished. */
     bool cancelFlow(FlowId id);
 
-    /** Current fair-share rate of an active flow, bytes/s. */
+    /**
+     * Current fair-share rate of an active flow, bytes/s.  Searches
+     * the in-flight flows newest first: O(1) for the flow just
+     * started, O(active flows) at worst.
+     */
     double flowRate(FlowId id) const;
 
     /** Number of in-flight flows. */
-    std::size_t activeFlows() const { return flows_.size(); }
+    std::size_t activeFlows() const { return remaining_.size(); }
+
+    /** Number of distinct link lists among the in-flight flows (the
+     *  live path groups); 0 once every flow has finished. */
+    std::size_t pathGroups() const { return group_index_.size(); }
 
     /** Total bytes delivered by completed flows. */
     double bytesDelivered() const { return bytes_delivered_; }
@@ -107,52 +120,56 @@ class FlowSim : public sim::SimObject
     /** Utilisation of a link right now, in [0, 1].  O(1). */
     double linkUtilisation(int link) const;
 
-    /**
-     * Run the hot scans — the water-filling bottleneck search, the
-     * per-flow drain, and the next-completion search — on @p pool when
-     * the population reaches 2x @p grain elements (null pool = serial,
-     * the default).  Exactness contract: every parallel reduction
-     * partitions the id-ordered population into contiguous ranges,
-     * reduces each range with the serial loop, and folds the per-range
-     * minima in range order; min is exact and the drain is
-     * elementwise, so results are byte-identical to the serial scans
-     * for any pool size.  The freeze pass of the water-filling stays
-     * serial — it is the part with loop-carried dependencies.
-     */
-    void setParallel(ThreadPool *pool, std::size_t grain = 256);
-
   private:
-    struct Flow
+    /** Flows sharing one link list, hence one max-min rate. */
+    struct Group
     {
-        FlowId id;
-        std::vector<int> links;
-        double total;
-        double remaining;
-        double rate;
-        double route_power;
-        double start_time;
-        Callback cb;
+        std::vector<int> links; ///< The shared path, hop order.
+        double rate;            ///< Rate of every member flow, bytes/s.
+        double min_remaining;   ///< Smallest remaining bytes of a member.
+        int count;              ///< Live member flows; 0 = free slot.
     };
 
     struct Link
     {
         double capacity;
         double allocated; ///< Σ current rates of flows on this link.
-        /** Flows crossing this link, in id order (ids are handed out
-         *  monotonically and appended, so order is maintained). */
-        std::vector<Flow *> flows;
+        /** Live groups crossing this link (once per occurrence in the
+         *  group's path; order is immaterial). */
+        std::vector<std::uint32_t> groups;
 
         // Water-filling scratch (valid only inside reallocate()).
         double residual;
         int unfrozen;
     };
 
+    /** Cold per-flow state, slot-parallel to the hot arrays. */
+    struct FlowMeta
+    {
+        FlowId id;
+        double route_power;
+        double start_time;
+        Callback cb;
+    };
+
+    /** Group of the link list @p links, creating it if new; may move
+     *  from @p links. */
+    std::uint32_t internGroup(std::vector<int> &links);
+
+    /** Release group @p g (its last flow left). */
+    void retireGroup(std::uint32_t g);
+
+    /** Slot of flow @p id, or activeFlows() if it is not in flight. */
+    std::size_t slotOf(FlowId id) const;
+
+    /** Swap-remove the flow in @p slot, retiring its group if empty. */
+    void removeSlot(std::size_t slot);
+
+    /** Recompute every live group's min_remaining from the flows. */
+    void recomputeMinRemaining();
+
     /** Drain every active flow's remaining bytes to now(). */
     void drainFlows();
-
-    /** Detach @p f from its links' adjacency lists and the power
-     *  aggregates (shared by cancellation and completion). */
-    void detachFlow(Flow &f);
 
     /** Recompute max-min fair rates and reschedule completion. */
     void reallocate();
@@ -161,9 +178,22 @@ class FlowSim : public sim::SimObject
     void onCompletionEvent();
 
     std::vector<Link> links_;
-    std::map<FlowId, Flow> flows_; ///< id order ⇒ deterministic.
-    ThreadPool *pool_ = nullptr;   ///< Parallel scans (see setParallel).
-    std::size_t grain_ = 256;
+
+    // Per-flow state in dense slots (swap-removed; slot order is not
+    // id order).
+    std::vector<double> remaining_;
+    std::vector<double> total_;
+    std::vector<std::uint32_t> group_;
+    std::vector<FlowMeta> meta_;
+
+    std::vector<Group> groups_;                ///< Slots; count 0 = free.
+    std::vector<std::uint32_t> free_groups_;   ///< Free group slots.
+    std::map<std::vector<int>, std::uint32_t> group_index_; ///< Live.
+    // Completion scratch, kept across events so its capacity is reused:
+    // drained slots, then their records.
+    std::vector<std::size_t> done_;
+    std::vector<std::pair<FlowRecord, Callback>> finished_;
+
     FlowId next_id_;
     double last_update_;
     double bytes_delivered_;

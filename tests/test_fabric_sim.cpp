@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "common/logging.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
@@ -127,4 +131,49 @@ TEST(FabricSimTest, Validation)
     EXPECT_THROW(
         fabric.startTransfer({0, 0, 0}, {0, 0, 0}, 1e12),
         dhl::FatalError);
+}
+
+TEST(FabricSimTest, LongChurnAcrossHostPairsRetiresEveryPathGroup)
+{
+    // Thousands of transfers between random host pairs come and go.
+    // The flow kernel interns one path group per distinct link list;
+    // groups must be retired with their last flow, so the table tracks
+    // the live paths only and ends empty.
+    Simulator sim;
+    const FatTreeConfig cfg;
+    FabricSim fabric(sim, cfg);
+    std::mt19937_64 rng(7);
+    const auto host = [&] {
+        return HostAddress{
+            static_cast<int>(rng() % static_cast<unsigned>(cfg.aisles)),
+            static_cast<int>(rng() %
+                             static_cast<unsigned>(cfg.racks_per_aisle)),
+            static_cast<int>(rng() %
+                             static_cast<unsigned>(cfg.hosts_per_rack))};
+    };
+    const auto key = [](const HostAddress &h) {
+        return std::make_tuple(h.aisle, h.rack, h.host);
+    };
+
+    std::set<std::tuple<int, int, int, int, int, int>> pairs;
+    std::size_t completed = 0;
+    for (int i = 0; i < 4000; ++i) {
+        HostAddress src = host(), dst = host();
+        while (key(src) == key(dst))
+            dst = host();
+        pairs.insert(std::tuple_cat(key(src), key(dst)));
+        const double bytes = 1e9 * static_cast<double>(1 + rng() % 8);
+        sim.scheduleAt(0.01 * i, [&, src, dst, bytes] {
+            fabric.startTransfer(src, dst, bytes,
+                                 [&](const FlowRecord &) { ++completed; });
+            EXPECT_LE(fabric.flows().pathGroups(),
+                      fabric.flows().activeFlows());
+        });
+    }
+    sim.run();
+
+    EXPECT_GT(pairs.size(), 400u);
+    EXPECT_EQ(completed, 4000u);
+    EXPECT_EQ(fabric.flows().activeFlows(), 0u);
+    EXPECT_EQ(fabric.flows().pathGroups(), 0u);
 }

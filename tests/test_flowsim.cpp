@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "flowsim_reference.hpp"
 #include "network/flowsim.hpp"
 
 using namespace dhl::network;
@@ -229,4 +236,140 @@ TEST(FlowSimTest, ThreeLinkContentionRatesAreExactlyDeterministic)
     EXPECT_EQ(rates, rates2);
     EXPECT_EQ(finishes, finishes2);
     ASSERT_EQ(finishes.size(), 4u);
+}
+
+//===========================================================================
+// Differential test: the path-grouped kernel against the per-flow,
+// id-ordered reference kernel (flowsim_reference.hpp), bit for bit.
+//===========================================================================
+
+namespace {
+
+/**
+ * Drive @p Kernel through a seeded random multi-link workload and
+ * return every observable as hexfloat text: the rate of each flow at
+ * start, each completion's finish time and energy, mid-run link
+ * utilisation reads (from scripted events and from inside completion
+ * callbacks), and the final bytes, energy and clock.
+ *
+ * Paths come from a small pool, so several flows share one path and
+ * distinct paths overlap; sizes come from a short list, so equal flows
+ * started together finish at the same instant; scripted times sit on a
+ * quarter-second grid, so arrivals tie with completions.  Some flows
+ * are cancelled mid-run and some completions start a follow-on flow.
+ * Every random draw happens while building the script, so both kernels
+ * replay the identical workload.
+ */
+template <typename Kernel>
+std::string
+differentialRun(std::uint64_t seed, std::size_t *groups_left = nullptr)
+{
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+
+    Simulator sim;
+    Kernel fs(sim);
+    const double capacities[] = {100.0, 300.0, 1000.0, 64.0};
+    const int n_links = 2 + static_cast<int>(pick(5));
+    for (int l = 0; l < n_links; ++l)
+        fs.addLink(capacities[pick(4)]);
+
+    std::vector<std::vector<int>> paths(2 + pick(6));
+    for (auto &path : paths) {
+        const std::size_t hops = 1 + pick(3);
+        for (std::size_t h = 0; h < hops; ++h)
+            path.push_back(static_cast<int>(pick(n_links)));
+    }
+    const double sizes[] = {1000.0, 1000.0, 2500.0, 4096.0, 1234.5,
+                            300.0};
+    const double powers[] = {0.0, 24.0, 7.5};
+
+    std::ostringstream out;
+    out << std::hexfloat;
+    std::vector<FlowId> started;
+
+    std::function<void(const FlowRecord &)> on_done;
+    const auto start = [&](std::size_t path, double bytes, double power) {
+        const FlowId id = fs.startFlow(paths[path], bytes, power, on_done);
+        started.push_back(id);
+        out << "s" << id << " " << fs.flowRate(id) << "\n";
+    };
+    on_done = [&](const FlowRecord &r) {
+        out << "d" << r.id << " " << r.start_time << " " << r.finish_time
+            << " " << r.energy << " " << r.bytes << "\n";
+        if (r.id % 2 == 0) {
+            const int l = static_cast<int>(r.id % n_links);
+            out << "cu" << l << " " << fs.linkUtilisation(l) << "\n";
+        }
+        if (r.id % 3 == 0 && r.id < 400) {
+            start(r.id % paths.size(), sizes[r.id % 6],
+                  powers[r.id % 3]);
+        }
+    };
+
+    const std::size_t actions = 30 + pick(90);
+    for (std::size_t a = 0; a < actions; ++a) {
+        const double t = 0.25 * static_cast<double>(pick(160));
+        const std::size_t kind = pick(20);
+        if (kind < 12) {
+            const std::size_t path = pick(paths.size());
+            const double bytes = sizes[pick(6)];
+            const double power = powers[pick(3)];
+            const std::size_t copies = kind < 3 ? 2 + pick(3) : 1;
+            sim.scheduleAt(t, [&, path, bytes, power, copies] {
+                for (std::size_t c = 0; c < copies; ++c)
+                    start(path, bytes, power);
+            });
+        } else if (kind < 15) {
+            const std::size_t which = pick(1000);
+            sim.scheduleAt(t, [&, which] {
+                if (started.empty())
+                    return;
+                const FlowId id = started[which % started.size()];
+                out << "x" << id << " " << fs.cancelFlow(id) << "\n";
+            });
+        } else {
+            const int l = static_cast<int>(pick(n_links));
+            sim.scheduleAt(t, [&, l] {
+                out << "u" << l << " " << fs.linkUtilisation(l) << " "
+                    << fs.activeFlows() << " " << fs.totalEnergy()
+                    << "\n";
+            });
+        }
+    }
+    sim.run();
+
+    out << "end " << fs.bytesDelivered() << " " << fs.totalEnergy() << " "
+        << sim.now() << " " << fs.activeFlows() << " " << started.size()
+        << "\n";
+    if constexpr (std::is_same_v<Kernel, FlowSim>) {
+        if (groups_left != nullptr)
+            *groups_left = fs.pathGroups();
+    }
+    return out.str();
+}
+
+} // namespace
+
+TEST(FlowSimDifferential, BitIdenticalToReferenceKernel)
+{
+    std::size_t flows = 0, completions = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        std::size_t groups_left = 99;
+        const std::string want =
+            differentialRun<reference::FlowSim>(seed);
+        const std::string got = differentialRun<FlowSim>(seed, &groups_left);
+        ASSERT_EQ(want, got) << "seed " << seed;
+        EXPECT_EQ(groups_left, 0u) << "seed " << seed;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const bool line_start = i == 0 || got[i - 1] == '\n';
+            flows += line_start && got[i] == 's';
+            completions += line_start && got[i] == 'd';
+        }
+    }
+    // The workload must actually exercise the kernel.
+    EXPECT_GT(flows, 10000u);
+    EXPECT_GT(completions, 10000u);
 }

@@ -21,7 +21,6 @@
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "exp/slo.hpp"
-#include "network/flowsim.hpp"
 #include "ops/fleet_ops.hpp"
 #include "serve/serving.hpp"
 #include "sim/shard.hpp"
@@ -346,38 +345,6 @@ TEST(ShardedServing, RestoredShardedRunContinuesByteIdentically)
 
     EXPECT_EQ(servingDigest(oracle), servingDigest(resumed));
     EXPECT_EQ(want_ck.str(), got_ck.str());
-}
-
-//===========================================================================
-// Flow-sim parallel scans
-//===========================================================================
-
-std::string
-flowChurn(std::size_t workers)
-{
-    sim::Simulator sim;
-    network::FlowSim fs(sim);
-    ThreadPool pool(workers);
-    if (workers > 1)
-        fs.setParallel(&pool, /*grain=*/32);
-    std::vector<int> links;
-    for (int i = 0; i < 8; ++i)
-        links.push_back(fs.addLink(u::gigabitsPerSecond(400)));
-    for (int i = 0; i < 512; ++i) {
-        fs.startFlow({links[i % 8], links[(i + 3) % 8]},
-                     u::gigabytes(1 + i % 5), 24.0, nullptr);
-    }
-    sim.run();
-    std::ostringstream os;
-    os << std::hexfloat << fs.bytesDelivered() << "|" << sim.now();
-    return os.str();
-}
-
-TEST(ParallelFlowScans, WorkerCountsAreBitIdentical)
-{
-    const std::string serial = flowChurn(1);
-    EXPECT_EQ(serial, flowChurn(2));
-    EXPECT_EQ(serial, flowChurn(4));
 }
 
 } // namespace
