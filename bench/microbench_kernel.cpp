@@ -2,9 +2,9 @@
  * @file
  * Experiment E13 — google-benchmark microbenchmarks of the simulation
  * substrates: DES event throughput, flow-sim reallocation cost (a
- * synthetic churn and a serving-shaped shared uplink), and the
+ * synthetic churn and a serving-shaped shared uplink), the
  * closed-form model evaluation rate (how fast the design space can be
- * swept).
+ * swept), and a whole capacity plan.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +22,7 @@
 #include "dhl/simulation.hpp"
 #include "network/flowsim.hpp"
 #include "plan/batch_eval.hpp"
+#include "plan/planner.hpp"
 #include "plan/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -235,6 +236,65 @@ BM_BatchedEval(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BatchedEval)->Arg(1 << 10)->Arg(1 << 14);
+
+/** E21's heavy tier (2 M users, tracks <= 8, carts <= 10, 100
+ *  bootstrap resamples) at twice E21's stream, DES check off. */
+static plan::PlannerConfig
+capacityPlanConfig()
+{
+    plan::PlannerConfig cfg;
+    cfg.assumptions.dhl.track_mode = core::TrackMode::Pipelined;
+    cfg.assumptions.dhl.docking_stations = 2;
+    cfg.assumptions.slo_latency = 60.0;
+    cfg.assumptions.target_quantile = 0.9;
+    cfg.demand.users_median = 2.0e6;
+    cfg.tracks_max = 8;
+    cfg.carts_max = 10;
+    cfg.scenarios = 4096;
+    cfg.bootstrap = 100;
+    cfg.jobs = 1;
+    cfg.seed = 1;
+    return cfg;
+}
+
+/** Winner and its attainment / CI bounds (hexfloat) of the plan above. */
+constexpr const char *kCapacityPlanDigest =
+    "t8.c6.p2|0x1.d3p-1|0x1.ceef333333333p-1|0x1.d730ccccccccdp-1";
+
+/** The winning design and its attainment triple, as hexfloat. */
+static std::string
+capacityPlanDigest(const plan::PlanResult &res)
+{
+    if (!res.hasWinner())
+        return "none";
+    const plan::DesignReport &w = res.winnerReport();
+    const plan::DesignPoint &d = w.constants.design;
+    std::ostringstream os;
+    os << "t" << d.tracks << ".c" << d.carts_per_track << ".p" << d.plants
+       << "|" << std::hexfloat << w.attainment << "|" << w.attainment_lo
+       << "|" << w.attainment_hi;
+    return os.str();
+}
+
+static void
+BM_CapacityPlan(benchmark::State &state)
+{
+    // Identity gate: a planner that picks a different winner or scores
+    // it differently is not measured.
+    const plan::CapacityPlanner planner(capacityPlanConfig());
+    const plan::PlanResult first = planner.plan();
+    if (capacityPlanDigest(first) != kCapacityPlanDigest) {
+        state.SkipWithError("capacity plan diverged from its digest");
+        return;
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(planner.plan().winner);
+    // Items are scenario evaluations: lattice points x scenarios.
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(first.reports.size() * first.scenarios));
+}
+BENCHMARK(BM_CapacityPlan)->Unit(benchmark::kMillisecond);
 
 static void
 BM_DesBulkTransfer(benchmark::State &state)

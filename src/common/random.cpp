@@ -76,6 +76,22 @@ Rng::uniform()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
+std::uint64_t
+Rng::countBelow(std::size_t n, double p)
+{
+    // Every k = next() >> 11 is below 2^53, so that bound counts every
+    // draw; !(p > 0) also catches NaN before any conversion.
+    std::uint64_t bound = std::uint64_t{1} << 53;
+    if (!(p > 0.0))
+        bound = 0;
+    else if (p < 1.0)
+        bound = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    std::uint64_t hits = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        hits += (next() >> 11) < bound ? 1 : 0;
+    return hits;
+}
+
 double
 Rng::uniform(double lo, double hi)
 {

@@ -52,6 +52,22 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
+    /**
+     * Advance the stream by exactly @p n draws and return how many of
+     * the uniform() values they would have produced are < @p p, without
+     * forming any double.  uniform() is k * 2^-53 with k = next() >> 11
+     * < 2^53; both the conversion of k and the scaling by 2^-53 are
+     * exact, so uniform() < p holds iff k < p * 2^53, and p * 2^53 =
+     * ldexp(p, 53) is exact too.  For an integer k, k < x iff
+     * k < ceil(x), so each draw is one integer compare against
+     * ceil(ldexp(p, 53)).  p <= 0 and NaN count 0 and p >= 1 counts
+     * @p n, as the double compare would; every case still consumes the
+     * @p n draws, and no NaN or out-of-range value is converted to an
+     * integer.  The result and the stream position afterwards equal
+     * those of the loop `hits += uniform() < p` over @p n draws.
+     */
+    std::uint64_t countBelow(std::size_t n, double p);
+
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 

@@ -135,15 +135,17 @@ evaluateScalar(const PlanAssumptions &a, const DesignPoint &d,
 
 void
 evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
-              double slo_latency, EvalBatch &out)
+              std::size_t first, std::size_t n, double slo_latency,
+              EvalBatch &out)
 {
-    const std::size_t n = in.size();
+    panic_if(first > in.size() || n > in.size() - first,
+             "evaluateBatch window out of range");
     out.resize(n);
-    const double *users = in.users.data();
-    const double *bytes = in.bytes_per_user_day.data();
-    const double *peak = in.peak_factor.data();
-    const double *bulk = in.bulk_share.data();
-    const double *req = in.request_bytes.data();
+    const double *users = in.users.data() + first;
+    const double *bytes = in.bytes_per_user_day.data() + first;
+    const double *peak = in.peak_factor.data() + first;
+    const double *bulk = in.bulk_share.data() + first;
+    const double *req = in.request_bytes.data() + first;
     for (std::size_t i = 0; i < n; ++i) {
         const ScenarioOutcome o = scenarioKernel(
             c, users[i], bytes[i], peak[i], bulk[i], req[i], slo_latency);
@@ -152,6 +154,13 @@ evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
         out.energy_day[i] = o.energy_day;
         out.meets_slo[i] = o.meets_slo ? 1 : 0;
     }
+}
+
+void
+evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
+              double slo_latency, EvalBatch &out)
+{
+    evaluateBatch(c, in, 0, in.size(), slo_latency, out);
 }
 
 } // namespace plan

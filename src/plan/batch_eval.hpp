@@ -205,9 +205,16 @@ ScenarioOutcome evaluateScalar(const PlanAssumptions &a,
 
 /**
  * The batched SoA path: constants already hoisted, scenario columns
- * streamed contiguously.  Bit-identical to evaluateScalar on every
- * element.
+ * streamed contiguously.  Scores the window [first, first + n) of
+ * @p in into out[0, n) (@p out is resized to n), so a planner can walk
+ * one shared read-only stream in fixed-size chunks.  Bit-identical to
+ * evaluateScalar on every element.
  */
+void evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
+                   std::size_t first, std::size_t n, double slo_latency,
+                   EvalBatch &out);
+
+/** The whole-batch form: the window [0, in.size()). */
 void evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
                    double slo_latency, EvalBatch &out);
 

@@ -69,9 +69,10 @@ CapacityPlanner::lattice() const
 
 namespace {
 
-/** Score one lattice point against the shared scenario stream. */
+/** Score one lattice point against the shared scenario stream,
+ *  walking it in cfg.batch windows. */
 DesignReport
-scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
+scoreDesign(const PlannerConfig &cfg, const ScenarioBatch &stream,
             const DesignPoint &d, Rng &bootstrap_rng)
 {
     DesignReport r;
@@ -83,14 +84,11 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
     double util_sum = 0.0;
     double energy_sum = 0.0;
 
-    ScenarioBatch in;
     EvalBatch out;
-    for (std::uint64_t first = 0; first < cfg.scenarios;
-         first += cfg.batch) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cfg.batch, cfg.scenarios - first));
-        sampler.fill(first, n, in);
-        evaluateBatch(r.constants, in, cfg.assumptions.slo_latency, out);
+    for (std::size_t first = 0; first < cfg.scenarios; first += cfg.batch) {
+        const std::size_t n = std::min(cfg.batch, cfg.scenarios - first);
+        evaluateBatch(r.constants, stream, first, n,
+                      cfg.assumptions.slo_latency, out);
         for (std::size_t i = 0; i < n; ++i) {
             sketch.sample(std::min(out.latency[i], clamp));
             met += out.meets_slo[i];
@@ -112,11 +110,11 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioSampler &sampler,
     // Percentile bootstrap on the attainment: the per-scenario SLO
     // outcome is Bernoulli, so a resample of the dataset reduces to a
     // Binomial(n, attainment) draw — O(bootstrap) memory, counts only.
+    // countBelow counts the uniform() < attainment draws on raw bits.
     std::vector<double> resampled(cfg.bootstrap);
     for (std::size_t b = 0; b < cfg.bootstrap; ++b) {
-        std::uint64_t hits = 0;
-        for (std::size_t i = 0; i < cfg.scenarios; ++i)
-            hits += bootstrap_rng.uniform() < r.attainment ? 1 : 0;
+        const std::uint64_t hits =
+            bootstrap_rng.countBelow(cfg.scenarios, r.attainment);
         resampled[b] = static_cast<double>(hits) / n;
     }
     r.attainment_lo = stats::percentile(resampled, 2.5);
@@ -167,7 +165,13 @@ PlanResult
 CapacityPlanner::plan() const
 {
     const std::vector<DesignPoint> points = lattice();
-    const ScenarioSampler sampler(cfg_.demand, cfg_.seed);
+
+    // The common scenario stream, sampled once and shared read-only by
+    // every lattice point (and every worker): the sampler is a pure
+    // function of (seed, index), so this is the stream each point would
+    // draw for itself.
+    ScenarioBatch stream;
+    ScenarioSampler(cfg_.demand, cfg_.seed).fill(0, cfg_.scenarios, stream);
 
     PlanResult result;
     result.scenarios = cfg_.scenarios;
@@ -188,8 +192,8 @@ CapacityPlanner::plan() const
         name += std::to_string(d.carts_per_track);
         name += ".p";
         name += std::to_string(d.plants);
-        grid.add(name, [this, &sampler, d, slot](exp::ScenarioContext &ctx) {
-            *slot = scoreDesign(cfg_, sampler, d, ctx.rng);
+        grid.add(name, [this, &stream, d, slot](exp::ScenarioContext &ctx) {
+            *slot = scoreDesign(cfg_, stream, d, ctx.rng);
             return exp::ScenarioRows{};
         });
     }

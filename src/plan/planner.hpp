@@ -5,14 +5,15 @@
  * sampled demand scenarios meets a target quantile.
  *
  * Every lattice point is scored against the *same* deterministic
- * scenario stream (common random numbers, see scenario.hpp), in
- * batches through the SoA evaluator, with streaming aggregation — a
- * QuantileSketch for the latency distribution and counters for SLO
- * attainment — so memory stays O(1) in the scenario count.  A
- * bootstrap over the attainment counts yields a 95 % CI.  Lattice
- * points run as scenarios of an exp::ExperimentRunner grid: reports
- * land in lattice order and a parallel plan is byte-identical to a
- * serial one.
+ * scenario stream (common random numbers, see scenario.hpp).  plan()
+ * samples that stream once, into one ScenarioBatch shared read-only by
+ * every point and worker: memory is O(scenarios), 40 B per scenario.
+ * Each point walks it in `batch`-sized windows through the SoA
+ * evaluator, with streaming aggregation — a QuantileSketch for the
+ * latency distribution and counters for SLO attainment.  A bootstrap
+ * over the attainment counts yields a 95 % CI.  Lattice points run as
+ * scenarios of an exp::ExperimentRunner grid: reports land in lattice
+ * order and a parallel plan is byte-identical to a serial one.
  */
 
 #ifndef DHL_PLAN_PLANNER_HPP
@@ -59,7 +60,8 @@ struct PlannerConfig
     /** Scenarios per lattice point (the common random-number stream). */
     std::size_t scenarios = 4096;
 
-    /** Scenario batch size for the SoA evaluator. */
+    /** Evaluation window over the shared stream: scenarios per SoA
+     *  evaluator call (sizes the per-point output buffer). */
     std::size_t batch = 1024;
 
     /** Bootstrap resamples behind the attainment CI. */

@@ -2,17 +2,21 @@
  * @file
  * Unit tests for the Monte-Carlo capacity-planning subsystem: scenario
  * sampler determinism, scalar/batched evaluator identity, the plant
- * availability derate, and the planner's winner selection and
- * jobs-invariance.
+ * availability derate, and the planner's winner selection,
+ * jobs-invariance and bit identity with the reference scoring path
+ * (tests/plan_reference.hpp).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "plan/planner.hpp"
+#include "plan_reference.hpp"
 
 using namespace dhl;
 using namespace dhl::plan;
@@ -35,6 +39,28 @@ smallPlanner()
     cfg.bootstrap = 50;
     cfg.seed = 11;
     return cfg;
+}
+
+/** Every field of a report, doubles as hexfloat: equal strings mean
+ *  bit-identical reports. */
+std::string
+hexReport(const DesignReport &r)
+{
+    const DesignConstants &c = r.constants;
+    std::ostringstream os;
+    os << std::hexfloat << "t" << c.design.tracks << ".c"
+       << c.design.carts_per_track << ".p" << c.design.plants
+       << " cap=" << c.cart_capacity << " trip=" << c.trip_time
+       << " launch_e=" << c.launch_energy << " read=" << c.read_per_byte
+       << " track_rate=" << c.track_launch_rate
+       << " plant_f=" << c.plant_factor
+       << " fleet_rate=" << c.fleet_launch_rate << " capex=" << c.capex
+       << " hotel=" << c.hotel_power << " feasible=" << c.feasible
+       << " att=" << r.attainment << " lo=" << r.attainment_lo
+       << " hi=" << r.attainment_hi << " p50=" << r.latency_p50
+       << " slo_q=" << r.latency_slo_q << " util=" << r.mean_utilisation
+       << " energy=" << r.mean_energy_day << " meets=" << r.meets_target;
+    return os.str();
 }
 
 } // namespace
@@ -324,4 +350,51 @@ TEST(CapacityPlannerTest, RejectsNonsenseConfigs)
     cfg = smallPlanner();
     cfg.assumptions.target_quantile = 1.0;
     EXPECT_THROW(CapacityPlanner{cfg}, dhl::FatalError);
+}
+
+TEST(CapacityPlannerTest, BitIdenticalToReferenceScoringPath)
+{
+    // The shared stream walked in windows and the raw-bit bootstrap
+    // against the per-point re-sampling, uniform()-compare definition:
+    // 24 seeds, each with its own demand level, at window sizes that
+    // divide the stream, do not, exceed it, and are a single scenario,
+    // serial and parallel.
+    const std::size_t kScenarios = 240;
+    const std::size_t kBatches[] = {48, 100, 1000, 1};
+    std::size_t interior = 0; // reports with 0 < attainment < 1
+    std::size_t extreme = 0;  // reports with attainment 0 or 1
+    for (std::uint64_t s = 1; s <= 24; ++s) {
+        PlannerConfig cfg = smallPlanner();
+        cfg.seed = s * 7919 + 3;
+        cfg.demand.users_median = 0.1e6 * static_cast<double>(1 + s % 6);
+        cfg.scenarios = kScenarios;
+        for (std::size_t batch : kBatches) {
+            cfg.batch = batch;
+            const PlanResult want = reference::plan(cfg);
+            for (std::size_t jobs : {1u, 4u}) {
+                cfg.jobs = jobs;
+                const PlanResult got = CapacityPlanner(cfg).plan();
+                ASSERT_EQ(got.reports.size(), want.reports.size());
+                EXPECT_EQ(got.winner, want.winner)
+                    << "seed " << cfg.seed << " batch " << batch
+                    << " jobs " << jobs;
+                EXPECT_EQ(got.scenarios, want.scenarios);
+                for (std::size_t i = 0; i < want.reports.size(); ++i)
+                    EXPECT_EQ(hexReport(got.reports[i]),
+                              hexReport(want.reports[i]))
+                        << "seed " << cfg.seed << " batch " << batch
+                        << " jobs " << jobs;
+            }
+            for (const DesignReport &r : want.reports) {
+                if (r.attainment > 0.0 && r.attainment < 1.0)
+                    ++interior;
+                else
+                    ++extreme;
+            }
+        }
+    }
+    // The seeds exercise both the counted and the all-or-nothing
+    // bootstrap thresholds.
+    EXPECT_GT(interior, 0u);
+    EXPECT_GT(extreme, 0u);
 }

@@ -836,6 +836,17 @@ cmdSweep(int argc, const char *const *argv)
     return 0;
 }
 
+/** A count flag of `dhl_cli plan`; fatal() when negative, before the
+ *  value can wrap into a huge std::size_t. */
+std::size_t
+planCount(const ArgParser &args, const std::string &flag)
+{
+    const long v = args.getInt(flag);
+    fatal_if(v < 0, "--" + flag + " must be >= 0, got " +
+                        std::to_string(v));
+    return static_cast<std::size_t>(v);
+}
+
 int
 cmdPlan(int argc, const char *const *argv)
 {
@@ -892,15 +903,14 @@ cmdPlan(int argc, const char *const *argv)
         u::gigabytes(args.getDouble("request-gb"));
     cfg.assumptions.slo_latency = args.getDouble("slo");
     cfg.assumptions.target_quantile = args.getDouble("slo-quantile");
-    cfg.assumptions.tracks_per_plant =
-        static_cast<std::size_t>(args.getInt("tracks-per-plant"));
+    cfg.assumptions.tracks_per_plant = planCount(args, "tracks-per-plant");
     cfg.assumptions.plant_capex = args.getDouble("plant-capex");
     cfg.assumptions.cart_capex = args.getDouble("cart-capex");
-    cfg.tracks_max = static_cast<std::size_t>(args.getInt("tracks-max"));
-    cfg.carts_max = static_cast<std::size_t>(args.getInt("carts-max"));
-    cfg.scenarios = static_cast<std::size_t>(args.getInt("scenarios"));
-    cfg.bootstrap = static_cast<std::size_t>(args.getInt("bootstrap"));
-    cfg.jobs = static_cast<std::size_t>(args.getInt("jobs"));
+    cfg.tracks_max = planCount(args, "tracks-max");
+    cfg.carts_max = planCount(args, "carts-max");
+    cfg.scenarios = planCount(args, "scenarios");
+    cfg.bootstrap = planCount(args, "bootstrap");
+    cfg.jobs = planCount(args, "jobs");
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.validate_des = args.getSwitch("validate");
 
