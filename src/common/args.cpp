@@ -21,7 +21,8 @@ ArgParser::addOption(const std::string &name, const std::string &help,
                      const std::string &default_value)
 {
     fatal_if(name.empty(), "option needs a name");
-    fatal_if(options_.count(name) != 0, "duplicate option: --" + name);
+    if (options_.count(name) != 0)
+        fatal("duplicate option: --" + name);
     options_.emplace(name, Option{help, default_value, false, false, ""});
 }
 
@@ -29,7 +30,8 @@ void
 ArgParser::addSwitch(const std::string &name, const std::string &help)
 {
     fatal_if(name.empty(), "switch needs a name");
-    fatal_if(options_.count(name) != 0, "duplicate option: --" + name);
+    if (options_.count(name) != 0)
+        fatal("duplicate option: --" + name);
     options_.emplace(name, Option{help, "", true, false, ""});
 }
 
@@ -62,31 +64,32 @@ ArgParser::parse(int argc, const char *const *argv, std::ostream &out)
                 has_inline = true;
             }
             auto it = options_.find(name);
-            fatal_if(it == options_.end(), "unknown flag: --" + name);
+            if (it == options_.end())
+                fatal("unknown flag: --" + name);
             Option &opt = it->second;
             opt.provided = true;
             if (opt.is_switch) {
-                fatal_if(has_inline,
-                         "switch --" + name + " takes no value");
+                if (has_inline)
+                    fatal("switch --" + name + " takes no value");
                 opt.value = "1";
             } else if (has_inline) {
                 opt.value = inline_value;
             } else {
-                fatal_if(i + 1 >= argc,
-                         "flag --" + name + " needs a value");
+                if (i + 1 >= argc)
+                    fatal("flag --" + name + " needs a value");
                 opt.value = argv[++i];
             }
         } else {
-            fatal_if(next_positional >= positionals_.size(),
-                     "unexpected positional argument: " + arg);
+            if (next_positional >= positionals_.size())
+                fatal("unexpected positional argument: " + arg);
             positionals_[next_positional].value = arg;
             positionals_[next_positional].provided = true;
             ++next_positional;
         }
     }
     for (const auto &p : positionals_) {
-        fatal_if(p.required && !p.provided,
-                 "missing required argument: <" + p.name + ">");
+        if (p.required && !p.provided)
+            fatal("missing required argument: <" + p.name + ">");
     }
     return true;
 }
@@ -95,7 +98,8 @@ const ArgParser::Option &
 ArgParser::find(const std::string &name) const
 {
     auto it = options_.find(name);
-    fatal_if(it == options_.end(), "unregistered option: --" + name);
+    if (it == options_.end())
+        fatal("unregistered option: --" + name);
     return it->second;
 }
 
@@ -112,8 +116,8 @@ ArgParser::getDouble(const std::string &name) const
     const std::string v = get(name);
     char *end = nullptr;
     const double d = std::strtod(v.c_str(), &end);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "--" + name + " expects a number, got '" + v + "'");
+    if (end == v.c_str() || *end != '\0')
+        fatal("--" + name + " expects a number, got '" + v + "'");
     return d;
 }
 
@@ -123,8 +127,8 @@ ArgParser::getInt(const std::string &name) const
     const std::string v = get(name);
     char *end = nullptr;
     const long l = std::strtol(v.c_str(), &end, 10);
-    fatal_if(end == v.c_str() || *end != '\0',
-             "--" + name + " expects an integer, got '" + v + "'");
+    if (end == v.c_str() || *end != '\0')
+        fatal("--" + name + " expects an integer, got '" + v + "'");
     return l;
 }
 
@@ -132,7 +136,8 @@ bool
 ArgParser::getSwitch(const std::string &name) const
 {
     const Option &opt = find(name);
-    fatal_if(!opt.is_switch, "--" + name + " is not a switch");
+    if (!opt.is_switch)
+        fatal("--" + name + " is not a switch");
     return opt.provided;
 }
 
@@ -147,8 +152,8 @@ ArgParser::positional(const std::string &name) const
 {
     for (const auto &p : positionals_) {
         if (p.name == name) {
-            fatal_if(p.required && !p.provided,
-                     "missing required argument: <" + name + ">");
+            if (p.required && !p.provided)
+                fatal("missing required argument: <" + name + ">");
             return p.value;
         }
     }

@@ -109,33 +109,16 @@ void inform(const std::string &msg);
 void debugLog(const std::string &msg);
 
 /**
- * fatal() with lazy stream formatting:
- *   fatal_if(len <= 0, [&]{ return "track length must be positive"; });
- * kept as a simple overload taking a prebuilt string for clarity.
- */
-inline void
-fatal_if(bool condition, const std::string &msg)
-{
-    if (condition)
-        fatal(msg);
-}
-
-/** panic() helper mirroring fatal_if(). */
-inline void
-panic_if(bool condition, const std::string &msg)
-{
-    if (condition)
-        panic(msg);
-}
-
-/**
- * Hot-path overloads: a string literal decays to `const char *`, which
- * is an exact match and therefore preferred over the user conversion to
- * `std::string` above.  The message is only materialised as a string in
- * the failure branch, so guarding a per-event code path with fatal_if /
- * panic_if costs a branch — not a heap-allocating std::string
- * construction per call (which the DES kernel microbenchmarks showed
- * dominating schedule()).
+ * Guards for hot code paths.  The message must be a `const char *`
+ * (normally a string literal); it is only turned into a std::string in
+ * the outlined failure branch, so a passing check costs one branch and
+ * no allocation.  There is deliberately no `const std::string &`
+ * overload: its argument would be built on every call, before the
+ * condition is tested.  A message that needs runtime text is written as
+ * a plain branch, so it is built only when the check fails:
+ *
+ *   if (state_ != CartState::Docked)
+ *       panic("cart " + std::to_string(id_) + " is not docked");
  */
 [[noreturn]] void fatalCold(const char *msg);
 [[noreturn]] void panicCold(const char *msg);

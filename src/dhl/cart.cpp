@@ -76,8 +76,8 @@ void
 Cart::loadBytes(double bytes)
 {
     fatal_if(bytes < 0.0, "load size must be non-negative");
-    fatal_if(bytes > freeBytes() * (1.0 + 1e-9),
-             "load overflows cart " + std::to_string(id_));
+    if (bytes > freeBytes() * (1.0 + 1e-9))
+        fatal("load overflows cart " + std::to_string(id_));
     const double per = bytes / static_cast<double>(ssds_.size());
     for (auto &s : ssds_)
         (void)s.write(per);
@@ -87,8 +87,8 @@ void
 Cart::unloadBytes(double bytes)
 {
     fatal_if(bytes < 0.0, "unload size must be non-negative");
-    fatal_if(bytes > storedBytes() + 1e-3,
-             "unload beyond stored bytes on cart " + std::to_string(id_));
+    if (bytes > storedBytes() + 1e-3)
+        fatal("unload beyond stored bytes on cart " + std::to_string(id_));
     const double per = bytes / static_cast<double>(ssds_.size());
     for (auto &s : ssds_)
         s.trim(std::min(per, s.storedBytes()));
@@ -104,9 +104,9 @@ Cart::eraseAll()
 void
 Cart::beginUndock()
 {
-    panic_if(state_ != CartState::Stored && state_ != CartState::Docked,
-             "cart " + std::to_string(id_) + " cannot undock from state " +
-                 to_string(state_));
+    if (state_ != CartState::Stored && state_ != CartState::Docked)
+        panic("cart " + std::to_string(id_) + " cannot undock from state " +
+              to_string(state_));
     state_ = CartState::Undocking;
     matingCycle();
 }
@@ -114,8 +114,8 @@ Cart::beginUndock()
 void
 Cart::launch()
 {
-    panic_if(state_ != CartState::Undocking,
-             "cart " + std::to_string(id_) + " launched without undocking");
+    if (state_ != CartState::Undocking)
+        panic("cart " + std::to_string(id_) + " launched without undocking");
     state_ = CartState::InFlight;
     place_ = CartPlace::Track;
 }
@@ -123,8 +123,8 @@ Cart::launch()
 void
 Cart::beginDock(CartPlace destination)
 {
-    panic_if(state_ != CartState::InFlight,
-             "cart " + std::to_string(id_) + " docking while not in flight");
+    if (state_ != CartState::InFlight)
+        panic("cart " + std::to_string(id_) + " docking while not in flight");
     panic_if(destination == CartPlace::Track, "cannot dock onto the track");
     state_ = CartState::Docking;
     place_ = destination;
@@ -134,8 +134,9 @@ Cart::beginDock(CartPlace destination)
 void
 Cart::finishDock()
 {
-    panic_if(state_ != CartState::Docking,
-             "cart " + std::to_string(id_) + " finishing dock it never began");
+    if (state_ != CartState::Docking)
+        panic("cart " + std::to_string(id_) +
+              " finishing dock it never began");
     state_ = place_ == CartPlace::Library ? CartState::Stored
                                           : CartState::Docked;
     matingCycle();
@@ -144,17 +145,17 @@ Cart::finishDock()
 void
 Cart::beginIo()
 {
-    panic_if(state_ != CartState::Docked,
-             "cart " + std::to_string(id_) + " cannot serve IO from state " +
-                 to_string(state_));
+    if (state_ != CartState::Docked)
+        panic("cart " + std::to_string(id_) + " cannot serve IO from state " +
+              to_string(state_));
     state_ = CartState::Busy;
 }
 
 void
 Cart::finishIo()
 {
-    panic_if(state_ != CartState::Busy,
-             "cart " + std::to_string(id_) + " finished IO it never began");
+    if (state_ != CartState::Busy)
+        panic("cart " + std::to_string(id_) + " finished IO it never began");
     state_ = CartState::Docked;
 }
 

@@ -83,9 +83,9 @@ validate(const DhlConfig &cfg)
     fatal_if(cfg.library_slots == 0, "the library needs at least one slot");
     // The track must at least fit its two LIM sections (accelerate at
     // one end, brake at the other).
-    fatal_if(qty::Metres{cfg.track_length} < 2.0 * cfg.limLength(),
-             "track too short for its LIM sections: need >= " +
-                 units::formatSig(2.0 * cfg.limLength().value(), 4) + " m");
+    if (qty::Metres{cfg.track_length} < 2.0 * cfg.limLength())
+        fatal("track too short for its LIM sections: need >= " +
+              units::formatSig(2.0 * cfg.limLength().value(), 4) + " m");
     // Mass model sanity (delegates detailed checks).
     (void)cfg.cartMass();
 }

@@ -89,8 +89,8 @@ DhlConfig
 loadConfig(const Properties &props)
 {
     for (const auto &key : props.keys()) {
-        fatal_if(kKnownKeys.count(key) == 0,
-                 "unknown configuration key: " + key);
+        if (kKnownKeys.count(key) == 0)
+            fatal("unknown configuration key: " + key);
     }
 
     DhlConfig cfg = defaultConfig();

@@ -122,10 +122,11 @@ void
 DhlController::open(CartId id, const RequestMeta &meta, OpenCb cb)
 {
     Cart &cart = library_->cart(id);
-    fatal_if(cart.place() != CartPlace::Library ||
-                 cart.state() != CartState::Stored,
-             "open: cart " + std::to_string(id) +
-                 " is not stored in the library");
+    if (cart.place() != CartPlace::Library ||
+        cart.state() != CartState::Stored) {
+        fatal("open: cart " + std::to_string(id) +
+              " is not stored in the library");
+    }
 
     // Held: the cart is rotating through the library's repair shop;
     // re-issue the open at the (known) repair turnaround.
@@ -237,10 +238,9 @@ void
 DhlController::close(CartId id, CloseCb cb)
 {
     Cart &cart = library_->cart(id);
-    fatal_if(cart.place() != CartPlace::Rack ||
-                 cart.state() != CartState::Docked,
-             "close: cart " + std::to_string(id) +
-                 " is not docked at the rack");
+    if (cart.place() != CartPlace::Rack || cart.state() != CartState::Docked)
+        fatal("close: cart " + std::to_string(id) +
+              " is not docked at the rack");
     auto it = cart_station_.find(id);
     panic_if(it == cart_station_.end(),
              "docked cart has no station mapping");
@@ -355,8 +355,8 @@ void
 DhlController::read(CartId id, double bytes, IoCb cb)
 {
     auto it = cart_station_.find(id);
-    fatal_if(it == cart_station_.end(),
-             "read: cart " + std::to_string(id) + " is not docked");
+    if (it == cart_station_.end())
+        fatal("read: cart " + std::to_string(id) + " is not docked");
     it->second->read(bytes, [this, cb = std::move(cb)](double b) {
         stat_reads_->increment();
         if (cb)
@@ -368,8 +368,8 @@ void
 DhlController::write(CartId id, double bytes, IoCb cb)
 {
     auto it = cart_station_.find(id);
-    fatal_if(it == cart_station_.end(),
-             "write: cart " + std::to_string(id) + " is not docked");
+    if (it == cart_station_.end())
+        fatal("write: cart " + std::to_string(id) + " is not docked");
     it->second->write(bytes, [this, cb = std::move(cb)](double b) {
         stat_writes_->increment();
         if (cb)

@@ -35,7 +35,8 @@ DockingStation::DockingStation(sim::Simulator &sim, const DhlConfig &cfg,
 void
 DockingStation::reserve(Cart &cart)
 {
-    panic_if(reserved_, name() + ": reserving an occupied station");
+    if (reserved_)
+        panic(name() + ": reserving an occupied station");
     reserved_ = true;
     cart_ = &cart;
 }
@@ -43,8 +44,8 @@ DockingStation::reserve(Cart &cart)
 void
 DockingStation::beginDock(Done done)
 {
-    panic_if(!reserved_ || cart_ == nullptr,
-             name() + ": docking with no reserved cart");
+    if (!reserved_ || cart_ == nullptr)
+        panic(name() + ": docking with no reserved cart");
     Cart *cart = cart_;
     cart->beginDock(CartPlace::Rack);
     schedule(cfg_.dock_time, [this, cart, done = std::move(done)] {
@@ -59,8 +60,10 @@ DockingStation::beginDock(Done done)
 void
 DockingStation::beginUndock(Done done)
 {
-    panic_if(cart_ == nullptr, name() + ": undocking an empty station");
-    panic_if(busy_io_, name() + ": undocking while IO is in progress");
+    if (cart_ == nullptr)
+        panic(name() + ": undocking an empty station");
+    if (busy_io_)
+        panic(name() + ": undocking while IO is in progress");
     Cart *cart = cart_;
     cart->beginUndock();
     schedule(cfg_.dock_time, [this, done = std::move(done)] {
@@ -74,7 +77,8 @@ DockingStation::beginUndock(Done done)
 void
 DockingStation::release()
 {
-    panic_if(!reserved_, name() + ": releasing a free station");
+    if (!reserved_)
+        panic(name() + ": releasing a free station");
     reserved_ = false;
     cart_ = nullptr;
 }
@@ -82,11 +86,13 @@ DockingStation::release()
 void
 DockingStation::read(double bytes, IoDone done)
 {
-    panic_if(cart_ == nullptr, name() + ": read with no cart");
+    if (cart_ == nullptr)
+        panic(name() + ": read with no cart");
     fatal_if(bytes < 0.0, "read size must be non-negative");
-    fatal_if(bytes > cart_->storedBytes() + 1e-3,
-             name() + ": read beyond the cart's stored bytes");
-    panic_if(busy_io_, name() + ": overlapping IO on one station");
+    if (bytes > cart_->storedBytes() + 1e-3)
+        fatal(name() + ": read beyond the cart's stored bytes");
+    if (busy_io_)
+        panic(name() + ": overlapping IO on one station");
 
     cart_->beginIo();
     busy_io_ = true;
@@ -105,11 +111,13 @@ DockingStation::read(double bytes, IoDone done)
 void
 DockingStation::write(double bytes, IoDone done)
 {
-    panic_if(cart_ == nullptr, name() + ": write with no cart");
+    if (cart_ == nullptr)
+        panic(name() + ": write with no cart");
     fatal_if(bytes < 0.0, "write size must be non-negative");
-    fatal_if(bytes > cart_->freeBytes() * (1.0 + 1e-9),
-             name() + ": write overflows the cart");
-    panic_if(busy_io_, name() + ": overlapping IO on one station");
+    if (bytes > cart_->freeBytes() * (1.0 + 1e-9))
+        fatal(name() + ": write overflows the cart");
+    if (busy_io_)
+        panic(name() + ": overlapping IO on one station");
 
     cart_->beginIo();
     busy_io_ = true;

@@ -52,9 +52,9 @@ Track::Track(sim::Simulator &sim, const DhlConfig &cfg, std::string name)
 LaunchGrant
 Track::reserveLaunch(Direction dir)
 {
-    panic_if(!launchable(),
-             name() + ": launch reserved while the track or a LIM is "
-                      "down (park the trip and retry)");
+    if (!launchable())
+        panic(name() + ": launch reserved while the track or a LIM is "
+                       "down (park the trip and retry)");
     const double t = now();
     double depart = t;
 

@@ -45,7 +45,8 @@ fnv1a(const std::string &text)
 Scenario &
 Experiment::add(std::string name, ScenarioFn fn, bool separator_after)
 {
-    fatal_if(!fn, "scenario '" + name + "' needs a body");
+    if (!fn)
+        fatal("scenario '" + name + "' needs a body");
     scenarios_.push_back(
         Scenario{std::move(name), std::move(fn), separator_after});
     return scenarios_.back();
@@ -54,8 +55,8 @@ Experiment::add(std::string name, ScenarioFn fn, bool separator_after)
 Scenario &
 Experiment::add(Scenario scenario)
 {
-    fatal_if(!scenario.run,
-             "scenario '" + scenario.name + "' needs a body");
+    if (!scenario.run)
+        fatal("scenario '" + scenario.name + "' needs a body");
     scenarios_.push_back(std::move(scenario));
     return scenarios_.back();
 }

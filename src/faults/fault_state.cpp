@@ -418,8 +418,8 @@ FaultState::restoreState(sim::SnapshotReader &r)
 
     service_up_ = r.getBool("service_up");
     transitions_.clear();
+    // Not reserved: a corrupt count must end at a missing key.
     const std::uint64_t n_edges = r.getU64("edges");
-    transitions_.reserve(n_edges);
     for (std::uint64_t i = 0; i < n_edges; ++i) {
         std::string key("edge");
         key += std::to_string(i);

@@ -38,9 +38,9 @@ TrainingSim::isoPower(double power_budget) const
     double units = power_budget / comm_.unitPower();
     if (comm_.quantised()) {
         units = std::floor(units + 1e-9);
-        fatal_if(units < 1.0,
-                 "power budget below one unit of '" + comm_.name() +
-                     "' (" + std::to_string(comm_.unitPower()) + " W)");
+        if (units < 1.0)
+            fatal("power budget below one unit of '" + comm_.name() + "' (" +
+                  std::to_string(comm_.unitPower()) + " W)");
     }
     return iterate(units);
 }

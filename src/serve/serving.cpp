@@ -1156,8 +1156,8 @@ ServingSim::restore(std::istream &is)
             key += std::to_string(i);
             sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
             const std::uint64_t samples = r.getU64("samples");
+            // Not reserved: a corrupt count must end at a missing key.
             std::vector<double> latencies;
-            latencies.reserve(samples);
             for (std::uint64_t j = 0; j < samples; ++j) {
                 std::string lk("l");
                 lk += std::to_string(j);
@@ -1211,8 +1211,8 @@ ServingSim::restore(std::istream &is)
         key += std::to_string(i);
         sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
         const std::uint64_t samples = r.getU64("samples");
+        // Not reserved: a corrupt count must end at a missing key.
         std::vector<double> latencies;
-        latencies.reserve(samples);
         for (std::uint64_t j = 0; j < samples; ++j) {
             std::string lk("l");
             lk += std::to_string(j);

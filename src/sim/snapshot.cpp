@@ -5,8 +5,10 @@
 
 #include "sim/snapshot.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
+#include <ios>
 #include <system_error>
 
 #include "common/logging.hpp"
@@ -18,20 +20,16 @@ namespace {
 
 constexpr std::string_view kMagic = "dhl-snapshot 1";
 
-std::string
-toHex64(std::uint64_t v)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out = "0x";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out += digits[(v >> shift) & 0xf];
-    return out;
-}
+/** The writer hands its buffer to the stream once it holds this much. */
+constexpr std::size_t kFlushBytes = 32 * 1024;
 
-std::uint64_t
-parseU64(const std::string &key, const std::string &text)
+/** Chunk size for reading a document into the reader's buffer. */
+constexpr std::size_t kReadChunk = 16 * 1024;
+
+/** Parse a decimal or `0x`-prefixed hex u64; false on any junk. */
+bool
+parseU64(std::string_view text, std::uint64_t &v)
 {
-    std::uint64_t v = 0;
     const char *first = text.data();
     const char *last = first + text.size();
     int base = 10;
@@ -40,9 +38,7 @@ parseU64(const std::string &key, const std::string &text)
         base = 16;
     }
     const auto [ptr, ec] = std::from_chars(first, last, v, base);
-    fatal_if(ec != std::errc() || ptr != last,
-             "snapshot: bad integer for '" + key + "': '" + text + "'");
-    return v;
+    return ec == std::errc() && ptr == last;
 }
 
 } // namespace
@@ -53,7 +49,26 @@ parseU64(const std::string &key, const std::string &text)
 
 SnapshotWriter::SnapshotWriter(std::ostream &os) : os_(os)
 {
-    os_ << kMagic << "\n";
+    buf_.reserve(kFlushBytes);
+    buf_.append(kMagic);
+    buf_.push_back('\n');
+}
+
+SnapshotWriter::~SnapshotWriter()
+{
+    // A failed write sets the stream's badbit, which is where the caller
+    // learns of it; a stream set to throw must not end the program here.
+    try {
+        flush();
+    } catch (const std::ios_base::failure &) {
+    }
+}
+
+void
+SnapshotWriter::flush()
+{
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
 }
 
 void
@@ -72,12 +87,16 @@ SnapshotWriter::pop()
     scope_lens_.pop_back();
 }
 
-std::string
-SnapshotWriter::fullKey(std::string_view key) const
+void
+SnapshotWriter::putLine(std::string_view key, std::string_view value)
 {
-    std::string full = prefix_;
-    full.append(key);
-    return full;
+    buf_.append(prefix_);
+    buf_.append(key);
+    buf_.append(" = ");
+    buf_.append(value);
+    buf_.push_back('\n');
+    if (buf_.size() >= kFlushBytes)
+        flush();
 }
 
 void
@@ -85,32 +104,40 @@ SnapshotWriter::putString(std::string_view key, std::string_view value)
 {
     fatal_if(value.find('\n') != std::string_view::npos,
              "snapshot values must not contain newlines");
-    os_ << fullKey(key) << " = " << value << "\n";
+    putLine(key, value);
 }
 
 void
 SnapshotWriter::putU64(std::string_view key, std::uint64_t value)
 {
-    os_ << fullKey(key) << " = " << value << "\n";
+    char text[20];
+    const auto [end, ec] = std::to_chars(text, text + sizeof text, value);
+    putLine(key, std::string_view(text, end - text));
 }
 
 void
 SnapshotWriter::putI64(std::string_view key, std::int64_t value)
 {
-    os_ << fullKey(key) << " = " << value << "\n";
+    char text[20];
+    const auto [end, ec] = std::to_chars(text, text + sizeof text, value);
+    putLine(key, std::string_view(text, end - text));
 }
 
 void
 SnapshotWriter::putBool(std::string_view key, bool value)
 {
-    os_ << fullKey(key) << " = " << (value ? "true" : "false") << "\n";
+    putLine(key, value ? "true" : "false");
 }
 
 void
 SnapshotWriter::putDouble(std::string_view key, double value)
 {
-    os_ << fullKey(key) << " = "
-        << toHex64(std::bit_cast<std::uint64_t>(value)) << "\n";
+    static constexpr char digits[] = "0123456789abcdef";
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    char text[18] = {'0', 'x'};
+    for (int i = 0; i < 16; ++i)
+        text[2 + i] = digits[(bits >> (60 - 4 * i)) & 0xf];
+    putLine(key, std::string_view(text, sizeof text));
 }
 
 void
@@ -133,21 +160,29 @@ SnapshotWriter::putRng(std::string_view key, const Rng &rng)
 
 SnapshotReader::SnapshotReader(std::istream &is)
 {
-    std::string line;
-    fatal_if(!std::getline(is, line) || line != kMagic,
-             "snapshot: bad or missing header (expected '" +
-                 std::string(kMagic) + "')");
-    while (std::getline(is, line)) {
+    char chunk[kReadChunk];
+    while (is.read(chunk, sizeof chunk) || is.gcount() > 0)
+        doc_.append(chunk, static_cast<std::size_t>(is.gcount()));
+
+    const std::string_view doc(doc_);
+    std::size_t eol = doc.find('\n');
+    if (doc.substr(0, eol) != kMagic)
+        fatal("snapshot: bad or missing header (expected '" +
+              std::string(kMagic) + "')");
+
+    values_.reserve(std::count(doc.begin(), doc.end(), '\n'));
+    while (eol != std::string_view::npos) {
+        const std::size_t start = eol + 1;
+        eol = doc.find('\n', start);
+        const std::string_view line = doc.substr(start, eol - start);
         if (line.empty() || line[0] == '#')
             continue;
         const auto sep = line.find(" = ");
-        fatal_if(sep == std::string::npos,
-                 "snapshot: malformed line '" + line + "'");
-        std::string key = line.substr(0, sep);
-        std::string value = line.substr(sep + 3);
-        fatal_if(values_.count(key) != 0,
-                 "snapshot: duplicate key '" + key + "'");
-        values_.emplace(std::move(key), std::move(value));
+        if (sep == std::string_view::npos)
+            fatal("snapshot: malformed line '" + std::string(line) + "'");
+        const std::string_view key = line.substr(0, sep);
+        if (!values_.emplace(key, line.substr(sep + 3)).second)
+            fatal("snapshot: duplicate key '" + std::string(key) + "'");
     }
 }
 
@@ -167,71 +202,82 @@ SnapshotReader::pop()
     scope_lens_.pop_back();
 }
 
-std::string
-SnapshotReader::fullKey(std::string_view key) const
+const std::string_view *
+SnapshotReader::find(std::string_view key) const
 {
-    std::string full = prefix_;
-    full.append(key);
-    return full;
+    const std::size_t scope_len = prefix_.size();
+    prefix_.append(key);
+    const auto it = values_.find(std::string_view(prefix_));
+    prefix_.resize(scope_len);
+    return it == values_.end() ? nullptr : &it->second;
 }
 
 bool
 SnapshotReader::has(std::string_view key) const
 {
-    return values_.count(fullKey(key)) != 0;
+    return find(key) != nullptr;
 }
 
-const std::string &
+std::string_view
 SnapshotReader::rawValue(std::string_view key) const
 {
-    const std::string full = fullKey(key);
-    const auto it = values_.find(full);
-    fatal_if(it == values_.end(), "snapshot: missing key '" + full + "'");
-    return it->second;
+    const std::string_view *value = find(key);
+    if (value == nullptr)
+        fatal("snapshot: missing key '" + prefix_ + std::string(key) + "'");
+    return *value;
+}
+
+void
+SnapshotReader::badValue(const char *what, std::string_view key,
+                         std::string_view text) const
+{
+    fatal("snapshot: bad " + std::string(what) + " for '" + prefix_ +
+          std::string(key) + "': '" + std::string(text) + "'");
 }
 
 std::string
 SnapshotReader::getString(std::string_view key) const
 {
-    return rawValue(key);
+    return std::string(rawValue(key));
 }
 
 std::uint64_t
 SnapshotReader::getU64(std::string_view key) const
 {
-    return parseU64(fullKey(key), rawValue(key));
+    const std::string_view text = rawValue(key);
+    std::uint64_t v = 0;
+    if (!parseU64(text, v))
+        badValue("integer", key, text);
+    return v;
 }
 
 std::int64_t
 SnapshotReader::getI64(std::string_view key) const
 {
-    const std::string &text = rawValue(key);
+    const std::string_view text = rawValue(key);
     std::int64_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    fatal_if(ec != std::errc() || ptr != text.data() + text.size(),
-             "snapshot: bad integer for '" + fullKey(key) + "': '" +
-                 text + "'");
+    const char *last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || ptr != last)
+        badValue("integer", key, text);
     return v;
 }
 
 bool
 SnapshotReader::getBool(std::string_view key) const
 {
-    const std::string &text = rawValue(key);
+    const std::string_view text = rawValue(key);
     if (text == "true")
         return true;
     if (text == "false")
         return false;
-    fatal("snapshot: bad bool for '" + fullKey(key) + "': '" + text +
-          "'");
+    badValue("bool", key, text);
 }
 
 double
 SnapshotReader::getDouble(std::string_view key) const
 {
-    return std::bit_cast<double>(
-        parseU64(fullKey(key), rawValue(key)));
+    return std::bit_cast<double>(getU64(key));
 }
 
 void

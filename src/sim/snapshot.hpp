@@ -34,12 +34,25 @@
 namespace dhl {
 namespace sim {
 
-/** Serialises state as scoped `key = value` lines. */
+/**
+ * Serialises state as scoped `key = value` lines.
+ *
+ * Lines are appended to an internal buffer, which is written to the
+ * stream whenever it fills and when the writer is destroyed: the
+ * document is complete in the stream only once the writer has gone out
+ * of scope.
+ */
 class SnapshotWriter
 {
   public:
     /** @param os Destination stream (text mode). */
     explicit SnapshotWriter(std::ostream &os);
+
+    /**
+     * Writes out whatever is still buffered.  Check the stream's state
+     * after the writer is gone to learn whether every write succeeded.
+     */
+    ~SnapshotWriter();
 
     SnapshotWriter(const SnapshotWriter &) = delete;
     SnapshotWriter &operator=(const SnapshotWriter &) = delete;
@@ -63,14 +76,24 @@ class SnapshotWriter
     void putRng(std::string_view key, const Rng &rng);
 
   private:
-    std::string fullKey(std::string_view key) const;
+    /** Append `prefix + key + " = " + value + "\n"`; flush when full. */
+    void putLine(std::string_view key, std::string_view value);
+    void flush();
 
     std::ostream &os_;
     std::vector<std::size_t> scope_lens_;
     std::string prefix_;
+    std::string buf_;
 };
 
-/** Parses a snapshot document and serves scoped lookups. */
+/**
+ * Parses a snapshot document and serves scoped lookups.
+ *
+ * The reader keeps its own copy of the document and indexes `key`
+ * → `value` views into it.  Lookups reuse the scope prefix as their key
+ * buffer, so even the const getters mutate internal state: a reader is
+ * not safe to share between threads.
+ */
 class SnapshotReader
 {
   public:
@@ -95,12 +118,16 @@ class SnapshotReader
     void getRng(std::string_view key, Rng &rng) const;
 
   private:
-    std::string fullKey(std::string_view key) const;
-    const std::string &rawValue(std::string_view key) const;
+    /** The value of the scoped key, or nullptr if it is absent. */
+    const std::string_view *find(std::string_view key) const;
+    std::string_view rawValue(std::string_view key) const;
+    [[noreturn]] void badValue(const char *what, std::string_view key,
+                               std::string_view text) const;
 
-    std::unordered_map<std::string, std::string> values_;
+    std::string doc_;
+    std::unordered_map<std::string_view, std::string_view> values_;
     std::vector<std::size_t> scope_lens_;
-    std::string prefix_;
+    mutable std::string prefix_;
 };
 
 /** RAII scope guard usable with either side of the snapshot. */

@@ -55,8 +55,8 @@ SsdModel::readTime(double bytes) const
 {
     fatal_if(bytes < 0.0, "read size must be non-negative");
     fatal_if(!healthy(), "cannot read a non-healthy SSD");
-    fatal_if(bytes > stored_ + 1e-6,
-             "read beyond stored bytes on SSD '" + spec_.name + "'");
+    if (bytes > stored_ + 1e-6)
+        fatal("read beyond stored bytes on SSD '" + spec_.name + "'");
     return bytes / spec_.seq_read_bw;
 }
 
@@ -65,8 +65,8 @@ SsdModel::write(double bytes)
 {
     fatal_if(bytes < 0.0, "write size must be non-negative");
     fatal_if(!healthy(), "cannot write a non-healthy SSD");
-    fatal_if(stored_ + bytes > spec_.capacity * (1.0 + 1e-9),
-             "write overflows SSD '" + spec_.name + "'");
+    if (stored_ + bytes > spec_.capacity * (1.0 + 1e-9))
+        fatal("write overflows SSD '" + spec_.name + "'");
     stored_ += bytes;
     if (stored_ > spec_.capacity)
         stored_ = spec_.capacity;

@@ -28,7 +28,8 @@ validateRequests(const std::vector<TransferRequest> &requests,
                  const char *what)
 {
     const std::string who(what);
-    fatal_if(requests.empty(), who + ": empty request list");
+    if (requests.empty())
+        fatal(who + ": empty request list");
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto &r = requests[i];
         const std::string at_req = ": request " + std::to_string(i);

@@ -1,14 +1,21 @@
 /**
  * @file
- * Unit tests for the logging / error primitives.
+ * Unit tests for the logging / error primitives, including the rule
+ * that fatal_if / panic_if take only literal (`const char *`) messages,
+ * and two call sites whose runtime-built messages moved to plain
+ * `if (cond) panic(...)` / `fatal(...)` branches.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "dhl/cart.hpp"
+#include "dhl/config.hpp"
+#include "sim/snapshot.hpp"
 
 using namespace dhl;
 
@@ -44,6 +51,21 @@ class SinkCapture
     Logger::Sink prev_sink_;
     LogLevel prev_level_;
 };
+
+// A guard evaluates its message on every call, so only messages that
+// cost nothing to pass are accepted.  A message built at runtime must be
+// written `if (cond) fatal(msg);` instead.
+template <typename Msg>
+constexpr bool kFatalIfTakes = requires(Msg msg) { fatal_if(true, msg); };
+template <typename Msg>
+constexpr bool kPanicIfTakes = requires(Msg msg) { panic_if(true, msg); };
+
+static_assert(kFatalIfTakes<const char *>);
+static_assert(kPanicIfTakes<const char *>);
+static_assert(!kFatalIfTakes<std::string>);
+static_assert(!kPanicIfTakes<std::string>);
+static_assert(!kFatalIfTakes<const std::string &>);
+static_assert(!kPanicIfTakes<const std::string &>);
 
 } // namespace
 
@@ -114,4 +136,34 @@ TEST(Logging, SetSinkReturnsPrevious)
     Logger::global().setLevel(LogLevel::Warn);
     EXPECT_NO_THROW(warn("into the void"));
     Logger::global().setSink(prev);
+}
+
+TEST(Logging, IllegalCartTransitionNamesCartAndState)
+{
+    const core::DhlConfig cfg = core::defaultConfig();
+    core::Cart cart(7, cfg);
+    cart.beginUndock();
+    try {
+        cart.beginUndock();
+        FAIL() << "second undock accepted";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "cart 7 cannot undock from state undocking");
+    }
+}
+
+TEST(Logging, BadSnapshotIntegerNamesTheFullScopedKey)
+{
+    std::istringstream in("dhl-snapshot 1\nserve.s0.samples = 12x\n");
+    sim::SnapshotReader r(in);
+    sim::SnapshotScope<sim::SnapshotReader> serve(r, "serve");
+    sim::SnapshotScope<sim::SnapshotReader> stage(r, "s0");
+    try {
+        r.getU64("samples");
+        FAIL() << "bad integer accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "snapshot: bad integer for 'serve.s0.samples': '12x'");
+    }
+    // The failed lookup leaves the reader's scope intact.
+    EXPECT_TRUE(r.has("samples"));
 }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -254,6 +255,44 @@ TEST(ServingTest, RestoreRejectsMismatchedConfig)
     serve::ServingSim stepped(smallConfig());
     stepped.run(1);
     EXPECT_THROW(stepped.restore(ck), FatalError);
+}
+
+TEST(ServingTest, RestoreRejectsCorruptCounts)
+{
+    // Counts read from a checkpoint are untrusted: a corrupt one must
+    // end in a clean FatalError at the first missing key, never in an
+    // allocation sized by the document (std::length_error, bad_alloc).
+    serve::ServingSim donor(smallConfig());
+    donor.run(2);
+    std::ostringstream ck;
+    donor.checkpoint(ck);
+    const std::string doc = ck.str();
+
+    auto withValue = [&doc](const std::string &key,
+                            const std::string &value) {
+        const std::string needle = "\n" + key + " = ";
+        const std::size_t at = doc.find(needle);
+        EXPECT_NE(at, std::string::npos) << key;
+        const std::size_t start = at + needle.size();
+        return doc.substr(0, start) + value +
+               doc.substr(doc.find('\n', start));
+    };
+
+    {
+        std::istringstream intact(doc);
+        serve::ServingSim fresh(smallConfig());
+        EXPECT_NO_THROW(fresh.restore(intact));
+    }
+    const std::pair<const char *, const char *> corrupt[] = {
+        {"serve.s0.samples", "18446744073709551615"},
+        {"serve.s0.samples", "1000000000000"},
+        {"serve.queued", "18446744073709551615"},
+    };
+    for (const auto &[key, value] : corrupt) {
+        std::istringstream in(withValue(key, value));
+        serve::ServingSim fresh(smallConfig());
+        EXPECT_THROW(fresh.restore(in), FatalError) << key << " = " << value;
+    }
 }
 
 TEST(ServingTest, ValidateRejectsNonsense)

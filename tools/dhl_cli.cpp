@@ -202,9 +202,9 @@ parseMaintenancePlan(const std::string &spec)
                       window + "'");
             }
         }
-        fatal_if(fields.size() < 2 || fields.size() > 4,
-                 "--maintenance windows are start:duration[:period"
-                 "[:track]], got '" + window + "'");
+        if (fields.size() < 2 || fields.size() > 4)
+            fatal("--maintenance windows are start:duration[:period"
+                  "[:track]], got '" + window + "'");
         ops::MaintenanceWindow w;
         w.start = fields[0];
         w.duration = fields[1];
@@ -560,8 +560,9 @@ cmdServe(int argc, const char *const *argv)
 
     if (args.provided("resume")) {
         std::ifstream in(args.get("resume"));
-        fatal_if(!in, "cannot open --resume checkpoint '" +
-                          args.get("resume") + "'");
+        if (!in)
+            fatal("cannot open --resume checkpoint '" + args.get("resume") +
+                  "'");
         sim.restore(in);
         std::cerr << "resumed at epoch " << sim.epochsCompleted()
                   << ", t = " << u::formatDuration(sim.now()) << "\n";
@@ -569,8 +570,12 @@ cmdServe(int argc, const char *const *argv)
 
     auto writeCheckpoint = [&](const std::string &path) {
         std::ofstream out(path, std::ios::trunc);
-        fatal_if(!out, "cannot write --checkpoint '" + path + "'");
+        if (!out)
+            fatal("cannot write --checkpoint '" + path + "'");
         sim.checkpoint(out);
+        out.flush();
+        if (!out)
+            fatal("cannot write --checkpoint '" + path + "'");
     };
 
     const auto stop_after =
@@ -842,8 +847,8 @@ std::size_t
 planCount(const ArgParser &args, const std::string &flag)
 {
     const long v = args.getInt(flag);
-    fatal_if(v < 0, "--" + flag + " must be >= 0, got " +
-                        std::to_string(v));
+    if (v < 0)
+        fatal("--" + flag + " must be >= 0, got " + std::to_string(v));
     return static_cast<std::size_t>(v);
 }
 
