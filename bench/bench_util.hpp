@@ -34,7 +34,6 @@ struct Options
     std::size_t jobs = 0;  ///< Scenario parallelism; 0 = all cores.
     std::uint64_t seed = 0; ///< Master seed; 0 = the bench's default.
     std::string experiment; ///< Experiment selector; empty = all.
-    std::size_t des_shards = 1; ///< Intra-run DES shards (>= 1).
 };
 
 /** Parse an integer flag operand; prints an error and exits on
@@ -60,23 +59,10 @@ parseJobs(const char *value)
     return static_cast<std::size_t>(parseCount("--jobs", value));
 }
 
-/** Parse a --des-shards operand (>= 1); prints an error and exits on
- *  garbage or zero. */
-inline std::size_t
-parseDesShards(const char *value)
-{
-    const std::uint64_t n = parseCount("--des-shards", value);
-    if (n == 0) {
-        std::cerr << "error: --des-shards must be at least 1\n";
-        std::exit(2);
-    }
-    return static_cast<std::size_t>(n);
-}
-
 /** Parse --csv, --jobs N / --jobs=N, --seed N / --seed=N,
- *  --experiment NAME / --experiment=NAME and --des-shards N /
- *  --des-shards=N.  Any other `--` flag is an error (exit 2): a typo
- *  silently ignored here would regenerate the wrong table. */
+ *  and --experiment NAME / --experiment=NAME.  Any other `--` flag
+ *  is an error (exit 2): a typo silently ignored here would
+ *  regenerate the wrong table. */
 inline Options
 parseArgs(int argc, char **argv)
 {
@@ -98,11 +84,6 @@ parseArgs(int argc, char **argv)
             opts.experiment = argv[++i];
         } else if (std::strncmp(arg, "--experiment=", 13) == 0) {
             opts.experiment = arg + 13;
-        } else if (std::strcmp(arg, "--des-shards") == 0 &&
-                   i + 1 < argc) {
-            opts.des_shards = parseDesShards(argv[++i]);
-        } else if (std::strncmp(arg, "--des-shards=", 13) == 0) {
-            opts.des_shards = parseDesShards(arg + 13);
         } else if (std::strncmp(arg, "--", 2) == 0) {
             std::cerr << "error: unknown flag '" << arg << "'\n";
             std::exit(2);

@@ -13,7 +13,7 @@
  * bulk goodput per mode, and asserts the hybrid's frontier point
  * strictly dominates both pure modes: lower interactive P99 than
  * dhl-only AND higher bulk goodput than optical-only.  CI byte-compares
- * the CSV across --jobs 1/4 and --des-shards 1/4.
+ * the CSV across --jobs 1/4.
  */
 
 #include <algorithm>
@@ -34,10 +34,9 @@ namespace u = dhl::units;
 namespace {
 
 /** The shared E20 environment: a healthy 2-track fleet with a mixed
- *  interactive/bulk profile.  TE always plans on one DES shard, so
- *  des_shards is forwarded only to pin the CI identity. */
+ *  interactive/bulk profile. */
 serve::ServeConfig
-e20Config(te::TeMode mode, std::size_t des_shards)
+e20Config(te::TeMode mode)
 {
     serve::ServeConfig cfg;
     cfg.dhl = core::defaultConfig();
@@ -48,7 +47,6 @@ e20Config(te::TeMode mode, std::size_t des_shards)
     cfg.carts_per_track = 4;
     cfg.max_pending = 256;
     cfg.policy = ops::DispatchPolicy::LeastQueued;
-    cfg.des_shards = des_shards;
 
     // Interactive requests are far below the TE size threshold; bulk
     // ones are far above it.  Fixed sizes keep the contrast sharp.
@@ -116,13 +114,13 @@ outcomeOf(serve::ServingSim &sim)
 
 /** Per-(class, substrate) SLO rows for one TE mode. */
 exp::Scenario
-modeScenario(te::TeMode mode, std::size_t des_shards)
+modeScenario(te::TeMode mode)
 {
     exp::Scenario s;
     s.name = te::to_string(mode);
     s.separator_after = true;
-    s.run = [mode, des_shards](exp::ScenarioContext &) {
-        serve::ServingSim sim(e20Config(mode, des_shards));
+    s.run = [mode](exp::ScenarioContext &) {
+        serve::ServingSim sim(e20Config(mode));
         sim.run();
         exp::ScenarioRows rows;
         for (const exp::ClassSlo &c : sim.teTable()) {
@@ -138,18 +136,18 @@ modeScenario(te::TeMode mode, std::size_t des_shards)
 
 /** The latency/energy/fairness frontier plus the dominance check. */
 exp::Scenario
-frontierScenario(std::size_t des_shards)
+frontierScenario()
 {
     exp::Scenario s;
     s.name = "frontier";
-    s.run = [des_shards](exp::ScenarioContext &) {
+    s.run = [](exp::ScenarioContext &) {
         const te::TeMode modes[] = {te::TeMode::DhlOnly,
                                     te::TeMode::OpticalOnly,
                                     te::TeMode::Hybrid};
         ModeOutcome out[3];
         exp::ScenarioRows rows;
         for (int m = 0; m < 3; ++m) {
-            serve::ServingSim sim(e20Config(modes[m], des_shards));
+            serve::ServingSim sim(e20Config(modes[m]));
             sim.run();
             out[m] = outcomeOf(sim);
             rows.push_back({te::to_string(modes[m]),
@@ -195,9 +193,9 @@ main(int argc, char **argv)
     }
 
     exp::Experiment e20("e20");
-    e20.add(modeScenario(te::TeMode::DhlOnly, opts.des_shards));
-    e20.add(modeScenario(te::TeMode::OpticalOnly, opts.des_shards));
-    e20.add(modeScenario(te::TeMode::Hybrid, opts.des_shards));
+    e20.add(modeScenario(te::TeMode::DhlOnly));
+    e20.add(modeScenario(te::TeMode::OpticalOnly));
+    e20.add(modeScenario(te::TeMode::Hybrid));
 
     exp::ExperimentRunner runner(bench::runOptions(opts));
     const exp::ExperimentResult result = runner.run(e20);
@@ -207,7 +205,7 @@ main(int argc, char **argv)
     bench::emit(result, std::move(headers), opts);
 
     exp::Experiment frontier("e20-frontier");
-    frontier.add(frontierScenario(opts.des_shards));
+    frontier.add(frontierScenario());
     const exp::ExperimentResult fresult = runner.run(frontier);
     if (!opts.csv)
         std::cout << "\n";

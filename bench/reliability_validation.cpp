@@ -192,13 +192,11 @@ degradedScenario(std::string name, const ReliabilityConfig &rel,
  *  ~100 s transfer.  Identical for every policy (time-driven, never
  *  dispatch-driven), so rows differ only by dispatch. */
 ops::OpsConfig
-e18Environment(ops::DispatchPolicy policy, int min_priority_degraded,
-               std::size_t des_shards)
+e18Environment(ops::DispatchPolicy policy, int min_priority_degraded)
 {
     ops::OpsConfig oc;
     oc.dispatch.policy = policy;
     oc.dispatch.min_priority_degraded = min_priority_degraded;
-    oc.des_shards = des_shards;
     oc.domains.enabled = true;
     oc.domains.domain_size = 2;
     oc.domains.plant_mtbf = 0.02; // h: trips land within the run
@@ -214,13 +212,12 @@ e18Environment(ops::DispatchPolicy policy, int min_priority_degraded,
  *  fraction of the fleet's healthy throughput the policy preserved. */
 exp::Scenario
 fleetPolicyScenario(std::string name, ops::DispatchPolicy policy,
-                    int min_priority_degraded, std::uint64_t carts,
-                    std::size_t des_shards)
+                    int min_priority_degraded, std::uint64_t carts)
 {
     exp::Scenario s;
     s.name = name;
-    s.run = [name, policy, min_priority_degraded, carts,
-             des_shards](exp::ScenarioContext &) {
+    s.run = [name, policy, min_priority_degraded,
+             carts](exp::ScenarioContext &) {
         DhlConfig cfg = defaultConfig();
         cfg.docking_stations = 2;
         constexpr std::size_t kTracks = 4;
@@ -229,7 +226,6 @@ fleetPolicyScenario(std::string name, ops::DispatchPolicy policy,
 
         ops::OpsConfig clean_ops;
         clean_ops.dispatch.policy = policy;
-        clean_ops.des_shards = des_shards;
         ops::FleetOps clean(cfg, kTracks, clean_ops);
         const ops::OpsRunResult rc = clean.runBulkTransfer(dataset);
 
@@ -239,9 +235,8 @@ fleetPolicyScenario(std::string name, ops::DispatchPolicy policy,
         for (std::size_t j = 0; j < meta.size(); ++j)
             meta[j].priority = static_cast<int>(j % 2);
 
-        ops::FleetOps faulty(
-            cfg, kTracks,
-            e18Environment(policy, min_priority_degraded, des_shards));
+        ops::FleetOps faulty(cfg, kTracks,
+                             e18Environment(policy, min_priority_degraded));
         const ops::OpsRunResult rf =
             faulty.runBulkTransfer(dataset, {}, meta);
 
@@ -351,18 +346,15 @@ runE18(exp::ExperimentRunner &runner, const bench::Options &opts)
     exp::Experiment policies("fleet dispatch policies");
     policies.add(fleetPolicyScenario("round-robin",
                                      ops::DispatchPolicy::RoundRobin, 0,
-                                     kCarts, opts.des_shards));
+                                     kCarts));
     policies.add(fleetPolicyScenario("least-queued",
                                      ops::DispatchPolicy::LeastQueued, 0,
-                                     kCarts, opts.des_shards));
-    policies.add(
-        fleetPolicyScenario("availability",
-                            ops::DispatchPolicy::AvailabilityAware, 0,
-                            kCarts, opts.des_shards));
+                                     kCarts));
     policies.add(fleetPolicyScenario(
-        "availability + admission",
-        ops::DispatchPolicy::AvailabilityAware, 1, kCarts,
-        opts.des_shards));
+        "availability", ops::DispatchPolicy::AvailabilityAware, 0, kCarts));
+    policies.add(fleetPolicyScenario("availability + admission",
+                                     ops::DispatchPolicy::AvailabilityAware,
+                                     1, kCarts));
 
     if (!opts.csv) {
         std::cout << "\nFleet dispatch under a correlated plant outage "

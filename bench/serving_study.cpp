@@ -34,12 +34,9 @@ namespace u = dhl::units;
 
 namespace {
 
-/** The shared E19 environment: a degraded 4-track fleet.  des_shards
- *  partitions the fleet DES across cores; the emitted table is
- *  byte-identical for every value (CI compares 1 vs 4). */
+/** The shared E19 environment: a degraded 4-track fleet. */
 serve::ServeConfig
-e19Config(ops::DispatchPolicy policy, int min_priority_degraded,
-          std::size_t des_shards)
+e19Config(ops::DispatchPolicy policy, int min_priority_degraded)
 {
     serve::ServeConfig cfg;
     cfg.dhl = core::defaultConfig();
@@ -51,7 +48,6 @@ e19Config(ops::DispatchPolicy policy, int min_priority_degraded,
     cfg.max_pending = 256;
     cfg.policy = policy;
     cfg.min_priority_degraded = min_priority_degraded;
-    cfg.des_shards = des_shards;
 
     // Staged profile: 20 min ramp to peak, 40 min hold, 20 min drain.
     // Two request classes: bulk (priority 0) and a smaller
@@ -92,15 +88,13 @@ e19Config(ops::DispatchPolicy policy, int min_priority_degraded,
 /** Per-stage SLO rows for one policy, prefixed with the policy name. */
 exp::Scenario
 policyScenario(std::string name, ops::DispatchPolicy policy,
-               int min_priority_degraded, std::size_t des_shards)
+               int min_priority_degraded)
 {
     exp::Scenario s;
     s.name = name;
     s.separator_after = true;
-    s.run = [name, policy, min_priority_degraded,
-             des_shards](exp::ScenarioContext &) {
-        serve::ServingSim sim(
-            e19Config(policy, min_priority_degraded, des_shards));
+    s.run = [name, policy, min_priority_degraded](exp::ScenarioContext &) {
+        serve::ServingSim sim(e19Config(policy, min_priority_degraded));
         sim.run();
         exp::ScenarioRows rows;
         for (const exp::StageSlo &stage : sim.sloTable()) {
@@ -132,13 +126,13 @@ outcomeDigest(serve::ServingSim &sim)
 /** The checkpoint oracle: restore(checkpoint)+run == uninterrupted
  *  run, byte for byte, at every epoch boundary. */
 exp::Scenario
-checkpointOracleScenario(std::size_t des_shards)
+checkpointOracleScenario()
 {
     exp::Scenario s;
     s.name = "checkpoint oracle";
-    s.run = [des_shards](exp::ScenarioContext &) {
-        const auto cfg = e19Config(ops::DispatchPolicy::AvailabilityAware,
-                                   1, des_shards);
+    s.run = [](exp::ScenarioContext &) {
+        const auto cfg =
+            e19Config(ops::DispatchPolicy::AvailabilityAware, 1);
 
         serve::ServingSim oracle(cfg);
         oracle.run();
@@ -194,14 +188,12 @@ main(int argc, char **argv)
 
     exp::Experiment e19("e19");
     e19.add(policyScenario("round-robin", ops::DispatchPolicy::RoundRobin,
-                           0, opts.des_shards));
+                           0));
     e19.add(policyScenario("least-queued",
-                           ops::DispatchPolicy::LeastQueued, 0,
-                           opts.des_shards));
+                           ops::DispatchPolicy::LeastQueued, 0));
     e19.add(policyScenario("availability",
-                           ops::DispatchPolicy::AvailabilityAware, 1,
-                           opts.des_shards));
-    e19.add(checkpointOracleScenario(opts.des_shards));
+                           ops::DispatchPolicy::AvailabilityAware, 1));
+    e19.add(checkpointOracleScenario());
 
     exp::ExperimentRunner runner(bench::runOptions(opts));
     const exp::ExperimentResult result = runner.run(e19);

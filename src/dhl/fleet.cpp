@@ -14,54 +14,19 @@ namespace dhl {
 namespace core {
 
 DhlFleet::DhlFleet(const DhlConfig &cfg, std::size_t tracks,
-                   std::uint64_t seed,
-                   std::vector<std::size_t> shard_of_track)
-    : cfg_(cfg), shard_of_(std::move(shard_of_track))
+                   std::uint64_t seed)
+    : cfg_(cfg)
 {
     fatal_if(tracks == 0, "a fleet needs at least one track");
     validate(cfg_);
-    if (shard_of_.empty())
-        shard_of_.assign(tracks, 0);
-    fatal_if(shard_of_.size() != tracks,
-             "shard map size does not match the track count");
-    fatal_if(shard_of_[0] != 0, "shard ids must start at 0");
-    for (std::size_t i = 1; i < tracks; ++i) {
-        // Contiguous + dense: ids never decrease and never skip, so
-        // shard s owns one contiguous run of tracks.
-        fatal_if(shard_of_[i] < shard_of_[i - 1] ||
-                     shard_of_[i] > shard_of_[i - 1] + 1,
-                 "shard map must be contiguous, dense, non-decreasing");
-    }
-    const std::size_t n_shards = shard_of_[tracks - 1] + 1;
-    sims_.reserve(n_shards);
-    for (std::size_t s = 0; s < n_shards; ++s) {
-        sims_.push_back(std::make_unique<sim::Simulator>());
-        group_.attach(sims_.back().get());
-    }
-    if (n_shards > 1) {
-        pool_ = std::make_unique<ThreadPool>(n_shards);
-        group_.setPool(pool_.get());
-    }
     controllers_.reserve(tracks);
     for (std::size_t i = 0; i < tracks; ++i) {
         // Same splitmix64 derivation as the per-track fault streams
         // (enableFaults): adjacent raw seeds are strongly correlated
-        // under xoshiro, deriveSeed decorrelates them.  The seed does
-        // not depend on the shard map, so a sharded fleet replays the
-        // exact per-track streams of the serial one.
+        // under xoshiro, deriveSeed decorrelates them.
         controllers_.push_back(std::make_unique<DhlController>(
-            simOf(i), cfg_, "dhl" + std::to_string(i),
-            deriveSeed(seed, i)));
+            sim_, cfg_, "dhl" + std::to_string(i), deriveSeed(seed, i)));
     }
-}
-
-double
-DhlFleet::maxNow() const
-{
-    double t = 0.0;
-    for (const auto &s : sims_)
-        t = std::max(t, s->now());
-    return t;
 }
 
 DhlController &
@@ -93,7 +58,7 @@ DhlFleet::enableFaults(const faults::FaultConfig &cfg)
         faults::FaultConfig track_cfg = cfg;
         track_cfg.seed = deriveSeed(cfg.seed, i);
         injectors_.push_back(std::make_unique<faults::FaultInjector>(
-            simOf(i), *fault_states_[i], track_cfg, ctl.numStations(),
+            sim_, *fault_states_[i], track_cfg, ctl.numStations(),
             ctl.name() + ".faults"));
     }
 }
@@ -106,7 +71,7 @@ DhlFleet::ensureFaultStates()
     fault_states_.reserve(controllers_.size());
     for (std::size_t i = 0; i < controllers_.size(); ++i) {
         fault_states_.push_back(
-            std::make_unique<faults::FaultState>(simOf(i)));
+            std::make_unique<faults::FaultState>(sim_));
         controllers_[i]->attachFaults(fault_states_.back().get());
     }
 }
@@ -147,9 +112,6 @@ BulkRunResult
 DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
 {
     fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
-    fatal_if(numShards() > 1,
-             "runBulkTransfer drives one event loop; sharded fleets "
-             "run through ops::FleetDispatcher");
     if (opts.faults.enabled)
         enableFaults(opts.faults);
 

@@ -19,11 +19,9 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "dhl/config.hpp"
 #include "dhl/controller.hpp"
 #include "dhl/simulation.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace dhl {
@@ -39,50 +37,14 @@ class DhlFleet
      * @param seed    RNG seed base (track i uses deriveSeed(seed, i),
      *                the same derivation enableFaults applies to the
      *                per-track fault streams).
-     * @param shard_of_track
-     *                Optional DES shard id per track (see
-     *                sim::partitionShards).  Empty keeps the classic
-     *                single event loop; otherwise track i's controller
-     *                and fault machinery live on shard
-     *                shard_of_track[i]'s own Simulator, and the fleet
-     *                is driven through ops::FleetDispatcher with
-     *                conservative time-windowed sync.  Seed streams
-     *                are per-track, so sharding never changes them.
      */
     DhlFleet(const DhlConfig &cfg, std::size_t tracks,
-             std::uint64_t seed = 1,
-             std::vector<std::size_t> shard_of_track = {});
+             std::uint64_t seed = 1);
 
     std::size_t numTracks() const { return controllers_.size(); }
 
-    /** Shard 0's simulator — *the* simulator for unsharded fleets. */
-    sim::Simulator &simulator() { return *sims_[0]; }
-
-    /** Number of DES shards (1 unless a shard map was supplied). */
-    std::size_t numShards() const { return sims_.size(); }
-
-    /** Shard @p s's simulator. */
-    sim::Simulator &shardSim(std::size_t s) { return *sims_[s]; }
-
-    /** Shard owning track @p i. */
-    std::size_t shardOf(std::size_t i) const { return shard_of_[i]; }
-
-    /** The simulator running track @p i. */
-    sim::Simulator &
-    simOf(std::size_t i)
-    {
-        return *sims_[shard_of_[i]];
-    }
-
-    /** Shard coordinator (usable even with one shard). */
-    sim::ShardGroup &shards() { return group_; }
-
-    /** Worker pool for window advances; nullptr when numShards()==1. */
-    ThreadPool *pool() { return pool_.get(); }
-
-    /** Fleet-wide clock: max over shard clocks (== simulator().now()
-     *  for unsharded fleets). */
-    double maxNow() const;
+    /** The one event loop every track runs on. */
+    sim::Simulator &simulator() { return sim_; }
 
     DhlController &track(std::size_t i);
 
@@ -138,12 +100,8 @@ class DhlFleet
     }
 
   private:
+    sim::Simulator sim_;
     DhlConfig cfg_;
-    /** One Simulator per shard; sims_[0] always exists. */
-    std::vector<std::unique_ptr<sim::Simulator>> sims_;
-    std::vector<std::size_t> shard_of_; // per track
-    sim::ShardGroup group_;
-    std::unique_ptr<ThreadPool> pool_; // only when numShards() > 1
     std::vector<std::unique_ptr<faults::FaultState>> fault_states_;
     std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
     std::vector<std::unique_ptr<DhlController>> controllers_;

@@ -38,12 +38,10 @@ validate(const SharedDomainConfig &cfg)
 
 CorrelatedFaultModel::CorrelatedFaultModel(
     sim::Simulator &sim, std::vector<faults::FaultState *> states,
-    const SharedDomainConfig &cfg, std::string name,
-    std::size_t first_domain)
-    : sim::SimObject(sim, std::move(name)),
+    const SharedDomainConfig &cfg)
+    : sim::SimObject(sim, "plants"),
       cfg_(cfg),
-      tracks_(states.size()),
-      first_domain_(first_domain)
+      tracks_(states.size())
 {
     fatal_if(!cfg.enabled,
              "correlated fault model built from a disabled config");
@@ -64,8 +62,7 @@ CorrelatedFaultModel::CorrelatedFaultModel(
     plants_.reserve(n_domains);
     for (std::size_t d = 0; d < n_domains; ++d) {
         Plant plant{{},
-                    Rng(deriveSeed(cfg_.seed,
-                                   kPlantStreamSalt + first_domain_ + d)),
+                    Rng(deriveSeed(cfg_.seed, kPlantStreamSalt + d)),
                     false,
                     sim::EventHandle{},
                     false,
@@ -99,7 +96,7 @@ CorrelatedFaultModel::plantDown(std::size_t domain) const
 std::string
 CorrelatedFaultModel::reason(std::size_t domain) const
 {
-    return "vacuum plant " + std::to_string(first_domain_ + domain) +
+    return "vacuum plant " + std::to_string(domain) +
            " down";
 }
 

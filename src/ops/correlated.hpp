@@ -71,21 +71,10 @@ class CorrelatedFaultModel : public sim::SimObject
      * @param states Per-track fault registries (index = track; must
      *               outlive the model).
      * @param cfg    Domain parameters (must be enabled).
-     * @param name   SimObject name.
-     * @param first_domain
-     *               Global index of this model's first domain.  A
-     *               sharded fleet runs one model per DES shard over
-     *               that shard's slice of the track list; passing the
-     *               slice's base domain keeps the per-domain RNG
-     *               streams (deriveSeed(seed, salt + global domain))
-     *               and inhibit reasons identical to the unsharded
-     *               fleet's.
      */
     CorrelatedFaultModel(sim::Simulator &sim,
                          std::vector<faults::FaultState *> states,
-                         const SharedDomainConfig &cfg,
-                         std::string name = "plants",
-                         std::size_t first_domain = 0);
+                         const SharedDomainConfig &cfg);
 
     const SharedDomainConfig &config() const { return cfg_; }
 
@@ -133,13 +122,12 @@ class CorrelatedFaultModel : public sim::SimObject
     void finishOutage(std::size_t domain);
     std::string reason(std::size_t domain) const;
 
-    // dhl-analyze: transient(cfg_, tracks_, first_domain_): constructor
-    // inputs; a restored model is rebuilt from the same config and
-    // validated against the checkpointed plant count
+    // dhl-analyze: transient(cfg_, tracks_): constructor inputs; a
+    // restored model is rebuilt from the same config and validated
+    // against the checkpointed plant count
     SharedDomainConfig cfg_;
     std::vector<Plant> plants_;
     std::size_t tracks_;
-    std::size_t first_domain_;
     std::uint64_t outages_ = 0;
 
     // dhl-analyze: transient(stat_outages_, stat_restores_): host-side

@@ -121,19 +121,10 @@ FleetDispatcher::runRoundRobin(double bytes,
                                std::vector<Job> jobs)
 {
     // Mirrors DhlFleet::runBulkTransfer exactly — same cart creation
-    // order, same serial chains, same run/step loop — so the policy is
+    // order, same serial chains, same step loop — so the policy is
     // byte-identical to the fleet's native path (tested).  The only
     // additions are pure bookkeeping (latency samples).
-    //
-    // Static pre-assignment means a track's chain never reads another
-    // track's state, so on a sharded fleet (DhlFleet with a shard map)
-    // each shard runs its chains to local completion in parallel, all
-    // shards are then brought to the fleet finish time Tf (so straggler
-    // fault/maintenance/plant events fire exactly as they would in one
-    // global loop), and the per-shard bookkeeping logs are merged in
-    // (time, shard) order.  With one shard every branch below is the
-    // literal legacy path.
-    const std::size_t S = fleet_.numShards();
+    sim::Simulator &sim = fleet_.simulator();
     const std::size_t k = fleet_.numTracks();
     const std::uint64_t n_carts = jobs.size();
 
@@ -145,57 +136,42 @@ FleetDispatcher::runRoundRobin(double bytes,
         per_track[i % k].emplace_back(ctl.addCart(jobs[i].load).id(), i);
     }
 
-    const double start = fleet_.maxNow();
+    const double start = sim.now();
     const double energy_before = fleet_.totalEnergy();
     const std::uint64_t launches_before = fleet_.launches();
-
-    // Per-shard run state: completion counts plus (time, value) logs
-    // for everything the legacy path accumulated globally in event
-    // order.  During the parallel phase a shard's entry is touched only
-    // by the thread driving that shard.
-    struct ShardRun
-    {
-        std::uint64_t completed = 0;
-        std::uint64_t target = 0;
-        std::vector<std::pair<double, double>> lat;   // (when, latency)
-        std::vector<std::pair<double, double>> reads; // (when, bytes)
-    };
-    auto runs = std::make_shared<std::vector<ShardRun>>(S);
+    auto completed = std::make_shared<std::uint64_t>(0);
+    auto bytes_read = std::make_shared<double>(0.0);
 
     std::vector<std::shared_ptr<std::function<void(std::size_t)>>> chains;
     for (std::size_t t = 0; t < k; ++t) {
         if (per_track[t].empty())
             continue;
         auto &ctl = fleet_.track(t);
-        (*runs)[fleet_.shardOf(t)].target += per_track[t].size();
         auto chain = std::make_shared<std::function<void(std::size_t)>>();
         chains.push_back(chain);
         auto *chain_ptr = chain.get();
         const auto carts = per_track[t];
-        auto *sim_ptr = &fleet_.simOf(t);
-        auto *sr = &(*runs)[fleet_.shardOf(t)];
-        *chain = [this, sim_ptr, &ctl, carts, chain = chain_ptr, opts,
-                  sr, runs](std::size_t idx) {
+        *chain = [this, &sim, &ctl, carts, chain = chain_ptr, opts,
+                  completed, bytes_read](std::size_t idx) {
             if (idx == carts.size())
                 return;
             const core::CartId id = carts[idx].first;
             const core::RequestMeta job_meta = jobs_[carts[idx].second].meta;
-            const double issued = sim_ptr->now();
+            const double issued = sim.now();
             ctl.open(id, job_meta,
-                     [this, sim_ptr, &ctl, id, idx, issued, chain, opts,
-                      sr, runs](core::Cart &cart,
-                                core::DockingStation &) {
-                sr->lat.emplace_back(sim_ptr->now(),
-                                     sim_ptr->now() - issued);
-                auto finish = [sr, chain, idx](core::Cart &) {
-                    ++sr->completed;
+                     [this, &sim, &ctl, id, idx, issued, chain, opts,
+                      completed, bytes_read](core::Cart &cart,
+                                             core::DockingStation &) {
+                metrics_.open_latency.push_back(sim.now() - issued);
+                auto finish = [completed, chain, idx](core::Cart &) {
+                    ++*completed;
                     (*chain)(idx + 1);
                 };
                 if (opts.include_read_time && cart.storedBytes() > 0.0) {
                     const double to_read = cart.storedBytes();
                     ctl.read(id, to_read,
-                             [sim_ptr, &ctl, id, sr, finish](double b) {
-                                 sr->reads.emplace_back(sim_ptr->now(), b);
+                             [&ctl, id, bytes_read, finish](double b) {
+                                 *bytes_read += b;
                                  ctl.close(id, finish);
                              });
                 } else {
@@ -204,66 +180,18 @@ FleetDispatcher::runRoundRobin(double bytes,
             });
         };
     }
-    // jobs_ backs the chains' meta lookups for the duration of the run
-    // (read-only while shards execute in parallel).
+    // jobs_ backs the chains' meta lookups for the duration of the run.
     jobs_ = std::move(jobs);
     for (auto &chain : chains)
         (*chain)(0);
 
-    if (S == 1) {
-        sim::Simulator &sim = fleet_.simulator();
-        while ((*runs)[0].completed < n_carts && sim.pendingEvents() > 0)
-            sim.step();
-    } else {
-        // Each shard's chains are causally independent, so a shard can
-        // run straight to its own completion: the whole transfer is one
-        // conservative window.
-        fleet_.pool()->parallelFor(S, [&](std::size_t s) {
-            sim::Simulator &sim = fleet_.shardSim(s);
-            ShardRun &sr = (*runs)[s];
-            while (sr.completed < sr.target && sim.pendingEvents() > 0)
-                sim.step();
-        });
-        // Fleet finish time = slowest shard; bring the others there so
-        // their background processes (injectors, maintenance, plants)
-        // fire everything a single global loop would have fired.
-        const double tf = fleet_.maxNow();
-        fleet_.pool()->parallelFor(S, [&](std::size_t s) {
-            fleet_.shardSim(s).runUntil(tf);
-        });
-    }
-    std::uint64_t total_completed = 0;
-    for (const ShardRun &sr : *runs)
-        total_completed += sr.completed;
-    panic_if(total_completed != n_carts,
+    while (*completed < n_carts && sim.pendingEvents() > 0)
+        sim.step();
+    panic_if(*completed != n_carts,
              "fleet transfer finished with carts unaccounted for");
 
-    // Deterministic merge of the per-shard logs: (time, shard) order —
-    // with one shard, the legacy accumulation order.
-    double bytes_read = 0.0;
-    {
-        std::vector<std::size_t> counts(S);
-        for (std::size_t s = 0; s < S; ++s)
-            counts[s] = (*runs)[s].lat.size();
-        sim::ShardMerge merge(counts, [&](std::size_t s, std::size_t i) {
-            return (*runs)[s].lat[i].first;
-        });
-        for (auto [s, i] = merge.next(); s != sim::ShardGroup::npos;
-             std::tie(s, i) = merge.next())
-            metrics_.open_latency.push_back((*runs)[s].lat[i].second);
-
-        for (std::size_t s = 0; s < S; ++s)
-            counts[s] = (*runs)[s].reads.size();
-        sim::ShardMerge rmerge(counts, [&](std::size_t s, std::size_t i) {
-            return (*runs)[s].reads[i].first;
-        });
-        for (auto [s, i] = rmerge.next(); s != sim::ShardGroup::npos;
-             std::tie(s, i) = rmerge.next())
-            bytes_read += (*runs)[s].reads[i].second;
-    }
-
     core::BulkRunResult r{};
-    r.total_time = fleet_.maxNow() - start;
+    r.total_time = sim.now() - start;
     r.total_energy = fleet_.totalEnergy() - energy_before;
     r.launches = fleet_.launches() - launches_before;
     r.carts = n_carts;
@@ -273,7 +201,7 @@ FleetDispatcher::runRoundRobin(double bytes,
     r.ssd_failures = failures;
     r.avg_power = r.total_energy / r.total_time;
     r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = bytes_read;
+    r.bytes_read = *bytes_read;
     return r;
 }
 
@@ -524,13 +452,6 @@ core::BulkRunResult
 FleetDispatcher::runPull(double bytes, const core::BulkRunOptions &opts,
                          std::vector<Job> jobs)
 {
-    // The pull engine is continuously fleet-coupled (every completion
-    // or repair can re-route work to any track), so it has zero
-    // conservative lookahead; FleetOps therefore builds pull-policy
-    // fleets with one shard.  Guard against misuse.
-    fatal_if(fleet_.numShards() > 1,
-             "pull dispatch policies require an unsharded fleet "
-             "(zero cross-track lookahead)");
     sim::Simulator &sim = fleet_.simulator();
     const std::size_t k = fleet_.numTracks();
     const std::uint64_t n_carts = jobs.size();

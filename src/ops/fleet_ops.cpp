@@ -5,41 +5,15 @@
 
 #include "ops/fleet_ops.hpp"
 
-#include <algorithm>
-#include <string>
-
 #include "common/logging.hpp"
 #include "common/stats.hpp"
-#include "sim/shard.hpp"
 
 namespace dhl {
 namespace ops {
 
-namespace {
-
-/** Shard map for the fleet: whole plant domains dealt contiguously
- *  onto the requested shard count (capped at the domain count); pull
- *  policies collapse to one shard — they have no lookahead. */
-std::vector<std::size_t>
-shardMap(const OpsConfig &ops, std::size_t tracks)
-{
-    const std::size_t shards =
-        ops.dispatch.policy == DispatchPolicy::RoundRobin
-            ? ops.des_shards
-            : 1;
-    if (shards <= 1)
-        return {};
-    const std::size_t unit =
-        ops.domains.enabled ? ops.domains.domain_size : 1;
-    return sim::partitionShards(tracks, unit, shards);
-}
-
-} // namespace
-
 void
 validate(const OpsConfig &cfg, std::size_t tracks)
 {
-    fatal_if(cfg.des_shards == 0, "des_shards must be at least 1");
     validate(cfg.dispatch);
     validate(cfg.maintenance, tracks);
     if (cfg.domains.enabled)
@@ -54,7 +28,7 @@ validate(const OpsConfig &cfg, std::size_t tracks)
 
 FleetOps::FleetOps(const core::DhlConfig &cfg, std::size_t tracks,
                    const OpsConfig &ops, std::uint64_t seed)
-    : ops_(ops), fleet_(cfg, tracks, seed, shardMap(ops, tracks))
+    : ops_(ops), fleet_(cfg, tracks, seed)
 {
     validate(ops_, tracks);
 
@@ -81,87 +55,16 @@ FleetOps::FleetOps(const core::DhlConfig &cfg, std::size_t tracks,
         for (std::size_t t = 0; t < tracks; ++t)
             states.push_back(fleet_.faultState(t));
     }
-    const std::size_t S = fleet_.numShards();
-    if (S == 1) {
-        if (!ops_.maintenance.windows.empty()) {
-            maintenance_ = std::make_unique<MaintenanceScheduler>(
-                fleet_.simulator(), states, ops_.maintenance);
-        }
-        if (ops_.domains.enabled) {
-            correlated_ = std::make_unique<CorrelatedFaultModel>(
-                fleet_.simulator(), states, ops_.domains);
-        }
-    } else {
-        // One slice of the ops processes per DES shard, on that
-        // shard's own simulator.  Track-targeted windows go to their
-        // owner shard (index remapped to the shard-local track list);
-        // fleet-wide windows are replicated on every shard so each
-        // shard inhibits its own tracks at the same simulated times a
-        // single loop would.  Plant domains are never split across
-        // shards (shardMap), so a shard's model covers whole domains
-        // and seeds them by *global* domain index.
-        shard_ops_.resize(S);
-        std::vector<std::size_t> first_track(S, tracks);
-        for (std::size_t t = 0; t < tracks; ++t)
-            first_track[fleet_.shardOf(t)] =
-                std::min(first_track[fleet_.shardOf(t)], t);
-        for (std::size_t s = 0; s < S; ++s) {
-            std::vector<faults::FaultState *> slice;
-            for (std::size_t t = 0; t < tracks; ++t) {
-                if (fleet_.shardOf(t) == s)
-                    slice.push_back(fleet_.faultState(t));
-            }
-            ShardOps &so = shard_ops_[s];
-            if (!ops_.maintenance.windows.empty()) {
-                MaintenanceConfig mc;
-                mc.horizon = ops_.maintenance.horizon;
-                for (const MaintenanceWindow &w :
-                     ops_.maintenance.windows) {
-                    if (w.track < 0) {
-                        mc.windows.push_back(w);
-                        so.count_window.push_back(s == 0);
-                    } else if (fleet_.shardOf(static_cast<std::size_t>(
-                                   w.track)) == s) {
-                        MaintenanceWindow lw = w;
-                        lw.track = w.track -
-                                   static_cast<int>(first_track[s]);
-                        mc.windows.push_back(lw);
-                        so.count_window.push_back(true);
-                    }
-                }
-                if (!mc.windows.empty()) {
-                    so.maintenance =
-                        std::make_unique<MaintenanceScheduler>(
-                            fleet_.shardSim(s), slice, mc,
-                            "maintenance.s" + std::to_string(s));
-                }
-            }
-            if (ops_.domains.enabled) {
-                so.plants = std::make_unique<CorrelatedFaultModel>(
-                    fleet_.shardSim(s), slice, ops_.domains,
-                    "plants.s" + std::to_string(s),
-                    first_track[s] / ops_.domains.domain_size);
-            }
-        }
+    if (!ops_.maintenance.windows.empty()) {
+        maintenance_ = std::make_unique<MaintenanceScheduler>(
+            fleet_.simulator(), states, ops_.maintenance);
+    }
+    if (ops_.domains.enabled) {
+        correlated_ = std::make_unique<CorrelatedFaultModel>(
+            fleet_.simulator(), states, ops_.domains);
     }
     dispatcher_ =
         std::make_unique<FleetDispatcher>(fleet_, ops_.dispatch);
-}
-
-MaintenanceScheduler *
-FleetOps::maintenance()
-{
-    if (!shard_ops_.empty())
-        return shard_ops_[0].maintenance.get();
-    return maintenance_.get();
-}
-
-CorrelatedFaultModel *
-FleetOps::correlated()
-{
-    if (!shard_ops_.empty())
-        return shard_ops_[0].plants.get();
-    return correlated_.get();
 }
 
 OpsRunResult
@@ -186,26 +89,12 @@ FleetOps::runBulkTransfer(double bytes, const core::BulkRunOptions &opts,
             sum / static_cast<double>(m.open_latency.size());
         r.open_latency_p99 = stats::percentile(m.open_latency, 99.0);
     }
-    if (shard_ops_.empty()) {
-        if (maintenance_ != nullptr)
-            r.maintenance_windows = maintenance_->windowsStarted();
-        if (correlated_ != nullptr)
-            r.plant_outages = correlated_->outages();
-    } else {
-        for (const ShardOps &so : shard_ops_) {
-            if (so.maintenance != nullptr) {
-                for (std::size_t w = 0; w < so.count_window.size(); ++w) {
-                    if (so.count_window[w])
-                        r.maintenance_windows +=
-                            so.maintenance->windowStarted(w);
-                }
-            }
-            if (so.plants != nullptr)
-                r.plant_outages += so.plants->outages();
-        }
-    }
+    if (maintenance_ != nullptr)
+        r.maintenance_windows = maintenance_->windowsStarted();
+    if (correlated_ != nullptr)
+        r.plant_outages = correlated_->outages();
 
-    const double end = fleet_.maxNow();
+    const double end = fleet_.simulator().now();
     if (fleet_.faultState(0) != nullptr && end > 0.0) {
         double total = 0.0;
         for (std::size_t t = 0; t < fleet_.numTracks(); ++t)

@@ -47,16 +47,6 @@ struct OpsConfig
      *  none); forwarded to DhlFleet::enableFaults. */
     faults::FaultConfig faults{};
 
-    /**
-     * DES shards for the fleet event loop (>= 1).  With N > 1 and the
-     * RoundRobin policy, plant domains are dealt contiguously onto N
-     * simulators (sim::partitionShards) and the run is synchronised
-     * with conservative time windows; results are byte-identical to
-     * des_shards = 1.  Pull policies (LeastQueued/AvailabilityAware/
-     * Te) are continuously fleet-coupled — zero cross-track lookahead —
-     * so they always run one shard regardless of this knob.
-     */
-    std::size_t des_shards = 1;
 };
 
 /** Validate against a fleet of @p tracks tracks; fatal() on nonsense. */
@@ -106,17 +96,11 @@ class FleetOps
     const OpsConfig &config() const { return ops_; }
     FleetDispatcher &dispatcher() { return *dispatcher_; }
 
-    /** The maintenance process (nullptr when no windows configured).
-     *  On a sharded fleet this is shard 0's scheduler; aggregate
-     *  counts come from OpsRunResult. */
-    MaintenanceScheduler *maintenance();
+    /** The maintenance process (nullptr when no windows configured). */
+    MaintenanceScheduler *maintenance() { return maintenance_.get(); }
 
-    /** The common-cause model (nullptr when domains are disabled).
-     *  On a sharded fleet this is shard 0's model. */
-    CorrelatedFaultModel *correlated();
-
-    /** DES shards actually in use (<= config().des_shards). */
-    std::size_t numShards() const { return fleet_.numShards(); }
+    /** The common-cause model (nullptr when domains are disabled). */
+    CorrelatedFaultModel *correlated() { return correlated_.get(); }
 
     /**
      * Move @p bytes through the fleet under the configured policy with
@@ -129,26 +113,11 @@ class FleetOps
                     const std::vector<core::RequestMeta> &meta = {});
 
   private:
-    /** Per-shard slice of the ops processes (one entry per DES shard
-     *  when sharded; empty for the classic single-loop fleet, which
-     *  uses maintenance_/correlated_ directly). */
-    struct ShardOps
-    {
-        std::unique_ptr<MaintenanceScheduler> maintenance;
-        std::unique_ptr<CorrelatedFaultModel> plants;
-        /** Per local window: does this shard's count feed the fleet
-         *  total?  True for track-targeted windows (unique owner) and
-         *  for fleet-wide windows only on shard 0 (every shard runs a
-         *  replica, the total must count occurrences once). */
-        std::vector<bool> count_window;
-    };
-
     OpsConfig ops_;
     core::DhlFleet fleet_;
     std::unique_ptr<FleetDispatcher> dispatcher_;
     std::unique_ptr<MaintenanceScheduler> maintenance_;
     std::unique_ptr<CorrelatedFaultModel> correlated_;
-    std::vector<ShardOps> shard_ops_;
 };
 
 } // namespace ops

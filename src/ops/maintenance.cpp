@@ -31,8 +31,8 @@ validate(const MaintenanceConfig &cfg, std::size_t tracks)
 
 MaintenanceScheduler::MaintenanceScheduler(
     sim::Simulator &sim, std::vector<faults::FaultState *> states,
-    const MaintenanceConfig &cfg, std::string name)
-    : sim::SimObject(sim, std::move(name)),
+    const MaintenanceConfig &cfg)
+    : sim::SimObject(sim, "maintenance"),
       states_(std::move(states)),
       cfg_(cfg),
       open_(cfg.windows.size(), false),
@@ -60,14 +60,6 @@ MaintenanceScheduler::windowOpen(std::size_t w) const
 {
     fatal_if(w >= open_.size(), "window index out of range");
     return open_[w];
-}
-
-std::uint64_t
-MaintenanceScheduler::windowStarted(std::size_t w) const
-{
-    fatal_if(w >= started_by_window_.size(),
-             "window index out of range");
-    return started_by_window_[w];
 }
 
 std::string

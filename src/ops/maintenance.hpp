@@ -67,23 +67,15 @@ class MaintenanceScheduler : public sim::SimObject
      * @param states Per-track fault registries (index = track; the
      *               registries must outlive the scheduler).
      * @param cfg    The maintenance plan.
-     * @param name   SimObject name.
      */
     MaintenanceScheduler(sim::Simulator &sim,
                          std::vector<faults::FaultState *> states,
-                         const MaintenanceConfig &cfg,
-                         std::string name = "maintenance");
+                         const MaintenanceConfig &cfg);
 
     const MaintenanceConfig &config() const { return cfg_; }
 
     /** Window occurrences opened so far. */
     std::uint64_t windowsStarted() const { return started_; }
-
-    /** Occurrences of window @p w opened so far.  Sharded fleets run
-     *  one scheduler per shard with fleet-wide windows replicated on
-     *  every shard; per-window counts let the coordinator aggregate
-     *  without double-counting replicas (see ops::FleetOps). */
-    std::uint64_t windowStarted(std::size_t w) const;
 
     /** Window occurrences closed so far. */
     std::uint64_t windowsCompleted() const { return completed_; }
@@ -133,6 +125,8 @@ class MaintenanceScheduler : public sim::SimObject
     MaintenanceConfig cfg_;
     std::vector<bool> open_;
     std::vector<Pending> pending_;
+    /** Occurrences opened per window; checkpointed as each window's
+     *  `count` key. */
     std::vector<std::uint64_t> started_by_window_;
     std::uint64_t started_ = 0;
     std::uint64_t completed_ = 0;

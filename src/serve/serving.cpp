@@ -49,7 +49,6 @@ validate(const ServeConfig &cfg)
         ops::validate(cfg.maintenance, cfg.tracks);
     if (cfg.domains.enabled)
         ops::validate(cfg.domains);
-    fatal_if(cfg.des_shards == 0, "serving des_shards must be at least 1");
     fatal_if(cfg.policy == ops::DispatchPolicy::Te,
              "the serving loop drives TE through cfg.te (--te), not "
              "the ops dispatch policy");
@@ -65,56 +64,18 @@ ServingSim::ServingSim(const ServeConfig &cfg)
 {
     validate(cfg_);
 
-    // Shard layout first: whole plant domains dealt contiguously onto
-    // the requested shard count (partitionShards caps it at the domain
-    // count).  Every seed below derives from (cfg_.seed, global track
-    // index) alone, so the layout never perturbs a stream.
-    shard_of_.assign(cfg_.tracks, 0);
-    // TE needs zero-lookahead visibility of every track (the controller
-    // decides per admission against fleet-wide published state), so a
-    // TE-enabled run always uses the single global loop — which also
-    // makes --des-shards trivially byte-identical under TE.
-    if (cfg_.des_shards > 1 && !cfg_.te.enabled) {
-        const std::size_t unit =
-            cfg_.domains.enabled ? cfg_.domains.domain_size : 1;
-        shard_of_ =
-            sim::partitionShards(cfg_.tracks, unit, cfg_.des_shards);
-        const std::size_t S = shard_of_.back() + 1;
-        if (S > 1) {
-            parts_.resize(S);
-            for (std::size_t t = 0; t < cfg_.tracks; ++t)
-                parts_[shard_of_[t]].tracks.push_back(t);
-            extra_sims_.reserve(S - 1);
-            extra_traces_.reserve(S - 1);
-            for (std::size_t s = 1; s < S; ++s) {
-                extra_sims_.push_back(std::make_unique<sim::Simulator>());
-                extra_traces_.push_back(
-                    std::make_unique<sim::TraceRecorder>(
-                        *extra_sims_.back(), cfg_.trace_capacity));
-            }
-            group_.attach(&sim_);
-            for (const auto &es : extra_sims_)
-                group_.attach(es.get());
-            pool_ = std::make_unique<ThreadPool>(S);
-            group_.setPool(pool_.get());
-        }
-    }
-
     tracks_.resize(cfg_.tracks);
     std::vector<faults::FaultState *> states;
     states.reserve(cfg_.tracks);
     for (std::size_t t = 0; t < cfg_.tracks; ++t) {
         TrackSystem &ts = tracks_[t];
-        sim::Simulator &tsim = simOf(t);
-        sim::TraceRecorder &ttrace =
-            shard_of_[t] == 0 ? trace_ : *extra_traces_[shard_of_[t] - 1];
-        ts.state = std::make_unique<faults::FaultState>(tsim);
-        ts.state->attachTrace(&ttrace);
+        ts.state = std::make_unique<faults::FaultState>(sim_);
+        ts.state->attachTrace(&trace_);
         std::string name("track");
         name += std::to_string(t);
         ts.controller = std::make_unique<core::DhlController>(
-            tsim, cfg_.dhl, name, deriveSeed(cfg_.seed, kTrackStreamSalt + t));
-        ts.controller->attachTrace(&ttrace);
+            sim_, cfg_.dhl, name, deriveSeed(cfg_.seed, kTrackStreamSalt + t));
+        ts.controller->attachTrace(&trace_);
         ts.controller->attachFaults(ts.state.get());
         ts.pool.reserve(cfg_.carts_per_track);
         for (std::size_t c = 0; c < cfg_.carts_per_track; ++c)
@@ -125,66 +86,20 @@ ServingSim::ServingSim(const ServeConfig &cfg)
             std::string fname("faults");
             fname += std::to_string(t);
             ts.injector = std::make_unique<faults::FaultInjector>(
-                tsim, *ts.state, fc, ts.controller->numStations(), fname);
+                sim_, *ts.state, fc, ts.controller->numStations(), fname);
         }
         // Repair completions free capacity the backlog may be waiting
-        // on; the pump no-ops outside the epoch's admission window and
-        // during parallel shard windows (where the queue is empty).
+        // on; the pump no-ops outside the epoch's admission window.
         ts.state->onRepair([this] { pump(); });
         states.push_back(ts.state.get());
     }
 
-    if (!sharded()) {
-        if (!cfg_.maintenance.windows.empty())
-            maintenance_ = std::make_unique<ops::MaintenanceScheduler>(
-                sim_, states, cfg_.maintenance);
-        if (cfg_.domains.enabled)
-            plants_ = std::make_unique<ops::CorrelatedFaultModel>(
-                sim_, states, cfg_.domains);
-    } else {
-        // One slice of the ops processes per shard, on that shard's
-        // simulator.  Track-targeted maintenance windows go to their
-        // owner shard (index remapped into the shard-local slice);
-        // fleet-wide windows are replicated on every shard so each
-        // shard inhibits its own tracks at the same simulated times a
-        // single loop would.  Plant domains are never split across
-        // shards, so a shard's model covers whole domains and seeds
-        // them by *global* domain index.
-        for (std::size_t s = 0; s < parts_.size(); ++s) {
-            ShardPart &part = parts_[s];
-            const std::size_t first = part.tracks.front();
-            std::vector<faults::FaultState *> slice;
-            slice.reserve(part.tracks.size());
-            for (const std::size_t t : part.tracks)
-                slice.push_back(tracks_[t].state.get());
-            if (!cfg_.maintenance.windows.empty()) {
-                ops::MaintenanceConfig mc;
-                mc.horizon = cfg_.maintenance.horizon;
-                for (const ops::MaintenanceWindow &mw :
-                     cfg_.maintenance.windows) {
-                    if (mw.track < 0) {
-                        mc.windows.push_back(mw);
-                    } else if (shard_of_[static_cast<std::size_t>(
-                                   mw.track)] == s) {
-                        ops::MaintenanceWindow lw = mw;
-                        lw.track = mw.track - static_cast<int>(first);
-                        mc.windows.push_back(lw);
-                    }
-                }
-                if (!mc.windows.empty())
-                    part.maintenance =
-                        std::make_unique<ops::MaintenanceScheduler>(
-                            shardSim(s), slice, mc,
-                            "maintenance.s" + std::to_string(s));
-            }
-            if (cfg_.domains.enabled)
-                part.plants =
-                    std::make_unique<ops::CorrelatedFaultModel>(
-                        shardSim(s), slice, cfg_.domains,
-                        "plants.s" + std::to_string(s),
-                        first / cfg_.domains.domain_size);
-        }
-    }
+    if (!cfg_.maintenance.windows.empty())
+        maintenance_ = std::make_unique<ops::MaintenanceScheduler>(
+            sim_, states, cfg_.maintenance);
+    if (cfg_.domains.enabled)
+        plants_ = std::make_unique<ops::CorrelatedFaultModel>(
+            sim_, states, cfg_.domains);
 
     arrivals_ = std::make_unique<workloads::StagedArrivalProcess>(
         cfg_.stages, deriveSeed(cfg_.seed, kArrivalStreamSalt));
@@ -268,34 +183,6 @@ ServingSim::ServingSim(const ServeConfig &cfg)
 // Stepping
 //===========================================================================
 
-sim::Simulator &
-ServingSim::shardSim(std::size_t s)
-{
-    return s == 0 ? sim_ : *extra_sims_[s - 1];
-}
-
-sim::Simulator &
-ServingSim::simOf(std::size_t track)
-{
-    return shardSim(shard_of_[track]);
-}
-
-const sim::Simulator &
-ServingSim::simOf(std::size_t track) const
-{
-    const std::size_t s = shard_of_[track];
-    return s == 0 ? sim_ : *extra_sims_[s - 1];
-}
-
-double
-ServingSim::now() const
-{
-    double t = sim_.now();
-    for (const auto &es : extra_sims_)
-        t = std::max(t, es->now());
-    return t;
-}
-
 bool
 ServingSim::done() const
 {
@@ -307,14 +194,12 @@ ServingSim::nextBoundary() const
 {
     // Draining a backlogged epoch can run past its boundary; the next
     // epoch then starts from wherever the clock actually is.
-    return std::max(boundary_ + cfg_.epoch, now());
+    return std::max(boundary_ + cfg_.epoch, sim_.now());
 }
 
 bool
 ServingSim::stepEpoch()
 {
-    if (sharded())
-        return stepEpochSharded();
     if (done())
         return false;
 
@@ -351,194 +236,6 @@ ServingSim::stepEpoch()
     boundary_ = target;
     ++epochs_;
     return true;
-}
-
-bool
-ServingSim::stepEpochSharded()
-{
-    if (done())
-        return false;
-
-    const double target = nextBoundary();
-
-    // Admission window opens: backlog first (every shard sits at the
-    // same drained time), then this epoch's arrivals — taken up front
-    // and admitted at coordinator barriers rather than scheduled as
-    // kernel events, which is what gives the shards their lookahead.
-    pumping_ = true;
-    pump();
-
-    const double epoch_start = now();
-    const std::vector<workloads::ArrivalEvent> arrivals =
-        arrivals_->take(target);
-
-    // Same stall condition as the single-loop path: anything startable
-    // has been started, so a backlog with no pending event anywhere and
-    // no arrival left can never make progress.
-    if (!queue_.empty() && group_.pendingEvents() == 0 && arrivals.empty())
-        fatal("serving stalled: backlog remains but no future event can "
-              "free capacity (all tracks down for good?)");
-
-    // Conservative windows while the queue is empty (no admission can
-    // happen before the next arrival, so every shard may run freely up
-    // to it in parallel); global-order lockstep while backlog could
-    // start on any track the moment an event frees one.
-    std::size_t ai = 0;
-    for (;;) {
-        const double due =
-            ai < arrivals.size()
-                ? std::max(arrivals[ai].at, epoch_start)
-                : std::numeric_limits<double>::infinity();
-        if (queue_.empty()) {
-            const double w = std::min(due, target);
-            runWindow(w);
-            while (ai < arrivals.size() &&
-                   std::max(arrivals[ai].at, epoch_start) <= w)
-                admit(arrivals[ai++]);
-            if (w >= target)
-                break;
-        } else {
-            const double tmin = group_.nextEventTime();
-            if (tmin < due && tmin <= target) {
-                // Fire the globally earliest event with every shard
-                // clock already at its time, so any admission its
-                // callbacks trigger (repair -> pump) schedules work
-                // exactly as one global loop would.  When several
-                // shards share the head timestamp exactly — routine
-                // here, deterministic request sizes keep whole trip
-                // chains in lockstep across tracks — the per-shard
-                // heaps cannot reproduce the global insertion order,
-                // so the tie is drained and replayed instead.
-                group_.advanceClocks(tmin);
-                std::size_t heads = 0;
-                for (std::size_t s = 0; s < parts_.size(); ++s)
-                    heads += shardSim(s).nextEventTime() == tmin ? 1u : 0u;
-                if (heads > 1)
-                    stepTied(tmin);
-                else
-                    group_.stepMin();
-            } else if (due <= target) {
-                group_.advanceClocks(due);
-                admit(arrivals[ai++]);
-            } else {
-                group_.advanceClocks(target);
-                break;
-            }
-        }
-    }
-
-    // Admission window closes: drain each shard's in-flight requests in
-    // parallel, then bring every shard to the fleet finish time so
-    // straggling fault/maintenance/plant events fire exactly where a
-    // single loop running in global time order would have fired them.
-    pumping_ = false;
-    windowed_ = true;
-    pool_->parallelFor(parts_.size(), [this](std::size_t s) {
-        sim::Simulator &psim = shardSim(s);
-        ShardPart &part = parts_[s];
-        while (part.in_flight > 0) {
-            if (psim.step(1) == 0)
-                panic("serving drain stalled with requests in flight");
-        }
-    });
-    group_.advanceTo(now());
-    windowed_ = false;
-    mergeCompletions();
-
-    boundary_ = target;
-    ++epochs_;
-    return true;
-}
-
-void
-ServingSim::runWindow(double until)
-{
-    windowed_ = true;
-    group_.advanceTo(until);
-    windowed_ = false;
-    mergeCompletions();
-}
-
-void
-ServingSim::stepTied(double when)
-{
-    // Cross-shard timestamp tie under backlog.  The serial loop fires
-    // same-time events in heap insertion order; independent per-shard
-    // heaps lost that order, but its observable part — which completion
-    // returns its cart and pumps the queue first — is recoverable: ties
-    // here come from trip chains running in lockstep (identical request
-    // sizes, rooted at a common admission barrier), and such chains
-    // were inserted, at every tied generation, in the order they were
-    // dispatched.  So: drain every shard's events at exactly `when`
-    // with coordinator effects deferred (windowed_), then replay the
-    // logged completions in dispatch order, pumping after each just as
-    // the serial loop pumps per completion.
-    windowed_ = true;
-    repair_pump_pending_ = false;
-    for (std::size_t s = 0; s < parts_.size(); ++s) {
-        sim::Simulator &psim = shardSim(s);
-        while (psim.nextEventTime() == when)
-            if (psim.step(1) == 0)
-                panic("tied step fired no event");
-    }
-    windowed_ = false;
-
-    std::vector<ShardPart::Done> dones;
-    for (ShardPart &p : parts_) {
-        dones.insert(dones.end(), p.log.begin(), p.log.end());
-        p.log.clear();
-    }
-    std::sort(dones.begin(), dones.end(),
-              [](const ShardPart::Done &a, const ShardPart::Done &b) {
-                  return a.rank < b.rank; // `when` is equal throughout
-              });
-    for (const ShardPart::Done &d : dones) {
-        tracks_[d.track].pool.push_back(d.cart);
-        slo_[static_cast<std::size_t>(d.stage)].complete(d.latency,
-                                                         d.bytes);
-        ++served_;
-        --in_flight_;
-        pump();
-    }
-    // Repair and maintenance-release callbacks that fired during the
-    // drain had their pumps suppressed; one pump over the final state
-    // covers them (the serial loop's per-event pumps see the same
-    // pools once every same-time release has been applied).  Skipped
-    // when nothing asked: the serial loop does not pump on plain
-    // controller events, and an extra pump here could start work early.
-    if (repair_pump_pending_) {
-        repair_pump_pending_ = false;
-        pump();
-    }
-}
-
-void
-ServingSim::mergeCompletions()
-{
-    // (time, dispatch-rank) order: rank is globally unique, so the
-    // merge is a total order independent of the shard layout, and at
-    // exact timestamp ties it reproduces the serial loop's insertion
-    // order for the lockstep trip chains that produce such ties (a
-    // chain dispatched earlier was inserted earlier at every tied
-    // generation).  Cart returns happen here, in merge order, so the
-    // per-track pools refill in the same LIFO order as one global loop.
-    std::vector<ShardPart::Done> dones;
-    for (ShardPart &p : parts_) {
-        dones.insert(dones.end(), p.log.begin(), p.log.end());
-        p.log.clear();
-    }
-    std::sort(dones.begin(), dones.end(),
-              [](const ShardPart::Done &a, const ShardPart::Done &b) {
-                  return a.when != b.when ? a.when < b.when
-                                          : a.rank < b.rank;
-              });
-    for (const ShardPart::Done &d : dones) {
-        tracks_[d.track].pool.push_back(d.cart);
-        slo_[static_cast<std::size_t>(d.stage)].complete(d.latency,
-                                                         d.bytes);
-        ++served_;
-        --in_flight_;
-    }
 }
 
 void
@@ -630,14 +327,11 @@ ServingSim::tryStart(const workloads::ArrivalEvent &ev)
     const core::CartId cart = ts.pool.back();
     ts.pool.pop_back();
     ++in_flight_;
-    if (sharded())
-        ++parts_[shard_of_[t]].in_flight;
 
     const double trips =
         std::max(1.0, std::ceil(ev.bytes / cart_capacity_));
     auto active = std::make_shared<Active>(
-        Active{ev, t, cart, static_cast<std::uint64_t>(trips),
-               next_rank_++});
+        Active{ev, t, cart, static_cast<std::uint64_t>(trips)});
     runTrip(active);
     return true;
 }
@@ -755,17 +449,8 @@ ServingSim::classSlo(std::size_t tenant, te::Substrate s) const
 void
 ServingSim::pump()
 {
-    // During a parallel window the queue is empty by construction
-    // (windows only open then), so the single-loop pump would scan
-    // nothing and return; skipping it outright keeps worker-thread
-    // repair callbacks away from coordinator state.
-    if (!pumping_ || windowed_) {
-        // A repair/maintenance-release callback inside a tied-timestamp
-        // drain wanted to pump; stepTied() replays it at the barrier.
-        if (pumping_ && windowed_)
-            repair_pump_pending_ = true;
+    if (!pumping_)
         return;
-    }
     while (!queue_.empty()) {
         const bool degraded = anyTrackDown();
         bool progressed = false;
@@ -816,21 +501,7 @@ void
 ServingSim::finishRequest(const Active &a)
 {
     const std::size_t stage = static_cast<std::size_t>(a.ev.stage);
-    if (windowed_) {
-        // Coordinator-deferred phase: touch shard-local state only
-        // (the shard in-flight count) and log everything else — the
-        // coordinator replays the log at the next barrier in
-        // (time, dispatch-rank) order, returning the cart and running
-        // the pump exactly where the serial loop would have.
-        ShardPart &part = parts_[shard_of_[a.track]];
-        const double when = simOf(a.track).now();
-        part.log.push_back(ShardPart::Done{when, a.ev.stage,
-                                           when - a.ev.at, a.ev.bytes,
-                                           a.track, a.cart, a.rank});
-        --part.in_flight;
-        return;
-    }
-    const double latency = simOf(a.track).now() - a.ev.at;
+    const double latency = sim_.now() - a.ev.at;
     slo_[stage].complete(latency, a.ev.bytes);
     if (te_)
         classSlo(tenantOf(a.ev), te::Substrate::Dhl)
@@ -838,8 +509,6 @@ ServingSim::finishRequest(const Active &a)
     ++served_;
     tracks_[a.track].pool.push_back(a.cart);
     --in_flight_;
-    if (sharded())
-        --parts_[shard_of_[a.track]].in_flight;
     pump();
 }
 
@@ -861,7 +530,9 @@ ServingSim::saveFingerprint(sim::SnapshotWriter &w) const
     w.putBool("faults", cfg_.faults.enabled);
     w.putU64("maintenance_windows", cfg_.maintenance.windows.size());
     w.putBool("domains", cfg_.domains.enabled);
-    w.putU64("des_shards", numShards());
+    // Every fleet runs one event loop.  The key stays so checkpoints
+    // keep their bytes; checkFingerprint() accepts only the value 1.
+    w.putU64("des_shards", 1);
     w.putBool("te", cfg_.te.enabled);
     if (cfg_.te.enabled) {
         sim::SnapshotScope<sim::SnapshotWriter> ts(w, "te");
@@ -917,7 +588,7 @@ ServingSim::checkFingerprint(sim::SnapshotReader &r) const
                  r.getU64("maintenance_windows") !=
                      cfg_.maintenance.windows.size() ||
                  r.getBool("domains") != cfg_.domains.enabled ||
-                 r.getU64("des_shards") != numShards() ||
+                 r.getU64("des_shards") != 1 ||
                  r.getBool("te") != cfg_.te.enabled ||
                  r.getU64("stages") != cfg_.stages.size(),
              "serving checkpoint belongs to a different configuration");
@@ -1010,13 +681,6 @@ ServingSim::checkpoint(std::ostream &os) const
     sim_.saveState(w);
     trace_.saveState(w);
     arrivals_->saveState(w);
-    for (std::size_t s = 1; s < numShards(); ++s) {
-        std::string key("shard");
-        key += std::to_string(s);
-        sim::SnapshotScope<sim::SnapshotWriter> ss(w, key);
-        extra_sims_[s - 1]->saveState(w);
-        extra_traces_[s - 1]->saveState(w);
-    }
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
         std::string key("t");
         key += std::to_string(t);
@@ -1066,21 +730,6 @@ ServingSim::checkpoint(std::ostream &os) const
         sim::SnapshotScope<sim::SnapshotWriter> ctl(w, "ctl");
         te_->saveState(w);
     }
-    for (std::size_t s = 0; s < parts_.size(); ++s) {
-        const ShardPart &part = parts_[s];
-        if (part.maintenance) {
-            std::string key("m");
-            key += std::to_string(s);
-            sim::SnapshotScope<sim::SnapshotWriter> ms(w, key);
-            part.maintenance->saveState(w);
-        }
-        if (part.plants) {
-            std::string key("p");
-            key += std::to_string(s);
-            sim::SnapshotScope<sim::SnapshotWriter> ps(w, key);
-            part.plants->saveState(w);
-        }
-    }
 }
 
 void
@@ -1101,30 +750,14 @@ ServingSim::restore(std::istream &is)
         maintenance_->stop();
     if (plants_)
         plants_->stop();
-    for (ShardPart &part : parts_) {
-        if (part.maintenance)
-            part.maintenance->stop();
-        if (part.plants)
-            part.plants->stop();
-    }
     if (te_)
         te_->stop();
-    std::size_t pending = sim_.pendingEvents();
-    for (const auto &es : extra_sims_)
-        pending += es->pendingEvents();
-    fatal_if(pending != 0,
+    fatal_if(sim_.pendingEvents() != 0,
              "serving restore found unexpected pending events");
 
     sim_.restoreState(r);
     trace_.restoreState(r);
     arrivals_->restoreState(r);
-    for (std::size_t s = 1; s < numShards(); ++s) {
-        std::string key("shard");
-        key += std::to_string(s);
-        sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        extra_sims_[s - 1]->restoreState(r);
-        extra_traces_[s - 1]->restoreState(r);
-    }
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
         std::string key("t");
         key += std::to_string(t);
@@ -1170,21 +803,6 @@ ServingSim::restore(std::istream &is)
         }
         sim::SnapshotScope<sim::SnapshotReader> ctl(r, "ctl");
         te_->restoreState(r);
-    }
-    for (std::size_t s = 0; s < parts_.size(); ++s) {
-        ShardPart &part = parts_[s];
-        if (part.maintenance) {
-            std::string key("m");
-            key += std::to_string(s);
-            sim::SnapshotScope<sim::SnapshotReader> ms(r, key);
-            part.maintenance->restoreState(r);
-        }
-        if (part.plants) {
-            std::string key("p");
-            key += std::to_string(s);
-            sim::SnapshotScope<sim::SnapshotReader> ps(r, key);
-            part.plants->restoreState(r);
-        }
     }
 
     sim::SnapshotScope<sim::SnapshotReader> scope(r, "serve");
@@ -1243,7 +861,7 @@ ServingSim::stageAvailability(std::size_t stage) const
     for (std::size_t i = 0; i < stage; ++i)
         start += cfg_.stages[i].duration;
     const double end =
-        std::min(start + cfg_.stages[stage].duration, now());
+        std::min(start + cfg_.stages[stage].duration, sim_.now());
     if (end <= start)
         return 1.0;
     double downtime = 0.0;
@@ -1367,8 +985,6 @@ ServingSim::dumpStats(std::ostream &os)
 {
     serve_stats_.dump(os);
     sim_.statsGroup().dump(os);
-    for (const auto &es : extra_sims_)
-        es->statsGroup().dump(os);
     for (const TrackSystem &ts : tracks_) {
         ts.controller->statsGroup().dump(os);
         ts.controller->track().statsGroup().dump(os);
@@ -1382,12 +998,6 @@ ServingSim::dumpStats(std::ostream &os)
     if (te_) {
         te_->statsGroup().dump(os);
         optical_->statsGroup().dump(os);
-    }
-    for (const ShardPart &part : parts_) {
-        if (part.maintenance)
-            part.maintenance->statsGroup().dump(os);
-        if (part.plants)
-            part.plants->statsGroup().dump(os);
     }
 }
 

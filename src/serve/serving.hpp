@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "dhl/config.hpp"
 #include "dhl/controller.hpp"
 #include "exp/slo.hpp"
@@ -54,7 +53,6 @@
 #include "ops/correlated.hpp"
 #include "ops/dispatcher.hpp"
 #include "ops/maintenance.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/trace.hpp"
@@ -116,27 +114,10 @@ struct ServeConfig
      * substrate (a FlowSim sharing one fat-tree uplink max-min
      * fairly), bulk requests ride the carts, and contended bulk
      * traffic below the priority floor is downgraded to optical or
-     * held.  A request's substrate is fixed at admission.  TE runs
-     * the DES on a single shard (the controller needs zero-lookahead
-     * visibility of every track), so `des_shards` is ignored — which
-     * also makes `--des-shards N` trivially byte-identical.  Disabled
+     * held.  A request's substrate is fixed at admission.  Disabled
      * leaves every stream and table byte-identical to pre-TE builds.
      */
     te::TeConfig te{};
-
-    /**
-     * DES shards for the fleet event loop (>= 1).  With N > 1 the
-     * tracks are dealt — whole plant domains at a time
-     * (sim::partitionShards) — onto N simulators driven with
-     * conservative time windows: while the admission queue is empty
-     * the shards run in parallel up to the next arrival or epoch
-     * boundary; while backlog could start on any freed track the
-     * coordinator falls back to global-order lockstep.  Results are
-     * byte-identical to des_shards = 1, checkpoints stay legal at
-     * every epoch boundary, and every dispatch policy is supported
-     * (dispatch happens at coordinator barriers only).
-     */
-    std::size_t des_shards = 1;
 };
 
 /** Validate; fatal() on nonsense. */
@@ -168,15 +149,8 @@ class ServingSim
     bool done() const;
     std::size_t epochsCompleted() const { return epochs_; }
 
-    /** Fleet clock: the single kernel's clock, or — sharded — the
-     *  maximum over the shard clocks (they agree at every barrier). */
-    double now() const;
-
-    /** DES shards actually in use (<= config().des_shards). */
-    std::size_t numShards() const
-    {
-        return parts_.empty() ? 1 : parts_.size();
-    }
+    /** Fleet clock: the one kernel every track runs on. */
+    double now() const { return sim_.now(); }
 
     //------------------------------------------------------------------
     // Checkpoint/restore
@@ -274,54 +248,7 @@ class ServingSim
         std::size_t track;
         core::CartId cart;
         std::uint64_t trips_left;
-        /** Dispatch order (tryStart issue counter).  Completions that
-         *  land on the exact same timestamp across shards are replayed
-         *  in this order: with deterministic request sizes the tied
-         *  trip chains are lockstep copies of each other, so the serial
-         *  loop's insertion order at the tie is exactly the order their
-         *  chains were rooted — the dispatch order. */
-        std::uint64_t rank;
     };
-
-    /** One DES shard's slice of the fleet (des_shards > 1 only). */
-    struct ShardPart
-    {
-        /** Global track ids on this shard (contiguous). */
-        std::vector<std::size_t> tracks;
-        /** This shard's slice of the maintenance schedule (track
-         *  windows remapped local; fleet-wide windows replicated). */
-        std::unique_ptr<ops::MaintenanceScheduler> maintenance;
-        /** This shard's plant domains (seeded by global index). */
-        std::unique_ptr<ops::CorrelatedFaultModel> plants;
-        /** Requests in flight on this shard's tracks. */
-        std::size_t in_flight = 0;
-
-        /** A completion recorded while the coordinator is out of the
-         *  loop (parallel window, drain, or a tied-timestamp step),
-         *  applied to the global state at the next barrier in
-         *  (time, dispatch-rank) order — the order the serial loop
-         *  fires them (see Active::rank). */
-        struct Done
-        {
-            double when;
-            int stage;
-            double latency;
-            double bytes;
-            std::size_t track;
-            core::CartId cart;
-            std::uint64_t rank;
-        };
-        std::vector<Done> log;
-    };
-
-    bool sharded() const { return !parts_.empty(); }
-    sim::Simulator &shardSim(std::size_t s);
-    sim::Simulator &simOf(std::size_t track);
-    const sim::Simulator &simOf(std::size_t track) const;
-    bool stepEpochSharded();
-    void runWindow(double until);
-    void stepTied(double when);
-    void mergeCompletions();
 
     double nextBoundary() const;
     void admit(const workloads::ArrivalEvent &ev);
@@ -371,38 +298,15 @@ class ServingSim
     std::uint64_t optical_served_ = 0;
     std::uint64_t te_downgrades_ = 0;
 
-    // Sharded mode (numShards() > 1); all empty/null otherwise, and
-    // every hot path then runs the literal single-loop code.
-    std::vector<std::unique_ptr<sim::Simulator>> extra_sims_;
-    std::vector<std::unique_ptr<sim::TraceRecorder>> extra_traces_;
-    // dhl-analyze: transient(shard_of_, group_, pool_): shard topology
-    // and worker threads, rebuilt by the constructor from the config
-    std::vector<std::size_t> shard_of_; ///< track -> shard
-    std::vector<ShardPart> parts_;
-    sim::ShardGroup group_;
-    std::unique_ptr<ThreadPool> pool_;
-    // dhl-analyze: transient(windowed_, repair_pump_pending_,
-    // pumping_): intra-window flags, false at every drained epoch
-    // boundary where a checkpoint is legal
-    /** True while shards run concurrently: completions are deferred to
-     *  the shard log and pump() is a no-op (the queue is empty by
-     *  construction whenever a window is open). */
-    bool windowed_ = false;
-    /** A repair/maintenance-release pump was suppressed during a
-     *  tied-timestamp drain; stepTied() replays it at the barrier. */
-    bool repair_pump_pending_ = false;
-
     std::size_t epochs_ = 0;
     double boundary_ = 0.0;
     std::size_t rr_next_ = 0;
     // dhl-analyze: transient(in_flight_): drained-boundary invariant —
     // checkpoint() asserts it is zero
     std::size_t in_flight_ = 0;
-    // dhl-analyze: transient(next_rank_): dispatch tie-break is
-    // relative order only; re-counting from zero after restore replays
-    // ties identically
-    std::uint64_t next_rank_ = 0; ///< tryStart issue counter.
     std::uint64_t served_ = 0;
+    // dhl-analyze: transient(pumping_): admission-window flag, false at
+    // every drained epoch boundary where a checkpoint is legal
     bool pumping_ = false;
 
     // dhl-analyze: transient(serve_stats_): host-side stats tallies,

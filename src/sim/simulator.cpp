@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.hpp"
 #include "sim/snapshot.hpp"
@@ -172,26 +171,6 @@ Simulator::runUntil(Time until)
     if (now_ < until)
         now_ = until;
     return now_;
-}
-
-Time
-Simulator::nextEventTime()
-{
-    const HeapEntry *top = peekNext();
-    if (!top)
-        return std::numeric_limits<Time>::infinity();
-    return std::bit_cast<Time>(top->when_bits);
-}
-
-void
-Simulator::advanceTo(Time when)
-{
-    fatal_if(std::isnan(when), "advanceTo target must not be NaN");
-    if (when <= now_)
-        return;
-    fatal_if(nextEventTime() < when,
-             "advanceTo would skip a pending event; use runUntil");
-    now_ = when;
 }
 
 Simulator::EpochResult

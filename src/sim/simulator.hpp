@@ -168,22 +168,6 @@ class Simulator
     EpochResult runEpoch(Time until);
 
     /**
-     * Time of the earliest pending event, or +infinity when the queue
-     * is empty.  Non-const: surfacing the answer may lazily reclaim
-     * cancelled heap entries (see peekNext()).  The shard driver
-     * (sim/shard.hpp) uses this as the conservative lookahead probe.
-     */
-    Time nextEventTime();
-
-    /**
-     * Advance the clock to @p when *without firing anything*.  Fatal if
-     * an event earlier than @p when is pending — this is a clock-only
-     * move for coordinators that know the interval is empty (events at
-     * exactly @p when stay queued).  No-op if @p when <= now.
-     */
-    void advanceTo(Time when);
-
-    /**
      * Execute at most @p max_events events; returns how many fired.
      *
      * Same stop() semantics as run(): a stop request left over from an

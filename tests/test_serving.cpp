@@ -295,6 +295,48 @@ TEST(ServingTest, RestoreRejectsCorruptCounts)
     }
 }
 
+TEST(ServingTest, RestoreRejectsShardedCheckpoint)
+{
+    // The fingerprint records the DES shard count, and every fleet runs
+    // one event loop: a checkpoint recording two shards belongs to a
+    // different configuration, while an untouched one resumes exactly.
+    serve::ServeConfig cfg = degradedConfig();
+    cfg.tracks = 4; // two shared-plant domains of two tracks
+
+    serve::ServingSim oracle(cfg);
+    oracle.run();
+    const std::string want = digest(oracle);
+
+    serve::ServingSim first(cfg);
+    first.run(3);
+    std::ostringstream ck;
+    first.checkpoint(ck);
+    const std::string doc = ck.str();
+    const std::string one = "\nconfig.des_shards = 1\n";
+    const std::size_t at = doc.find(one);
+    ASSERT_NE(at, std::string::npos);
+    std::string sharded = doc;
+    sharded.replace(at, one.size(), "\nconfig.des_shards = 2\n");
+
+    {
+        std::istringstream in(sharded);
+        serve::ServingSim fresh(cfg);
+        try {
+            fresh.restore(in);
+            ADD_FAILURE() << "a sharded checkpoint restored";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), "serving checkpoint belongs to a "
+                                   "different configuration");
+        }
+    }
+
+    std::istringstream intact(doc);
+    serve::ServingSim resumed(cfg);
+    resumed.restore(intact);
+    resumed.run();
+    EXPECT_EQ(digest(resumed), want);
+}
+
 TEST(ServingTest, ValidateRejectsNonsense)
 {
     serve::ServeConfig cfg = smallConfig();

@@ -319,22 +319,13 @@ TEST(TeServingTest, DisabledTeMatchesBaseline)
     EXPECT_DOUBLE_EQ(sim.opticalEnergy(), 0.0);
 }
 
-TEST(TeServingTest, DeterministicAcrossInstancesAndShards)
+TEST(TeServingTest, DeterministicAcrossInstances)
 {
     serve::ServingSim a(teServeConfig(te::TeMode::Hybrid));
     serve::ServingSim b(teServeConfig(te::TeMode::Hybrid));
     a.run();
     b.run();
     EXPECT_EQ(teDigest(a), teDigest(b));
-
-    // TE plans fleet-wide with zero lookahead, so the serving loop
-    // clamps to one DES shard; --des-shards is byte-identical by
-    // construction.
-    serve::ServeConfig sharded = teServeConfig(te::TeMode::Hybrid);
-    sharded.des_shards = 4;
-    serve::ServingSim c(sharded);
-    c.run();
-    EXPECT_EQ(teDigest(a), teDigest(c));
 }
 
 TEST(TeServingTest, CheckpointOracleWithTeEnabled)

@@ -61,13 +61,13 @@ only catch after the fact:
                            allocation order, which no two runs share.
   A8  raw-threading        No raw std::thread / std::async / std::mutex
                            (and friends) in src/ outside the ThreadPool
-                           implementation, the logging sink's lock and
-                           the shard driver — concurrency goes through
-                           the caller-participating ThreadPool and the
-                           ShardGroup barriers, whose fork/join
-                           handshake is the only synchronisation the
-                           determinism contract allows.  (Migrated from
-                           lint_dhl.py rule R7.)
+                           implementation and the logging sink's lock —
+                           concurrency goes through the
+                           caller-participating ThreadPool, whose
+                           fork/join handshake is the only
+                           synchronisation the determinism contract
+                           allows.  (Migrated from lint_dhl.py rule
+                           R7.)
 
 Usage:
   tools/dhl_analyze.py [--root DIR] [--dot FILE]   analyze (exit 1 on findings)
@@ -457,22 +457,20 @@ POINTER_KEY_RE = re.compile(
 
 # A8: raw threading primitives.  Everything below either spawns threads
 # or synchronises them; simulation code must instead use the ThreadPool
-# / ShardGroup machinery so every cross-thread effect goes through a
-# deterministic barrier.  (Migrated from lint_dhl.py rule R7.)
+# so every cross-thread effect goes through its deterministic fork/join
+# barrier.  (Migrated from lint_dhl.py rule R7.)
 RAW_THREADING_RE = re.compile(
     r"\bstd::(?:thread|jthread|async|mutex|recursive_mutex|timed_mutex"
     r"|shared_mutex|condition_variable(?:_any)?|lock_guard|unique_lock"
     r"|shared_lock|scoped_lock)\b")
 
-# The pool implementation, the logging sink's lock, and the shard
-# driver are the concurrency layer the rule funnels everyone into.
+# The pool implementation and the logging sink's lock are the
+# concurrency layer the rule funnels everyone into.
 RAW_THREADING_ALLOWLIST = {
     "src/common/thread_pool.hpp",
     "src/common/thread_pool.cpp",
     "src/common/logging.hpp",
     "src/common/logging.cpp",
-    "src/sim/shard.hpp",
-    "src/sim/shard.cpp",
 }
 
 
@@ -894,8 +892,7 @@ def check_hazards(files):
                     (fm.rel_path, line_of(fm.masked, m.start()),
                      "raw-threading",
                      "%s in library code; use common/thread_pool.hpp "
-                     "(ThreadPool) or sim/shard.hpp (ShardGroup)"
-                     % m.group(0)))
+                     "(ThreadPool)" % m.group(0)))
     return findings
 
 
@@ -1125,7 +1122,7 @@ def self_test():
     tricky = (
         "class T {\n"
         "  public:\n"
-        "    std::size_t numShards() const { return parts_.size(); }\n"
+        "    std::size_t numParts() const { return parts_.size(); }\n"
         "    void run(std::size_t n = 0);\n"
         "  private:\n"
         "    static constexpr int kChunk = 8;\n"
@@ -1271,11 +1268,21 @@ void Mini::restore(std::istream &is) {
         # primitives; front-end code is outside the rule entirely.
         _write_tree(os.path.join(tmp, "haz_pool"), {
             "src/common/thread_pool.cpp": "std::thread w; std::mutex m;\n",
-            "src/sim/shard.cpp": "std::mutex m;\n",
             "bench/b2.cpp": "std::thread t(run);\n",
         })
         f = analyze_tree(os.path.join(tmp, "haz_pool"))
         check("raw-threading allowlist", f == [])
+
+        # The allowlist is the pool and the logging lock, nothing else:
+        # a mutex in the simulation kernel fires and names the pool.
+        _write_tree(os.path.join(tmp, "haz_sim_mutex"), {
+            "src/sim/shard.cpp": "std::mutex m;\n",
+        })
+        f = analyze_tree(os.path.join(tmp, "haz_sim_mutex"))
+        check("raw-threading outside the allowlist",
+              [(p, r) for p, _l, r, _m in f]
+              == [("src/sim/shard.cpp", "raw-threading")]
+              and "(ThreadPool)" in f[0][3])
 
         # A5: iterator-style loop, and snapshot writes in hash order.
         _write_tree(os.path.join(tmp, "haz_iter"), {

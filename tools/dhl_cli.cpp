@@ -54,6 +54,17 @@ namespace u = dhl::units;
 
 namespace {
 
+/** A count flag; fatal() when negative, before the value can wrap into
+ *  a huge std::size_t. */
+std::size_t
+countFlag(const ArgParser &args, const std::string &flag)
+{
+    const long v = args.getInt(flag);
+    if (v < 0)
+        fatal("--" + flag + " must be >= 0, got " + std::to_string(v));
+    return static_cast<std::size_t>(v);
+}
+
 /** Register the shared configuration flags. */
 void
 addConfigFlags(ArgParser &args)
@@ -87,10 +98,7 @@ configFromFlags(const ArgParser &args)
     apply("speed", [&] { cfg.max_speed = args.getDouble("speed"); });
     apply("length",
           [&] { cfg.track_length = args.getDouble("length"); });
-    apply("ssds", [&] {
-        cfg.ssds_per_cart =
-            static_cast<std::size_t>(args.getInt("ssds"));
-    });
+    apply("ssds", [&] { cfg.ssds_per_cart = countFlag(args, "ssds"); });
     apply("dock", [&] { cfg.dock_time = args.getDouble("dock"); });
     apply("mode", [&] {
         const std::string mode = args.get("mode");
@@ -106,8 +114,7 @@ configFromFlags(const ArgParser &args)
         }
     });
     apply("stations", [&] {
-        cfg.docking_stations =
-            static_cast<std::size_t>(args.getInt("stations"));
+        cfg.docking_stations = countFlag(args, "stations");
     });
     // Bulk runs may need many carts.
     cfg.library_slots = std::max<std::size_t>(cfg.library_slots, 4096);
@@ -289,16 +296,14 @@ cmdSimulate(int argc, const char *const *argv)
         args.provided("maintenance") || args.provided("domains") ||
         args.provided("wear-gain");
     if (ops_mode) {
-        const auto tracks =
-            static_cast<std::size_t>(args.getInt("tracks"));
+        const std::size_t tracks = countFlag(args, "tracks");
         fatal_if(tracks == 0, "--tracks must be at least 1");
         ops::OpsConfig oc;
         oc.dispatch.policy =
             ops::parseDispatchPolicy(args.get("ops-policy"));
         if (args.provided("maintenance"))
             oc.maintenance = parseMaintenancePlan(args.get("maintenance"));
-        const auto domain_size =
-            static_cast<std::size_t>(args.getInt("domains"));
+        const std::size_t domain_size = countFlag(args, "domains");
         if (domain_size > 0) {
             oc.domains.enabled = true;
             oc.domains.domain_size = domain_size;
@@ -449,10 +454,6 @@ cmdServe(int argc, const char *const *argv)
                    "track is down",
                    "0");
     args.addOption("seed", "master serving seed", "1");
-    args.addOption("des-shards",
-                   "partition the fleet DES onto N cores "
-                   "(byte-identical to 1)",
-                   "1");
     args.addSwitch("te",
                    "enable the traffic-engineering controller "
                    "(hybrid DHL/optical substrate split)");
@@ -497,21 +498,17 @@ cmdServe(int argc, const char *const *argv)
 
     serve::ServeConfig cfg;
     cfg.dhl = configFromFlags(args);
-    cfg.tracks = static_cast<std::size_t>(args.getInt("tracks"));
+    cfg.tracks = countFlag(args, "tracks");
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.stages = workloads::parseStageSpec(
         args.get("stages"), u::gigabytes(args.getDouble("request-gb")),
         args.getDouble("sigma"));
     cfg.epoch = args.getDouble("epoch");
-    cfg.carts_per_track =
-        static_cast<std::size_t>(args.getInt("carts"));
-    cfg.max_pending =
-        static_cast<std::size_t>(args.getInt("max-pending"));
+    cfg.carts_per_track = countFlag(args, "carts");
+    cfg.max_pending = countFlag(args, "max-pending");
     cfg.policy = ops::parseDispatchPolicy(args.get("policy"));
     cfg.min_priority_degraded =
         static_cast<int>(args.getInt("min-priority"));
-    cfg.des_shards =
-        static_cast<std::size_t>(args.getInt("des-shards"));
     if (args.getSwitch("te")) {
         cfg.te.enabled = true;
         cfg.te.mode = te::parseTeMode(args.get("te-mode"));
@@ -522,8 +519,7 @@ cmdServe(int argc, const char *const *argv)
             u::gigabitsPerSecond(args.getDouble("te-optical-gbps"));
         cfg.te.headroom = args.getDouble("te-headroom");
         cfg.te.usage_multiplier = args.getDouble("te-multiplier");
-        cfg.te.history =
-            static_cast<std::size_t>(args.getInt("te-history"));
+        cfg.te.history = countFlag(args, "te-history");
         cfg.te.min_priority_contended =
             static_cast<int>(args.getInt("te-floor"));
         cfg.te.route = args.get("te-route");
@@ -545,8 +541,7 @@ cmdServe(int argc, const char *const *argv)
     }
     if (args.provided("maintenance"))
         cfg.maintenance = parseMaintenancePlan(args.get("maintenance"));
-    const auto domain_size =
-        static_cast<std::size_t>(args.getInt("domains"));
+    const std::size_t domain_size = countFlag(args, "domains");
     if (domain_size > 0) {
         cfg.domains.enabled = true;
         cfg.domains.domain_size = domain_size;
@@ -578,10 +573,8 @@ cmdServe(int argc, const char *const *argv)
             fatal("cannot write --checkpoint '" + path + "'");
     };
 
-    const auto stop_after =
-        static_cast<std::size_t>(args.getInt("stop-after"));
-    const auto every =
-        static_cast<std::size_t>(args.getInt("checkpoint-every"));
+    const std::size_t stop_after = countFlag(args, "stop-after");
+    const std::size_t every = countFlag(args, "checkpoint-every");
     std::size_t stepped = 0;
     while (sim.stepEpoch()) {
         ++stepped;
@@ -764,8 +757,7 @@ cmdFleet(int argc, const char *const *argv)
     if (!args.parse(argc, argv, std::cout))
         return 0;
     const core::DhlConfig cfg = configFromFlags(args);
-    const auto tracks =
-        static_cast<std::size_t>(args.getInt("tracks"));
+    const std::size_t tracks = countFlag(args, "tracks");
     core::DhlFleet fleet(cfg, tracks);
     core::BulkRunOptions opts;
     opts.include_read_time = args.getSwitch("reads");
@@ -808,7 +800,7 @@ cmdSweep(int argc, const char *const *argv)
 
     const core::DhlConfig cfg = configFromFlags(args);
     const double max_power = u::kilowatts(args.getDouble("max-kw"));
-    const int n_points = static_cast<int>(args.getInt("points"));
+    const int n_points = static_cast<int>(countFlag(args, "points"));
     const mlsim::TrainingWorkload workload = mlsim::dlrmWorkload();
 
     exp::Experiment fig6("sweep");
@@ -821,7 +813,7 @@ cmdSweep(int argc, const char *const *argv)
     }
 
     exp::RunOptions ropts;
-    ropts.jobs = static_cast<std::size_t>(args.getInt("jobs"));
+    ropts.jobs = countFlag(args, "jobs");
     const exp::ExperimentRunner runner(ropts);
     const exp::ExperimentResult result = runner.run(fig6);
 
@@ -839,17 +831,6 @@ cmdSweep(int argc, const char *const *argv)
         result.timingTable().print(std::cout);
     }
     return 0;
-}
-
-/** A count flag of `dhl_cli plan`; fatal() when negative, before the
- *  value can wrap into a huge std::size_t. */
-std::size_t
-planCount(const ArgParser &args, const std::string &flag)
-{
-    const long v = args.getInt(flag);
-    if (v < 0)
-        fatal("--" + flag + " must be >= 0, got " + std::to_string(v));
-    return static_cast<std::size_t>(v);
 }
 
 int
@@ -908,14 +889,14 @@ cmdPlan(int argc, const char *const *argv)
         u::gigabytes(args.getDouble("request-gb"));
     cfg.assumptions.slo_latency = args.getDouble("slo");
     cfg.assumptions.target_quantile = args.getDouble("slo-quantile");
-    cfg.assumptions.tracks_per_plant = planCount(args, "tracks-per-plant");
+    cfg.assumptions.tracks_per_plant = countFlag(args, "tracks-per-plant");
     cfg.assumptions.plant_capex = args.getDouble("plant-capex");
     cfg.assumptions.cart_capex = args.getDouble("cart-capex");
-    cfg.tracks_max = planCount(args, "tracks-max");
-    cfg.carts_max = planCount(args, "carts-max");
-    cfg.scenarios = planCount(args, "scenarios");
-    cfg.bootstrap = planCount(args, "bootstrap");
-    cfg.jobs = planCount(args, "jobs");
+    cfg.tracks_max = countFlag(args, "tracks-max");
+    cfg.carts_max = countFlag(args, "carts-max");
+    cfg.scenarios = countFlag(args, "scenarios");
+    cfg.bootstrap = countFlag(args, "bootstrap");
+    cfg.jobs = countFlag(args, "jobs");
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     cfg.validate_des = args.getSwitch("validate");
 
