@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -109,9 +112,14 @@ DhlFleet::launches() const
 }
 
 BulkRunResult
-DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
+DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
+                          const std::vector<RequestMeta> &meta,
+                          std::vector<double> *open_latency)
 {
     fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
+    fatal_if(opts.pipelined,
+             "a fleet runs serial per-track chains; pipelined bulk "
+             "transfers need a single-track DhlSimulation");
     if (opts.faults.enabled)
         enableFaults(opts.faults);
 
@@ -121,15 +129,18 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
     const std::size_t k = controllers_.size();
 
     // Round-robin cart assignment; each track gets its own serial
-    // chain of cart ids (local to that track's library).
-    std::vector<std::vector<CartId>> per_track(k);
+    // chain of (cart id, job meta), cart ids local to that track's
+    // library.
+    std::vector<std::vector<std::pair<CartId, RequestMeta>>> per_track(k);
     double remaining = bytes;
     for (std::uint64_t i = 0; i < n_carts; ++i) {
         const double load = std::min(capacity, remaining);
         remaining -= load;
         auto &ctl = *controllers_[i % k];
         ctl.setFailureProbability(opts.failure_per_trip);
-        per_track[i % k].push_back(ctl.addCart(load).id());
+        per_track[i % k].emplace_back(
+            ctl.addCart(load).id(),
+            i < meta.size() ? meta[i] : RequestMeta{});
     }
 
     sim::Simulator &sim = simulator();
@@ -151,14 +162,19 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
         auto chain = std::make_shared<std::function<void(std::size_t)>>();
         chains.push_back(chain);
         auto *chain_ptr = chain.get();
-        const auto carts = per_track[t];
-        *chain = [this, &ctl, carts, chain = chain_ptr, opts, completed,
+        *chain = [&sim, &ctl, carts = std::move(per_track[t]),
+                  chain = chain_ptr, opts, open_latency, completed,
                   bytes_read](std::size_t idx) {
             if (idx == carts.size())
                 return;
-            const CartId id = carts[idx];
-            ctl.open(id, [this, &ctl, id, idx, chain, opts, completed,
-                          bytes_read](Cart &cart, DockingStation &) {
+            const CartId id = carts[idx].first;
+            const double issued = sim.now();
+            ctl.open(id, carts[idx].second,
+                     [&sim, &ctl, id, idx, issued, chain, opts,
+                      open_latency, completed,
+                      bytes_read](Cart &cart, DockingStation &) {
+                if (open_latency != nullptr)
+                    open_latency->push_back(sim.now() - issued);
                 auto finish = [completed, chain, idx](Cart &) {
                     ++*completed;
                     (*chain)(idx + 1);
@@ -177,14 +193,8 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts)
         };
         (*chain)(0);
     }
-    // With fault injectors active the queue never runs dry on its own;
-    // step to transfer completion instead (see DhlSimulation).
-    if (faultsEnabled()) {
-        while (*completed < n_carts && sim.pendingEvents() > 0)
-            sim.step();
-    } else {
-        sim.run();
-    }
+    while (*completed < n_carts && sim.pendingEvents() > 0)
+        sim.step();
     panic_if(*completed != n_carts,
              "fleet transfer finished with carts unaccounted for");
 

@@ -21,6 +21,7 @@
 
 #include "dhl/config.hpp"
 #include "dhl/controller.hpp"
+#include "dhl/scheduler.hpp"
 #include "dhl/simulation.hpp"
 #include "sim/simulator.hpp"
 
@@ -51,11 +52,23 @@ class DhlFleet
     /**
      * Move @p bytes using every track: carts are split round-robin and
      * each track runs its share as serial round trips (open, optional
-     * read, close).  Returns the fleet-level metrics; `total_time` is
-     * the slowest track's completion.
+     * read, close).  The loop steps until the last cart returns, so a
+     * background process (fault injectors, maintenance windows, plant
+     * outages) left pending stays queued.  Returns the fleet-level
+     * metrics; `total_time` is the slowest track's completion.
+     *
+     * @param meta          Per-job scheduling metadata, indexed by job
+     *                      (= cart); missing entries default.
+     * @param open_latency  If non-null, receives each open's issue ->
+     *                      docked latency, s, in completion order.
+     *
+     * The tracks run serial chains, so opts.pipelined is rejected.
      */
     BulkRunResult runBulkTransfer(double bytes,
-                                  const BulkRunOptions &opts = {});
+                                  const BulkRunOptions &opts = {},
+                                  const std::vector<RequestMeta> &meta = {},
+                                  std::vector<double> *open_latency =
+                                      nullptr);
 
     /**
      * Turn on per-track fault injection: every track gets its own

@@ -1,18 +1,12 @@
 /**
  * @file
- * Policy-driven dispatch of bulk-transfer work across a DHL fleet.
- *
- * DhlFleet::runBulkTransfer pre-assigns carts round-robin and never
- * looks back — fine while every track is healthy, pathological when one
- * is down for repairs or maintenance: its share of the work queues
- * behind the outage while other tracks idle.  The FleetDispatcher is
- * the fleet-level scheduler that closes that gap, with three policies:
+ * The fleet dispatch vocabulary shared by the batch fleet engine
+ * (ops::FleetOps) and the serving loop (serve::ServingSim):
  *
  *  - RoundRobin:        static pre-assignment + serial per-track
- *                       chains.  Replicates DhlFleet::runBulkTransfer
- *                       event-for-event (tested), so it is both the
- *                       backwards-compatible default and the E18
- *                       baseline.
+ *                       chains — DhlFleet::runBulkTransfer itself, so
+ *                       it is both the backwards-compatible default and
+ *                       the E18 baseline.
  *  - LeastQueued:       tracks pull jobs from one fleet-level queue as
  *                       they free up, so a slow track automatically
  *                       takes less work.
@@ -24,32 +18,16 @@
  *                       fleet is degraded, jobs below a priority floor
  *                       are deferred (admission control, reusing
  *                       core::RequestMeta).
- *  - Te:                LeastQueued plus a TeController (src/te): jobs
- *                       the controller routes optical ride a FlowSim
- *                       fat-tree uplink instead of a cart, and
- *                       contended bulk jobs below the TE priority
- *                       floor are downgraded to optical or held until
- *                       a control tick clears the contention.
  *
- * Work is re-routed at the *job* level: carts are track-local, so a
- * drained QueuedOpen's cart stays in its library and the job's payload
- * is re-created on the receiving track.
+ * Traffic engineering is not a dispatch policy: the serving loop runs
+ * it through serve::ServeConfig::te.
  */
 
 #ifndef DHL_OPS_DISPATCHER_HPP
 #define DHL_OPS_DISPATCHER_HPP
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "dhl/fleet.hpp"
-#include "dhl/scheduler.hpp"
-#include "dhl/simulation.hpp"
-#include "network/flowsim.hpp"
-#include "te/controller.hpp"
 
 namespace dhl {
 namespace ops {
@@ -59,17 +37,16 @@ enum class DispatchPolicy
 {
     RoundRobin,       ///< Static pre-assignment (today's behaviour).
     LeastQueued,      ///< Dynamic pull from one fleet-level queue.
-    AvailabilityAware,///< Pull + outage re-routing + admission control.
-    Te                ///< Pull + TeController hybrid substrate split.
+    AvailabilityAware ///< Pull + outage re-routing + admission control.
 };
 
 std::string to_string(DispatchPolicy policy);
 
-/** Parse "round-robin" / "least-queued" / "availability" / "te";
- *  fatal() on anything else. */
+/** Parse "round-robin" / "least-queued" / "availability"; fatal() on
+ *  anything else. */
 DispatchPolicy parseDispatchPolicy(const std::string &name);
 
-/** Dispatcher parameters. */
+/** Dispatch parameters. */
 struct DispatchConfig
 {
     DispatchPolicy policy = DispatchPolicy::RoundRobin;
@@ -82,120 +59,10 @@ struct DispatchConfig
      *  stations; the excess queues in the track's controller (and is
      *  what an outage drains off it). */
     std::size_t overcommit = 1;
-
-    /** Traffic engineering (policy == Te requires te.enabled). */
-    te::TeConfig te{};
 };
 
 /** Validate; fatal() on nonsense. */
 void validate(const DispatchConfig &cfg);
-
-/** Observables of one dispatcher run. */
-struct DispatchMetrics
-{
-    /** Jobs pulled back off a blocked track and re-routed. */
-    std::uint64_t reroutes = 0;
-
-    /** Outage drains that actually moved work. */
-    std::uint64_t drains = 0;
-
-    /** Jobs deferred at least once by the degraded-mode priority
-     *  floor. */
-    std::uint64_t deferrals = 0;
-
-    /** Te: jobs the controller routed onto the optical substrate. */
-    std::uint64_t offloads = 0;
-
-    /** Te: bytes moved optically instead of by cart. */
-    double optical_bytes = 0.0;
-
-    /** Te: energy spent on the optical substrate, J. */
-    double optical_energy = 0.0;
-
-    /** Per-open latency, issue -> docked, s. */
-    std::vector<double> open_latency;
-};
-
-/** The fleet-level dispatcher. */
-class FleetDispatcher
-{
-  public:
-    /**
-     * @param fleet The fleet to dispatch over (must outlive this).
-     *              AvailabilityAware requires the fleet's fault
-     *              registries (DhlFleet::ensureFaultStates).
-     * @param cfg   Dispatch parameters.
-     */
-    FleetDispatcher(core::DhlFleet &fleet, const DispatchConfig &cfg);
-
-    const DispatchConfig &config() const { return cfg_; }
-
-    /**
-     * Move @p bytes through the fleet under the configured policy and
-     * run the simulation to completion.  @p meta optionally assigns
-     * per-job scheduling metadata (indexed by job = cart; missing
-     * entries default).  Semantics otherwise match
-     * DhlFleet::runBulkTransfer.
-     */
-    core::BulkRunResult
-    runBulkTransfer(double bytes, const core::BulkRunOptions &opts = {},
-                    const std::vector<core::RequestMeta> &meta = {});
-
-    /** Metrics of the last (or in-progress) run. */
-    const DispatchMetrics &metrics() const { return metrics_; }
-
-  private:
-    struct Job
-    {
-        double load;
-        core::RequestMeta meta;
-        std::size_t seq;
-        bool deferral_counted = false;
-    };
-
-    core::BulkRunResult runRoundRobin(double bytes,
-                                      const core::BulkRunOptions &opts,
-                                      std::vector<Job> jobs);
-    core::BulkRunResult runPull(double bytes,
-                                const core::BulkRunOptions &opts,
-                                std::vector<Job> jobs);
-
-    std::vector<Job> makeJobs(double bytes,
-                              const std::vector<core::RequestMeta> &meta,
-                              std::uint64_t *n_carts) const;
-
-    void installListeners();
-    bool trackUp(std::size_t t) const;
-    bool anyTrackDown() const;
-    std::size_t capacity(std::size_t t) const;
-    void pump();
-    void assign(std::size_t t, std::size_t j);
-    void finishJob(std::size_t t, core::CartId id);
-    void drainTrack(std::size_t t);
-    void setupTe();
-    void offload(std::size_t j);
-
-    core::DhlFleet &fleet_;
-    DispatchConfig cfg_;
-    DispatchMetrics metrics_;
-
-    // Pull-engine state, valid during a runPull.
-    bool active_ = false;
-    bool listeners_installed_ = false;
-    core::BulkRunOptions opts_{};
-    std::vector<Job> jobs_;
-    std::vector<std::size_t> queue_; ///< pending job indices
-    std::vector<std::size_t> outstanding_;
-    std::vector<std::unordered_map<core::CartId, std::size_t>> cart_job_;
-    std::uint64_t completed_ = 0;
-    double bytes_read_ = 0.0;
-
-    // Te substrate, rebuilt per runPull (policy == Te only).
-    std::unique_ptr<te::TeController> te_ctl_;
-    std::unique_ptr<network::FlowSim> te_flow_;
-    std::vector<int> te_links_;
-    double te_power_ = 0.0;
-};
 
 } // namespace ops
 } // namespace dhl

@@ -1,9 +1,12 @@
 /**
  * @file
- * Implementation of the fleet-operations facade.
+ * Implementation of the batch fleet engine.
  */
 
 #include "ops/fleet_ops.hpp"
+
+#include <algorithm>
+#include <cmath>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
@@ -63,45 +66,280 @@ FleetOps::FleetOps(const core::DhlConfig &cfg, std::size_t tracks,
         correlated_ = std::make_unique<CorrelatedFaultModel>(
             fleet_.simulator(), states, ops_.domains);
     }
-    dispatcher_ =
-        std::make_unique<FleetDispatcher>(fleet_, ops_.dispatch);
 }
 
 OpsRunResult
 FleetOps::runBulkTransfer(double bytes, const core::BulkRunOptions &opts,
                           const std::vector<core::RequestMeta> &meta)
 {
-    OpsRunResult r{};
-    r.base = dispatcher_->runBulkTransfer(bytes, opts, meta);
+    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
+    fatal_if(opts.pipelined,
+             "a fleet runs serial per-track chains; pipelined bulk "
+             "transfers need a single-track DhlSimulation");
+    run_ = OpsRunResult{};
+    open_latency_.clear();
+    if (ops_.dispatch.policy == DispatchPolicy::RoundRobin)
+        run_.base = fleet_.runBulkTransfer(bytes, opts, meta, &open_latency_);
+    else
+        run_.base = runPull(bytes, opts, meta);
 
-    const DispatchMetrics &m = dispatcher_->metrics();
-    r.reroutes = m.reroutes;
-    r.drains = m.drains;
-    r.deferrals = m.deferrals;
-    r.offloads = m.offloads;
-    r.optical_bytes = m.optical_bytes;
-    r.optical_energy = m.optical_energy;
-    if (!m.open_latency.empty()) {
+    if (!open_latency_.empty()) {
         double sum = 0.0;
-        for (const double v : m.open_latency)
+        for (const double v : open_latency_)
             sum += v;
-        r.open_latency_mean =
-            sum / static_cast<double>(m.open_latency.size());
-        r.open_latency_p99 = stats::percentile(m.open_latency, 99.0);
+        run_.open_latency_mean =
+            sum / static_cast<double>(open_latency_.size());
+        run_.open_latency_p99 = stats::percentile(open_latency_, 99.0);
     }
     if (maintenance_ != nullptr)
-        r.maintenance_windows = maintenance_->windowsStarted();
+        run_.maintenance_windows = maintenance_->windowsStarted();
     if (correlated_ != nullptr)
-        r.plant_outages = correlated_->outages();
+        run_.plant_outages = correlated_->outages();
 
     const double end = fleet_.simulator().now();
     if (fleet_.faultState(0) != nullptr && end > 0.0) {
         double total = 0.0;
         for (std::size_t t = 0; t < fleet_.numTracks(); ++t)
             total += fleet_.faultState(t)->observedAvailability(end);
-        r.fleet_availability =
+        run_.fleet_availability =
             total / static_cast<double>(fleet_.numTracks());
     }
+    return run_;
+}
+
+//===========================================================================
+// LeastQueued / AvailabilityAware: the pull engine
+//===========================================================================
+
+bool
+FleetOps::trackUp(std::size_t t)
+{
+    const auto *state = fleet_.faultState(t);
+    return state == nullptr || state->serviceUp();
+}
+
+bool
+FleetOps::anyTrackDown()
+{
+    for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
+        if (!trackUp(t))
+            return true;
+    }
+    return false;
+}
+
+std::size_t
+FleetOps::capacity(std::size_t t)
+{
+    const std::size_t stations = fleet_.track(t).numStations();
+    if (ops_.dispatch.policy == DispatchPolicy::AvailabilityAware)
+        return stations + ops_.dispatch.overcommit;
+    return stations;
+}
+
+void
+FleetOps::installListeners()
+{
+    if (listeners_installed_ ||
+        ops_.dispatch.policy != DispatchPolicy::AvailabilityAware)
+        return;
+    for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
+        auto *state = fleet_.faultState(t);
+        state->onOutage([this, t] {
+            if (active_)
+                drainTrack(t);
+        });
+        state->onRepair([this] {
+            if (active_)
+                pump();
+        });
+    }
+    listeners_installed_ = true;
+}
+
+void
+FleetOps::drainTrack(std::size_t t)
+{
+    // Station-only failures leave launches OK; the controller re-routes
+    // its own queue to surviving stations.  Only a blocked launch path
+    // strands queued work.
+    if (fleet_.faultState(t)->launchOk())
+        return;
+    std::vector<core::QueuedOpen> drained =
+        fleet_.track(t).drainQueuedOpens();
+    if (drained.empty())
+        return;
+    ++run_.drains;
+    for (const auto &q : drained) {
+        auto it = cart_job_[t].find(q.id);
+        panic_if(it == cart_job_[t].end(),
+                 "drained an open the dispatcher never issued");
+        // The cart stays stored in this track's library; the job's
+        // payload is re-created wherever the queue sends it next.
+        queue_.push_back(it->second);
+        cart_job_[t].erase(it);
+        --outstanding_[t];
+        ++run_.reroutes;
+    }
+    pump();
+}
+
+void
+FleetOps::pump()
+{
+    while (!queue_.empty()) {
+        const bool degraded =
+            ops_.dispatch.policy == DispatchPolicy::AvailabilityAware &&
+            anyTrackDown();
+
+        // Best admissible job: highest priority, then arrival order.
+        std::size_t best_pos = queue_.size();
+        for (std::size_t pos = 0; pos < queue_.size(); ++pos) {
+            Job &job = jobs_[queue_[pos]];
+            if (degraded &&
+                job.meta.priority < ops_.dispatch.min_priority_degraded) {
+                if (!job.deferral_counted) {
+                    job.deferral_counted = true;
+                    ++run_.deferrals;
+                }
+                continue;
+            }
+            if (best_pos == queue_.size() ||
+                job.meta.priority >
+                    jobs_[queue_[best_pos]].meta.priority ||
+                (job.meta.priority ==
+                     jobs_[queue_[best_pos]].meta.priority &&
+                 job.seq < jobs_[queue_[best_pos]].seq)) {
+                best_pos = pos;
+            }
+        }
+        if (best_pos == queue_.size())
+            return; // everything queued is deferred
+
+        // Least-loaded eligible track, lowest index on ties.
+        std::size_t best_track = fleet_.numTracks();
+        for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
+            if (outstanding_[t] >= capacity(t))
+                continue;
+            if (ops_.dispatch.policy == DispatchPolicy::AvailabilityAware &&
+                !trackUp(t))
+                continue;
+            if (best_track == fleet_.numTracks() ||
+                outstanding_[t] < outstanding_[best_track])
+                best_track = t;
+        }
+        if (best_track == fleet_.numTracks())
+            return; // no track can take work right now
+
+        const std::size_t j = queue_[best_pos];
+        queue_.erase(queue_.begin() +
+                     static_cast<std::ptrdiff_t>(best_pos));
+        assign(best_track, j);
+    }
+}
+
+void
+FleetOps::assign(std::size_t t, std::size_t j)
+{
+    auto &ctl = fleet_.track(t);
+    ctl.setFailureProbability(opts_.failure_per_trip);
+    const core::CartId id = ctl.addCart(jobs_[j].load).id();
+    cart_job_[t][id] = j;
+    ++outstanding_[t];
+    sim::Simulator &sim = fleet_.simulator();
+    const double issued = sim.now();
+    ctl.open(id, jobs_[j].meta,
+             [this, &sim, &ctl, t, id, issued](core::Cart &cart,
+                                               core::DockingStation &) {
+        open_latency_.push_back(sim.now() - issued);
+        if (opts_.include_read_time && cart.storedBytes() > 0.0) {
+            const double to_read = cart.storedBytes();
+            ctl.read(id, to_read, [this, &ctl, t, id](double b) {
+                bytes_read_ += b;
+                ctl.close(id, [this, t, id](core::Cart &) {
+                    finishJob(t, id);
+                });
+            });
+        } else {
+            ctl.close(id, [this, t, id](core::Cart &) {
+                finishJob(t, id);
+            });
+        }
+    });
+}
+
+void
+FleetOps::finishJob(std::size_t t, core::CartId id)
+{
+    auto it = cart_job_[t].find(id);
+    panic_if(it == cart_job_[t].end(),
+             "finished a job the dispatcher never issued");
+    cart_job_[t].erase(it);
+    --outstanding_[t];
+    ++completed_;
+    pump();
+}
+
+core::BulkRunResult
+FleetOps::runPull(double bytes, const core::BulkRunOptions &opts,
+                  const std::vector<core::RequestMeta> &meta)
+{
+    if (opts.faults.enabled)
+        fleet_.enableFaults(opts.faults);
+    sim::Simulator &sim = fleet_.simulator();
+    const std::size_t k = fleet_.numTracks();
+
+    const double cart_capacity =
+        fleet_.track(0).config().cartCapacity().value();
+    const auto n_carts =
+        static_cast<std::uint64_t>(std::ceil(bytes / cart_capacity));
+    jobs_.clear();
+    jobs_.reserve(n_carts);
+    double remaining = bytes;
+    for (std::uint64_t i = 0; i < n_carts; ++i) {
+        const double load = std::min(cart_capacity, remaining);
+        remaining -= load;
+        jobs_.push_back(Job{load,
+                            i < meta.size() ? meta[i]
+                                            : core::RequestMeta{},
+                            static_cast<std::size_t>(i)});
+    }
+
+    installListeners();
+    opts_ = opts;
+    queue_.clear();
+    queue_.reserve(jobs_.size());
+    for (std::size_t j = 0; j < jobs_.size(); ++j)
+        queue_.push_back(j);
+    outstanding_.assign(k, 0);
+    cart_job_.assign(k, {});
+    completed_ = 0;
+    bytes_read_ = 0.0;
+
+    const double start = sim.now();
+    const double energy_before = fleet_.totalEnergy();
+    const std::uint64_t launches_before = fleet_.launches();
+
+    active_ = true;
+    pump();
+    while (completed_ < n_carts && sim.pendingEvents() > 0)
+        sim.step();
+    active_ = false;
+    panic_if(completed_ != n_carts,
+             "fleet transfer finished with carts unaccounted for");
+
+    core::BulkRunResult r{};
+    r.total_time = sim.now() - start;
+    r.total_energy = fleet_.totalEnergy() - energy_before;
+    r.launches = fleet_.launches() - launches_before;
+    r.carts = n_carts;
+    std::uint64_t failures = 0;
+    for (std::size_t t = 0; t < k; ++t)
+        failures += fleet_.track(t).ssdFailures();
+    r.ssd_failures = failures;
+    r.avg_power = r.total_energy / r.total_time;
+    r.effective_bandwidth = bytes / r.total_time;
+    r.bytes_read = bytes_read_;
     return r;
 }
 

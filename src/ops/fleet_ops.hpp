@@ -1,6 +1,6 @@
 /**
  * @file
- * The fleet-operations facade: one object wiring maintenance windows,
+ * The batch fleet engine: one object wiring maintenance windows,
  * common-cause failures, wear coupling, and policy-driven dispatch
  * around a DhlFleet (DESIGN.md §10).
  *
@@ -8,9 +8,15 @@
  * machinery.  It only drives the FaultState gates (launch inhibits) and
  * the FaultInjector scale hooks — controllers, tracks, and stations are
  * untouched and degrade through the exact machinery DESIGN.md §8
- * describes.  With everything disabled (RoundRobin policy, no windows,
- * no domains, zero wear gains) a FleetOps run is event-identical to
- * DhlFleet::runBulkTransfer (tested).
+ * describes.  The RoundRobin policy *is* DhlFleet::runBulkTransfer, so
+ * with everything else disabled (no windows, no domains, zero wear
+ * gains) a FleetOps run is event-identical to the bare fleet (tested).
+ * LeastQueued and AvailabilityAware run the pull engine below: tracks
+ * take jobs from one fleet-level queue as they free up, and (for
+ * AvailabilityAware) outages drain queued opens off a blocked track and
+ * re-route the jobs.  Work is re-routed at the *job* level: carts are
+ * track-local, so a drained QueuedOpen's cart stays in its library and
+ * the job's payload is re-created on the receiving track.
  */
 
 #ifndef DHL_OPS_FLEET_OPS_HPP
@@ -18,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "dhl/fleet.hpp"
@@ -65,10 +72,6 @@ struct OpsRunResult
     std::uint64_t maintenance_windows = 0; ///< occurrences opened
     std::uint64_t plant_outages = 0;       ///< common-cause outages
 
-    std::uint64_t offloads = 0;   ///< Te: jobs routed optical
-    double optical_bytes = 0.0;   ///< Te: bytes moved optically
-    double optical_energy = 0.0;  ///< Te: optical substrate energy, J
-
     double open_latency_mean = 0.0; ///< s, issue -> docked
     double open_latency_p99 = 0.0;  ///< s
 
@@ -77,7 +80,7 @@ struct OpsRunResult
     double fleet_availability = 1.0;
 };
 
-/** The facade. */
+/** The batch fleet engine. */
 class FleetOps
 {
   public:
@@ -94,7 +97,6 @@ class FleetOps
 
     core::DhlFleet &fleet() { return fleet_; }
     const OpsConfig &config() const { return ops_; }
-    FleetDispatcher &dispatcher() { return *dispatcher_; }
 
     /** The maintenance process (nullptr when no windows configured). */
     MaintenanceScheduler *maintenance() { return maintenance_.get(); }
@@ -106,18 +108,54 @@ class FleetOps
      * Move @p bytes through the fleet under the configured policy with
      * every configured ops process running, and report the combined
      * transfer + operations metrics.  @p meta optionally assigns
-     * per-job scheduling metadata (see FleetDispatcher).
+     * per-job scheduling metadata (indexed by job = cart; missing
+     * entries default).  Semantics otherwise match
+     * DhlFleet::runBulkTransfer, which rejects opts.pipelined.
      */
     OpsRunResult
     runBulkTransfer(double bytes, const core::BulkRunOptions &opts = {},
                     const std::vector<core::RequestMeta> &meta = {});
 
   private:
+    struct Job
+    {
+        double load;
+        core::RequestMeta meta;
+        std::size_t seq;
+        bool deferral_counted = false;
+    };
+
+    core::BulkRunResult runPull(double bytes,
+                                const core::BulkRunOptions &opts,
+                                const std::vector<core::RequestMeta> &meta);
+    void installListeners();
+    bool trackUp(std::size_t t);
+    bool anyTrackDown();
+    std::size_t capacity(std::size_t t);
+    void pump();
+    void assign(std::size_t t, std::size_t j);
+    void finishJob(std::size_t t, core::CartId id);
+    void drainTrack(std::size_t t);
+
     OpsConfig ops_;
     core::DhlFleet fleet_;
-    std::unique_ptr<FleetDispatcher> dispatcher_;
     std::unique_ptr<MaintenanceScheduler> maintenance_;
     std::unique_ptr<CorrelatedFaultModel> correlated_;
+
+    /** The run in progress: its dispatch counters are written here. */
+    OpsRunResult run_{};
+    std::vector<double> open_latency_; ///< per open, issue -> docked, s
+
+    // Pull-engine state, valid during a runPull.
+    bool active_ = false;
+    bool listeners_installed_ = false;
+    core::BulkRunOptions opts_{};
+    std::vector<Job> jobs_;
+    std::vector<std::size_t> queue_; ///< pending job indices
+    std::vector<std::size_t> outstanding_;
+    std::vector<std::unordered_map<core::CartId, std::size_t>> cart_job_;
+    std::uint64_t completed_ = 0;
+    double bytes_read_ = 0.0;
 };
 
 } // namespace ops

@@ -49,9 +49,6 @@ validate(const ServeConfig &cfg)
         ops::validate(cfg.maintenance, cfg.tracks);
     if (cfg.domains.enabled)
         ops::validate(cfg.domains);
-    fatal_if(cfg.policy == ops::DispatchPolicy::Te,
-             "the serving loop drives TE through cfg.te (--te), not "
-             "the ops dispatch policy");
     if (cfg.te.enabled)
         te::validate(cfg.te);
 }
@@ -283,7 +280,6 @@ ServingSim::pickTrack(bool degraded) const
                 return t;
         }
         return kNoTrack;
-    case ops::DispatchPolicy::Te: // rejected by validate(); see --te
     case ops::DispatchPolicy::LeastQueued: {
         std::size_t best = kNoTrack;
         std::size_t best_free = 0;

@@ -126,3 +126,14 @@ TEST(FleetTest, FigureSixLeftmostPoint)
     EXPECT_NEAR(u::toKilowatts(r.avg_power), 1.75, 0.01);
     EXPECT_NEAR(r.total_time, 2 * 114 * 8.6, 1e-6);
 }
+
+TEST(FleetTest, RejectsPipelinedRuns)
+{
+    // The tracks run serial chains; a pipelined request must fail
+    // instead of silently running serial.
+    DhlFleet fleet(defaultConfig(), 2);
+    BulkRunOptions opts;
+    opts.pipelined = true;
+    EXPECT_THROW(fleet.runBulkTransfer(u::petabytes(1), opts),
+                 dhl::FatalError);
+}

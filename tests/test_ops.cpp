@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the fleet-operations subsystem (src/ops): maintenance
  * windows, correlated plant failures, wear coupling, and policy-driven
- * dispatch — including the byte-identical round-robin contract against
- * DhlFleet::runBulkTransfer.
+ * dispatch — including the byte-identical round-robin contract between
+ * FleetOps and DhlFleet::runBulkTransfer.
  */
 
 #include <gtest/gtest.h>
@@ -228,7 +228,7 @@ TEST(WearTest, CouplingRequiresFaultInjection)
 }
 
 //===========================================================================
-// FleetDispatcher
+// FleetOps dispatch
 //===========================================================================
 
 TEST(DispatcherTest, PolicyNamesRoundTrip)
@@ -237,6 +237,7 @@ TEST(DispatcherTest, PolicyNamesRoundTrip)
                    DispatchPolicy::AvailabilityAware})
         EXPECT_EQ(parseDispatchPolicy(to_string(p)), p);
     EXPECT_THROW(parseDispatchPolicy("random"), FatalError);
+    EXPECT_THROW(parseDispatchPolicy("te"), FatalError);
     DispatchConfig bad;
     bad.overcommit = 0;
     EXPECT_THROW(validate(bad), FatalError);
@@ -403,12 +404,41 @@ TEST(DispatcherTest, FullStackReplaysExactly)
     EXPECT_EQ(a.fleet_availability, b.fleet_availability);
 }
 
-TEST(DispatcherTest, AvailabilityAwareNeedsFaultRegistries)
+TEST(DispatcherTest, FleetStopsAtTheLastReturn)
 {
-    core::DhlFleet fleet(core::defaultConfig(), 2);
-    DispatchConfig dc;
-    dc.policy = DispatchPolicy::AvailabilityAware;
-    EXPECT_THROW(FleetDispatcher(fleet, dc), FatalError);
+    // A maintenance window long after the transfer keeps the event
+    // queue non-empty; the fleet must stop when its last cart returns
+    // instead of running on to the window.
+    const core::DhlConfig cfg = core::defaultConfig();
+    const double dataset = 6.0 * cfg.cartCapacity().value();
+
+    core::DhlFleet clean(cfg, 2);
+    const auto expected = clean.runBulkTransfer(dataset);
+
+    core::DhlFleet fleet(cfg, 2);
     fleet.ensureFaultStates();
-    EXPECT_NO_THROW(FleetDispatcher(fleet, dc));
+    MaintenanceConfig mc;
+    mc.windows.push_back({1e6, 10.0, 0.0, -1});
+    MaintenanceScheduler sched(fleet.simulator(),
+                               {fleet.faultState(0), fleet.faultState(1)},
+                               mc);
+    const auto r = fleet.runBulkTransfer(dataset);
+    EXPECT_EQ(r.total_time, expected.total_time);
+    EXPECT_GT(fleet.simulator().pendingEvents(), 0u)
+        << "the window is still pending";
+}
+
+TEST(DispatcherTest, FleetOpsRejectsPipelinedRuns)
+{
+    const core::DhlConfig cfg = core::defaultConfig();
+    core::BulkRunOptions opts;
+    opts.pipelined = true;
+    for (auto p : {DispatchPolicy::RoundRobin, DispatchPolicy::LeastQueued}) {
+        OpsConfig oc;
+        oc.dispatch.policy = p;
+        FleetOps fo(cfg, 2, oc);
+        EXPECT_THROW(
+            fo.runBulkTransfer(4.0 * cfg.cartCapacity().value(), opts),
+            FatalError);
+    }
 }

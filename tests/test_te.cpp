@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the traffic-engineering subsystem (src/te) and its serve
- * and ops integrations: demand estimation, controller epochs, hybrid
- * admit/downgrade decisions, snapshot round-trips, the serving-loop
- * checkpoint oracle with TE enabled, and the Te dispatch policy.
+ * integration: demand estimation, controller epochs, hybrid
+ * admit/downgrade decisions, snapshot round-trips, and the serving-loop
+ * checkpoint oracle with TE enabled.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,7 +16,6 @@
 #include "common/logging.hpp"
 #include "common/units.hpp"
 #include "exp/slo.hpp"
-#include "ops/fleet_ops.hpp"
 #include "serve/serving.hpp"
 #include "te/controller.hpp"
 #include "te/demand.hpp"
@@ -345,90 +343,4 @@ TEST(TeServingTest, CheckpointOracleWithTeEnabled)
         hopper = std::move(fresh);
     }
     EXPECT_EQ(teDigest(*hopper), want);
-}
-
-TEST(TeServingTest, ValidateRejectsTeDispatchPolicy)
-{
-    serve::ServeConfig cfg = teServeConfig(te::TeMode::Hybrid);
-    cfg.policy = ops::DispatchPolicy::Te;
-    EXPECT_THROW(serve::validate(cfg), dhl::FatalError);
-}
-
-//===========================================================================
-// Ops dispatch-policy integration
-//===========================================================================
-
-TEST(TeOpsTest, PolicyParsesAndValidates)
-{
-    EXPECT_EQ(ops::parseDispatchPolicy("te"), ops::DispatchPolicy::Te);
-    EXPECT_EQ(ops::to_string(ops::DispatchPolicy::Te), "te");
-
-    ops::DispatchConfig bad;
-    bad.policy = ops::DispatchPolicy::Te; // te.enabled left false
-    EXPECT_THROW(ops::validate(bad), dhl::FatalError);
-}
-
-TEST(TeOpsTest, UncontendedTeMatchesLeastQueued)
-{
-    core::DhlConfig dhl = core::defaultConfig();
-    const double bytes = 6.0 * dhl.cartCapacity().value();
-
-    ops::OpsConfig lq;
-    lq.dispatch.policy = ops::DispatchPolicy::LeastQueued;
-    ops::FleetOps base(dhl, 2, lq, 5);
-    const auto want = base.runBulkTransfer(bytes);
-
-    ops::OpsConfig tp;
-    tp.dispatch.policy = ops::DispatchPolicy::Te;
-    tp.dispatch.te = baseTeConfig();
-    tp.dispatch.te.dhl_capacity = 0.0; // derive: fleet launch bandwidth
-    tp.dispatch.te.small_bytes = 1.0;  // every cart-sized job is bulk
-    tp.dispatch.te.min_priority_contended = 0; // floor disarms holds
-    ops::FleetOps te_ops(dhl, 2, tp, 5);
-    const auto got = te_ops.runBulkTransfer(bytes);
-
-    // With the priority floor at 0 no job is ever below it, so the
-    // controller never interferes and the Te policy is event-identical
-    // to LeastQueued (the extra control ticks touch no cart state).
-    EXPECT_EQ(got.offloads, 0u);
-    EXPECT_DOUBLE_EQ(got.optical_bytes, 0.0);
-    EXPECT_DOUBLE_EQ(got.base.total_time, want.base.total_time);
-    EXPECT_DOUBLE_EQ(got.base.total_energy, want.base.total_energy);
-    EXPECT_EQ(got.base.launches, want.base.launches);
-}
-
-TEST(TeOpsTest, ContendedTeOffloadsToOptical)
-{
-    // Enough jobs that a backlog is still queued when the first
-    // control tick (t = 1 s) flags contention.
-    core::DhlConfig dhl = core::defaultConfig();
-    const double bytes = 24.0 * dhl.cartCapacity().value();
-
-    ops::OpsConfig tp;
-    tp.dispatch.policy = ops::DispatchPolicy::Te;
-    tp.dispatch.te = baseTeConfig();
-    tp.dispatch.te.control_period = 1.0;
-    tp.dispatch.te.dhl_capacity = 100.0; // B/s: always contended
-    tp.dispatch.te.small_bytes = 1.0;    // every job is bulk
-    tp.dispatch.te.optical_capacity = u::terabytes(1); // ample headroom
-    ops::FleetOps te_ops(dhl, 2, tp, 5);
-    const auto r = te_ops.runBulkTransfer(bytes);
-
-    // The first control tick flags contention and the queued backlog is
-    // downgraded onto the optical substrate.
-    EXPECT_GT(r.offloads, 0u);
-    EXPECT_GT(r.optical_bytes, 0.0);
-    EXPECT_GT(r.optical_energy, 0.0);
-    EXPECT_GE(r.base.total_energy, r.optical_energy);
-    EXPECT_EQ(r.base.carts,
-              static_cast<std::uint64_t>(std::ceil(
-                  bytes / dhl.cartCapacity().value())));
-
-    // Determinism: an identical run reproduces the same outcome.
-    ops::FleetOps again(dhl, 2, tp, 5);
-    const auto r2 = again.runBulkTransfer(bytes);
-    EXPECT_EQ(r2.offloads, r.offloads);
-    EXPECT_DOUBLE_EQ(r2.optical_bytes, r.optical_bytes);
-    EXPECT_DOUBLE_EQ(r2.base.total_time, r.base.total_time);
-    EXPECT_DOUBLE_EQ(r2.base.total_energy, r.base.total_energy);
 }

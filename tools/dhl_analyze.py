@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Whole-program determinism & snapshot-coverage analyzer for the DHL
-codebase.
+"""Static analyzer for the DHL codebase: layering, determinism,
+snapshot coverage and the single-file source invariants.
 
-Pure Python (no clang dependency, like tools/lint_dhl.py) so it runs
-identically on developer machines and in CI.  Where lint_dhl.py checks
-single-file textual invariants (R1-R4), this tool parses the *include
-graph* plus a lightweight C++ class-member/statement model of src/ and
-enforces the whole-program invariants the byte-identity CI jobs can
-only catch after the fact:
+Pure Python (no clang dependency) so it runs identically on developer
+machines and in CI.  It parses the *include graph* plus a lightweight
+C++ class-member/statement model of src/ and enforces the
+whole-program invariants the byte-identity CI jobs can only catch after
+the fact (A1-A8), plus the single-file textual invariants the type
+system and compiler cannot (A9-A12):
 
   A1  layer-dag            One declarative adjacency table (LAYER_DEPS)
                            covers every directory under src/: each
@@ -15,12 +15,10 @@ only catch after the fact:
                            be permitted by the table, which fences both
                            directions at once — a layer reaching *up*
                            (physics including dhl/), a fenced consumer
-                           set being widened (anything but serve/ops
+                           set being widened (anything but serve
                            including te/), and any src/ file reaching
                            *out* to the front-end trees (bench/, tools/,
-                           examples/).  Subsumes the four hand-rolled
-                           layering rules R5-R8 that used to live in
-                           lint_dhl.py.  A directory missing from the
+                           examples/).  A directory missing from the
                            table is itself a finding (layer-unknown):
                            growing a new subsystem forces a conscious
                            DAG decision.  --dot exports the graph.
@@ -66,8 +64,21 @@ only catch after the fact:
                            caller-participating ThreadPool, whose
                            fork/join handshake is the only
                            synchronisation the determinism contract
-                           allows.  (Migrated from lint_dhl.py rule
-                           R7.)
+                           allows.
+  A9  magnitude-literals   No raw ``* 1e9`` / ``/ 1e12``-style unit
+                           conversions in src/ outside units.hpp and
+                           quantity.hpp — use the named helpers
+                           (units::toMegajoules, qty::petabytes, ...).
+  A10 iostream-in-src      No ``std::cout`` / ``std::cerr`` in src/ —
+                           library code reports through logging.hpp
+                           (whose default sink is the one exemption);
+                           only tools/, bench/ and examples/ print.
+  A11 nondeterminism       No ``rand()`` / ``srand()`` / ``time(``
+                           in src/ — the DES must be seed-reproducible
+                           (use common/random.hpp Rng).
+  A12 include-guards       Headers under src/ use the canonical
+                           ``DHL_<PATH>_HPP`` guard so guards never
+                           collide as the tree grows.
 
 Usage:
   tools/dhl_analyze.py [--root DIR] [--dot FILE]   analyze (exit 1 on findings)
@@ -94,10 +105,10 @@ import tempfile
 # trees *outside* the DAG: they may include anything, nothing in src/
 # may include them.
 #
-# The te fence of old rule R8 falls out of the table: te appears in the
-# dependency set of exactly ops and serve, so an include of te/ from
-# anywhere else in src/ violates the edge check — the "inbound"
-# direction needs no separate rule.
+# The te fence falls out of the table: te appears in the dependency set
+# of serve alone, so an include of te/ from anywhere else in src/
+# violates the edge check — the "inbound" direction needs no separate
+# rule.
 # ---------------------------------------------------------------------------
 
 LAYER_DEPS = {
@@ -114,7 +125,7 @@ LAYER_DEPS = {
     "cost":      {"common", "dhl", "network"},
     "workloads": {"common", "sim", "network", "dhl"},
     "te":        {"common", "sim", "dhl"},
-    "ops":       {"common", "sim", "network", "dhl", "faults", "te"},
+    "ops":       {"common", "sim", "dhl", "faults"},
     "serve":     {"common", "sim", "network", "dhl", "faults", "exp",
                   "workloads", "ops", "te"},
     "plan":      {"common", "dhl", "cost", "exp"},
@@ -458,7 +469,7 @@ POINTER_KEY_RE = re.compile(
 # A8: raw threading primitives.  Everything below either spawns threads
 # or synchronises them; simulation code must instead use the ThreadPool
 # so every cross-thread effect goes through its deterministic fork/join
-# barrier.  (Migrated from lint_dhl.py rule R7.)
+# barrier.
 RAW_THREADING_RE = re.compile(
     r"\bstd::(?:thread|jthread|async|mutex|recursive_mutex|timed_mutex"
     r"|shared_mutex|condition_variable(?:_any)?|lock_guard|unique_lock"
@@ -472,6 +483,36 @@ RAW_THREADING_ALLOWLIST = {
     "src/common/logging.hpp",
     "src/common/logging.cpp",
 }
+
+# ---------------------------------------------------------------------------
+# Single-file textual invariants (A9-A12).
+# ---------------------------------------------------------------------------
+
+# A9: files allowed to spell out powers of ten — they *define* the unit
+# and quantity helpers everything else must use.
+MAGNITUDE_ALLOWLIST = {"src/common/units.hpp", "src/common/quantity.hpp"}
+
+# ``* 1e9`` / ``/ 1e15`` with a positive magnitude exponent.  Negative
+# exponents (tolerances such as 1e-9) and bare scientific literals in
+# comparisons are not unit conversions and stay legal.
+MAGNITUDE_RE = re.compile(r"[*/]\s*1e(?:3|6|9|12|15)\b")
+
+# A10: the logging implementation owns the default stderr sink.
+IOSTREAM_RE = re.compile(r"\bstd::c(?:out|err)\b")
+IOSTREAM_ALLOWLIST = {"src/common/logging.cpp"}
+
+# A11: rand()/srand()/time() calls.  Word-boundary + open paren so that
+# identifiers like trip_time or travelTime( never match.
+NONDETERMINISM_RE = re.compile(r"(?<![\w.])(?:s?rand|time)\s*\(")
+
+GUARD_RE = re.compile(r"^#ifndef\s+(\S+)", re.MULTILINE)
+
+
+def expected_guard(posix):
+    """src/dhl/analytical.hpp -> DHL_DHL_ANALYTICAL_HPP (the leading
+    src/ is dropped, the dhl:: project prefix is added)."""
+    stem = os.path.splitext(posix.split("/", 1)[1])[0]
+    return "DHL_" + re.sub(r"[/.]", "_", stem).upper() + "_HPP"
 
 
 def _split_range_for(masked, for_start):
@@ -896,12 +937,54 @@ def check_hazards(files):
     return findings
 
 
+def check_textual(files):
+    """A9-A12 over src/, one file at a time."""
+    findings = []
+    for fm in files:
+        if src_dir_of(fm.posix) is None:
+            continue
+        code = fm.masked
+        if fm.posix not in MAGNITUDE_ALLOWLIST:
+            for m in MAGNITUDE_RE.finditer(code):
+                findings.append(
+                    (fm.rel_path, line_of(code, m.start()),
+                     "magnitude-literals",
+                     "raw magnitude conversion %r; use a units::/qty:: "
+                     "helper" % m.group(0).strip()))
+        if fm.posix not in IOSTREAM_ALLOWLIST:
+            for m in IOSTREAM_RE.finditer(code):
+                findings.append(
+                    (fm.rel_path, line_of(code, m.start()),
+                     "iostream-in-src",
+                     "%s in library code; use common/logging.hpp"
+                     % m.group(0)))
+        for m in NONDETERMINISM_RE.finditer(code):
+            findings.append(
+                (fm.rel_path, line_of(code, m.start()), "nondeterminism",
+                 "%s) breaks seed-reproducibility; use dhl::Rng"
+                 % m.group(0).rstrip("(").strip()))
+        if fm.posix.endswith(".hpp"):
+            g = GUARD_RE.search(code)
+            want = expected_guard(fm.posix)
+            if g is None:
+                findings.append(
+                    (fm.rel_path, 1, "include-guards",
+                     "missing include guard (expected %s)" % want))
+            elif g.group(1) != want:
+                findings.append(
+                    (fm.rel_path, line_of(code, g.start()),
+                     "include-guards",
+                     "guard %s should be %s" % (g.group(1), want)))
+    return findings
+
+
 def analyze_files(files):
     findings = []
     findings.extend(check_layers(files))
     findings.extend(check_snapshots(files))
     findings.extend(check_snapshot_keys(files))
     findings.extend(check_hazards(files))
+    findings.extend(check_textual(files))
     findings.sort(key=lambda f: (f[0], f[1], f[2]))
     return findings
 
@@ -984,6 +1067,8 @@ def _rules(findings):
 
 SNAPSHOT_OK_FIXTURE = {
     "src/sim/gadget.hpp": """\
+#ifndef DHL_SIM_GADGET_HPP
+#define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
     void saveState(sim::SnapshotWriter &w) const;
@@ -995,6 +1080,7 @@ class Gadget {
     std::vector<double> scratch_;
     Helper *helper_ = nullptr;
 };
+#endif
 """,
     "src/sim/gadget.cpp": """\
 void Gadget::saveState(sim::SnapshotWriter &w) const {
@@ -1010,6 +1096,8 @@ void Gadget::restoreState(sim::SnapshotReader &r) {
 
 SNAPSHOT_BAD_FIXTURE = {
     "src/sim/gadget.hpp": """\
+#ifndef DHL_SIM_GADGET_HPP
+#define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
     void saveState(sim::SnapshotWriter &w) const;
@@ -1020,6 +1108,7 @@ class Gadget {
     double forgotten_field_;
     // dhl-analyze: transient(ghost_): annotation without a member
 };
+#endif
 """,
     "src/sim/gadget.cpp": """\
 void Gadget::saveState(sim::SnapshotWriter &w) const {
@@ -1141,6 +1230,67 @@ def self_test():
     check("nested struct member not attributed",
           "inner_" not in names2)
 
+    # ---- A9-A12: single-file textual rules -----------------------------
+    def rules_of(rel, text):
+        return set(_rules(check_textual([FileModel(rel, text)])))
+
+    cpp = os.path.join("src", "foo", "bar.cpp")
+    hpp = os.path.join("src", "foo", "bar.hpp")
+    hdr = "#ifndef DHL_FOO_BAR_HPP\n#define DHL_FOO_BAR_HPP\n#endif\n"
+
+    # A9 fires on magnitude conversions, in either direction...
+    check("A9 multiply",
+          "magnitude-literals" in rules_of(cpp, "double x = b * 1e9;\n"))
+    check("A9 divide",
+          "magnitude-literals" in rules_of(cpp, "double x = j / 1e6;\n"))
+    # ...but not on tolerances, comments, or the allow-listed files.
+    check("A9 tolerance",
+          not rules_of(cpp, "bool ok = err < 1e-9 * 1e-12;\n"))
+    check("A9 comment",
+          not rules_of(cpp, "// historical: bytes * 1e9\nint x;\n"))
+    check("A9 allowlist",
+          "magnitude-literals" not in rules_of(
+              os.path.join("src", "common", "units.hpp"),
+              "constexpr double giga(double n) { return n * 1e9; }\n"))
+    check("A9 bare literal",
+          not rules_of(cpp, "double cap = 8e12; if (cap > 1e9) cap = 0;\n"))
+
+    # A10 fires only under src/.
+    check("A10 cout", "iostream-in-src" in rules_of(cpp, "std::cout << 1;\n"))
+    check("A10 cerr", "iostream-in-src" in rules_of(cpp, "std::cerr << 1;\n"))
+    check("A10 bench exempt",
+          not rules_of(os.path.join("bench", "x.cpp"), "std::cout << 1;\n"))
+    check("A10 logging sink exempt",
+          "iostream-in-src" not in rules_of(
+              os.path.join("src", "common", "logging.cpp"),
+              "std::cerr << tag;\n"))
+
+    # A11 fires on the C randomness/time calls, not on lookalikes.
+    check("A11 rand", "nondeterminism" in rules_of(cpp, "int r = rand();\n"))
+    check("A11 srand", "nondeterminism" in rules_of(cpp, "srand(42);\n"))
+    check("A11 time", "nondeterminism" in rules_of(cpp, "time(nullptr);\n"))
+    check("A11 travelTime",
+          not rules_of(cpp, "double t = travelTime(1, 2, 3, m);\n"))
+    check("A11 trip_time", not rules_of(cpp, "double t = trip_time(0);\n"))
+    check("A11 member", not rules_of(cpp, "double t = sim.time();\n"))
+
+    # A12 guard naming.
+    check("A12 good", "include-guards" not in rules_of(hpp, hdr))
+    check("A12 wrong name",
+          "include-guards" in rules_of(
+              hpp, "#ifndef BAR_HPP\n#define BAR_HPP\n#endif\n"))
+    check("A12 missing", "include-guards" in rules_of(hpp, "int x;\n"))
+    check("A12 expected name",
+          expected_guard(hpp.replace(os.sep, "/")) == "DHL_FOO_BAR_HPP")
+
+    # Includes and threading primitives belong to A1 and A8 alone: the
+    # textual rules never report them a second time.
+    check("textual rules leave includes to A1",
+          not rules_of(os.path.join("src", "ops", "dispatcher.cpp"),
+                       '#include "bench/bench_util.hpp"\n'))
+    check("textual rules leave threading to A8",
+          not rules_of(cpp, "std::thread t(run);\n"))
+
     # ---- fixture pairs, one per rule family --------------------------
     with tempfile.TemporaryDirectory() as tmp:
         # A1 layer DAG, clean tree.
@@ -1157,22 +1307,31 @@ def self_test():
         check("dag ok clean", f == [])
 
         # A1 violations: an upward edge, a widened te fence (the
-        # inbound direction), and a front-end reach-out.
+        # inbound direction), a front-end reach-out, and the ops layer
+        # reaching te/ or network/.
         _write_tree(os.path.join(tmp, "dag_bad"), {
             "src/physics/lim.cpp": '#include "dhl/fleet.hpp"\n',
             "src/dhl/sched.cpp": '#include "te/controller.hpp"\n',
             "src/serve/s.cpp": '#include "bench/bench_util.hpp"\n',
-            "src/ops/d.cpp": '#include <tools/cli_helpers.hpp>\n',
+            "src/ops/d.cpp": '#include <tools/cli_helpers.hpp>\n'
+                             '#include "te/controller.hpp"\n'
+                             '#include "network/flowsim.hpp"\n',
             "src/plan/p.cpp": '#include "serve/admission.hpp"\n',
             "src/plan/q.cpp": '#include "te/controller.hpp"\n',
         })
         f = analyze_tree(os.path.join(tmp, "dag_bad"))
         check("dag bad fires", _rules(f) == ["layer-dag"])
-        check("dag bad count", len(f) == 6)
+        check("dag bad count", len(f) == 8)
         check("dag upward edge",
               any("physics" in m for _p, _l, _r, m in f))
         check("dag te fence",
               any(p.endswith("sched.cpp") for p, _l, _r, m in f))
+        check("dag ops fence",
+              sorted(m.split(" (")[0] for p, _l, _r, m in f
+                     if p.replace(os.sep, "/").endswith("ops/d.cpp")
+                     and "front-end" not in m)
+              == ["src/ops/ may not depend on src/network/",
+                  "src/ops/ may not depend on src/te/"])
         check("dag plan fence",
               sum(1 for p, _l, _r, m in f
                   if "/plan/" in p.replace(os.sep, "/")) == 2)
@@ -1203,8 +1362,8 @@ def self_test():
 
         # A2: a member restored but never saved is one-sided.
         _write_tree(os.path.join(tmp, "snap_oneside"), {
-            "src/sim/g.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
-            "src/sim/g.cpp": """\
+            "src/sim/gadget.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
+            "src/sim/gadget.cpp": """\
 void Gadget::saveState(sim::SnapshotWriter &w) const {
     w.putDouble("position", position_);
 }
@@ -1226,6 +1385,8 @@ void Gadget::restoreState(sim::SnapshotReader &r) {
         # ServingSim shape) is detected too.
         _write_tree(os.path.join(tmp, "snap_ctor"), {
             "src/serve/m.hpp": """\
+#ifndef DHL_SERVE_M_HPP
+#define DHL_SERVE_M_HPP
 class Mini {
   public:
     void checkpoint(std::ostream &os) const;
@@ -1234,6 +1395,7 @@ class Mini {
     std::uint64_t epochs_ = 0;
     double hidden_;
 };
+#endif
 """,
             "src/serve/m.cpp": """\
 void Mini::checkpoint(std::ostream &os) const {
@@ -1302,8 +1464,11 @@ void dump(F &f, sim::SnapshotWriter &w) {
         # A6 stays quiet on derived seeds and on the front-end.
         _write_tree(os.path.join(tmp, "haz_front"), {
             "bench/b.cpp": "Rng rng(42);\n",
-            "src/common/random.hpp": "explicit Rng(std::uint64_t seed"
-                                     " = 0x9e3779b97f4a7c15ull);\n",
+            "src/common/random.hpp": "#ifndef DHL_COMMON_RANDOM_HPP\n"
+                                     "#define DHL_COMMON_RANDOM_HPP\n"
+                                     "explicit Rng(std::uint64_t seed"
+                                     " = 0x9e3779b97f4a7c15ull);\n"
+                                     "#endif\n",
         })
         f = analyze_tree(os.path.join(tmp, "haz_front"))
         check("literal-seed allowlist", f == [])

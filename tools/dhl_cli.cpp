@@ -296,6 +296,14 @@ cmdSimulate(int argc, const char *const *argv)
         args.provided("maintenance") || args.provided("domains") ||
         args.provided("wear-gain");
     if (ops_mode) {
+        // The fleet runs serial per-track chains and keeps no trace.
+        for (const char *flag : {"pipelined", "dump-trace"}) {
+            if (args.provided(flag))
+                fatal(std::string("--") + flag +
+                      " applies to a single-track run, not the fleet "
+                      "path (--tracks/--ops-policy/--maintenance/"
+                      "--domains/--wear-gain)");
+        }
         const std::size_t tracks = countFlag(args, "tracks");
         fatal_if(tracks == 0, "--tracks must be at least 1");
         ops::OpsConfig oc;
@@ -447,7 +455,7 @@ cmdServe(int argc, const char *const *argv)
                    "admission queue bound (beyond it, shed)", "1024");
     args.addOption("policy",
                    "dispatch policy: round-robin|least-queued|"
-                   "availability|te",
+                   "availability",
                    "least-queued");
     args.addOption("min-priority",
                    "availability policy: admission floor while any "

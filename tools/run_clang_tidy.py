@@ -3,8 +3,8 @@
 
 The container/CI split: clang-tidy is not part of the baked toolchain
 on every dev machine, so this wrapper *detects* the binary and exits 0
-with a notice when it is absent (the pure-Python tools/lint_dhl.py and
-tools/dhl_analyze.py gates still run everywhere).  CI installs
+with a notice when it is absent (the pure-Python tools/dhl_analyze.py
+gate still runs everywhere).  CI installs
 clang-tidy and therefore always gets the full check.
 
 The exit summary reports per-file diagnostic counts so a CI log shows
@@ -161,7 +161,7 @@ def main(argv=None):
          if shutil.which(b)), None)
     if binary is None:
         print("run_clang_tidy: clang-tidy not installed; skipping "
-              "(the lint_dhl.py / dhl_analyze.py gates still apply)")
+              "(the dhl_analyze.py gate still applies)")
         return 0
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
