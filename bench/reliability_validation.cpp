@@ -165,9 +165,8 @@ degradedScenario(std::string name, const ReliabilityConfig &rel,
         const BulkRunResult rc = clean.runBulkTransfer(dataset);
 
         DhlSimulation faulty(cfg);
-        BulkRunOptions opts;
-        opts.faults = toFaultConfig(rel, seed);
-        const BulkRunResult rf = faulty.runBulkTransfer(dataset, opts);
+        faulty.enableFaults(toFaultConfig(rel, seed));
+        const BulkRunResult rf = faulty.runBulkTransfer(dataset);
 
         const AvailabilityModel model(cfg, rel);
         const double predicted = model.report().system_availability;

@@ -5,11 +5,10 @@
 
 #include "dhl/dataset_manager.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/logging.hpp"
+#include "dhl/simulation.hpp"
 
 namespace dhl {
 namespace core {
@@ -42,19 +41,11 @@ DatasetManager::registerDataset(const std::string &name, double bytes)
         fatal("dataset '" + name + "' is already registered");
     fatal_if(!(bytes > 0.0), "dataset size must be positive");
 
-    const double capacity = controller_.config().cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::size_t>(std::ceil(bytes / capacity));
-
     Entry e{};
     e.bytes = bytes;
-    double remaining = bytes;
-    for (std::size_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
-        Cart &cart = controller_.addCart(load);
-        e.carts.push_back(cart.id());
-        remaining -= load;
-    }
+    for (const double load : splitIntoCarts(
+             bytes, controller_.config().cartCapacity().value()))
+        e.carts.push_back(controller_.addCart(load).id());
     auto [it, inserted] = datasets_.emplace(name, std::move(e));
     panic_if(!inserted, "dataset insertion raced");
     order_.push_back(name);

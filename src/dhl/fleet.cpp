@@ -5,8 +5,6 @@
 
 #include "dhl/fleet.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -37,6 +35,16 @@ DhlFleet::track(std::size_t i)
 {
     fatal_if(i >= controllers_.size(), "track index out of range");
     return *controllers_[i];
+}
+
+std::vector<const DhlController *>
+DhlFleet::tracks() const
+{
+    std::vector<const DhlController *> out;
+    out.reserve(controllers_.size());
+    for (const auto &c : controllers_)
+        out.push_back(c.get());
+    return out;
 }
 
 void
@@ -93,124 +101,55 @@ DhlFleet::faultInjector(std::size_t i)
     return injectors_.empty() ? nullptr : injectors_[i].get();
 }
 
-double
-DhlFleet::totalEnergy() const
-{
-    double total = 0.0;
-    for (const auto &c : controllers_)
-        total += c->totalEnergy();
-    return total;
-}
-
-std::uint64_t
-DhlFleet::launches() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : controllers_)
-        total += c->launches();
-    return total;
-}
-
 BulkRunResult
 DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
                           const std::vector<RequestMeta> &meta,
                           std::vector<double> *open_latency)
 {
-    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
     fatal_if(opts.pipelined,
              "a fleet runs serial per-track chains; pipelined bulk "
              "transfers need a single-track DhlSimulation");
-    if (opts.faults.enabled)
-        enableFaults(opts.faults);
-
-    const double capacity = cfg_.cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::uint64_t>(std::ceil(bytes / capacity));
+    const std::vector<double> loads =
+        splitIntoCarts(bytes, cfg_.cartCapacity().value());
     const std::size_t k = controllers_.size();
 
     // Round-robin cart assignment; each track gets its own serial
     // chain of (cart id, job meta), cart ids local to that track's
     // library.
     std::vector<std::vector<std::pair<CartId, RequestMeta>>> per_track(k);
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
-        remaining -= load;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
         auto &ctl = *controllers_[i % k];
         ctl.setFailureProbability(opts.failure_per_trip);
         per_track[i % k].emplace_back(
-            ctl.addCart(load).id(),
+            ctl.addCart(loads[i]).id(),
             i < meta.size() ? meta[i] : RequestMeta{});
     }
 
-    sim::Simulator &sim = simulator();
-    const double start = sim.now();
-    const double energy_before = totalEnergy();
-    const std::uint64_t launches_before = launches();
-    auto completed = std::make_shared<std::uint64_t>(0);
-    auto bytes_read = std::make_shared<double>(0.0);
+    BulkRunMeter run(sim_, tracks());
+    std::function<void(double)> docked;
+    if (open_latency != nullptr)
+        docked = [open_latency](double l) { open_latency->push_back(l); };
 
     // Serial chain per track: cart j fully returns before cart j+1
-    // departs (the Table VI accounting, per track).  The chain
-    // closures live in `chains` (not inside themselves) so no
-    // shared_ptr cycle outlives the run.
-    std::vector<std::shared_ptr<std::function<void(std::size_t)>>> chains;
+    // departs (the Table VI accounting, per track).
+    std::vector<std::function<void(std::size_t)>> chains(k);
     for (std::size_t t = 0; t < k; ++t) {
-        if (per_track[t].empty())
-            continue;
-        auto &ctl = *controllers_[t];
-        auto chain = std::make_shared<std::function<void(std::size_t)>>();
-        chains.push_back(chain);
-        auto *chain_ptr = chain.get();
-        *chain = [&sim, &ctl, carts = std::move(per_track[t]),
-                  chain = chain_ptr, opts, open_latency, completed,
-                  bytes_read](std::size_t idx) {
-            if (idx == carts.size())
+        chains[t] = [&, t](std::size_t idx) {
+            if (idx == per_track[t].size())
                 return;
-            const CartId id = carts[idx].first;
-            const double issued = sim.now();
-            ctl.open(id, carts[idx].second,
-                     [&sim, &ctl, id, idx, issued, chain, opts,
-                      open_latency, completed,
-                      bytes_read](Cart &cart, DockingStation &) {
-                if (open_latency != nullptr)
-                    open_latency->push_back(sim.now() - issued);
-                auto finish = [completed, chain, idx](Cart &) {
-                    ++*completed;
-                    (*chain)(idx + 1);
-                };
-                if (opts.include_read_time && cart.storedBytes() > 0.0) {
-                    const double to_read = cart.storedBytes();
-                    ctl.read(id, to_read,
-                             [&ctl, id, bytes_read, finish](double b) {
-                                 *bytes_read += b;
-                                 ctl.close(id, finish);
-                             });
-                } else {
-                    ctl.close(id, finish);
-                }
-            });
+            const auto &[id, job_meta] = per_track[t][idx];
+            roundTrip(*controllers_[t], id, job_meta,
+                      opts.include_read_time,
+                      [&, t, idx](double b) {
+                          run.stored(b);
+                          chains[t](idx + 1);
+                      },
+                      docked);
         };
-        (*chain)(0);
+        chains[t](0);
     }
-    while (*completed < n_carts && sim.pendingEvents() > 0)
-        sim.step();
-    panic_if(*completed != n_carts,
-             "fleet transfer finished with carts unaccounted for");
-
-    BulkRunResult r{};
-    r.total_time = sim.now() - start;
-    r.total_energy = totalEnergy() - energy_before;
-    r.launches = launches() - launches_before;
-    r.carts = n_carts;
-    std::uint64_t failures = 0;
-    for (const auto &c : controllers_)
-        failures += c->ssdFailures();
-    r.ssd_failures = failures;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = *bytes_read;
-    return r;
+    run.stepUntilStored(loads.size());
+    return run.result(bytes);
 }
 
 } // namespace core

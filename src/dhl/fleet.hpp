@@ -49,6 +49,9 @@ class DhlFleet
 
     DhlController &track(std::size_t i);
 
+    /** Every track's controller, in track order. */
+    std::vector<const DhlController *> tracks() const;
+
     /**
      * Move @p bytes using every track: carts are split round-robin and
      * each track runs its share as serial round trips (open, optional
@@ -74,8 +77,8 @@ class DhlFleet
      * Turn on per-track fault injection: every track gets its own
      * FaultState + FaultInjector, with track i's streams derived as
      * deriveSeed(cfg.seed, i) so the tracks fail independently but
-     * deterministically.  Idempotent for an identical config (also
-     * invoked lazily by runBulkTransfer when opts.faults.enabled).
+     * deterministically.  Idempotent for an identical config; call it
+     * before the run it should fault.
      */
     void enableFaults(const faults::FaultConfig &cfg);
 
@@ -98,19 +101,6 @@ class DhlFleet
 
     /** Track @p i's fault injector (nullptr until enableFaults). */
     faults::FaultInjector *faultInjector(std::size_t i);
-
-    /** Sum of LIM energy across tracks, J. */
-    double totalEnergy() const;
-
-    /** Sum of launches across tracks. */
-    std::uint64_t launches() const;
-
-    /** Average electrical power of the fleet over a window, W. */
-    double
-    avgPower(double window) const
-    {
-        return totalEnergy() / window;
-    }
 
   private:
     sim::Simulator sim_;

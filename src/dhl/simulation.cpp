@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -45,94 +46,117 @@ DhlSimulation::enableFaults(const faults::FaultConfig &cfg)
 BulkRunResult
 DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
 {
-    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
-
-    controller_->setFailureProbability(opts.failure_per_trip);
-    if (opts.faults.enabled)
-        enableFaults(opts.faults);
-
-    const double capacity = cfg_.cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::uint64_t>(std::ceil(bytes / capacity));
-    fatal_if(n_carts > cfg_.library_slots,
+    const std::vector<double> loads =
+        splitIntoCarts(bytes, cfg_.cartCapacity().value());
+    fatal_if(loads.size() > cfg_.library_slots,
              "dataset needs more carts than the library has slots; "
              "increase library_slots");
+    controller_->setFailureProbability(opts.failure_per_trip);
+    std::vector<CartId> ids;
+    ids.reserve(loads.size());
+    for (const double load : loads)
+        ids.push_back(controller_->addCart(load).id());
 
-    // Preload the dataset across the carts (last one partial).
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(capacity, remaining);
-        controller_->addCart(load);
-        remaining -= load;
-    }
-
-    const double start = sim_.now();
-    const double energy_before = controller_->totalEnergy();
-    const std::uint64_t launches_before = controller_->launches();
-    const std::uint64_t failures_before = controller_->ssdFailures();
-    auto completed = std::make_shared<std::uint64_t>(0);
-    auto bytes_read = std::make_shared<double>(0.0);
-
-    // Per-cart pipeline: open -> [read] -> close.
-    auto run_cart = [this, opts, bytes_read, completed](CartId id) {
-        controller_->open(id, [this, opts, bytes_read, completed](
-                                  Cart &cart, DockingStation &) {
-            const CartId id = cart.id();
-            auto finish = [this, id, completed](Cart &) { ++*completed; };
-            if (opts.include_read_time && cart.storedBytes() > 0.0) {
-                const double to_read = cart.storedBytes();
-                controller_->read(
-                    id, to_read,
-                    [this, id, bytes_read, completed, finish](double b) {
-                        *bytes_read += b;
-                        controller_->close(id, finish);
-                    });
-            } else {
-                controller_->close(id, finish);
-            }
-        });
+    BulkRunMeter meter(sim_, {controller_.get()});
+    auto trip = [this, &opts, &meter](CartId id) {
+        roundTrip(*controller_, id, RequestMeta{}, opts.include_read_time,
+                  [&meter](double b) { meter.stored(b); });
     };
-
-    // With fault injection active the injector keeps the event queue
-    // populated (repairs, future failures), so running the queue dry
-    // would overshoot: step until the transfers complete instead.  The
-    // fault-free path is untouched, byte-identical with pre-fault runs.
-    auto run_to = [this, completed](std::uint64_t target) {
-        if (faultsEnabled()) {
-            while (*completed < target && sim_.pendingEvents() > 0)
-                sim_.step();
-        } else {
-            sim_.run();
-        }
-    };
-
     if (opts.pipelined) {
         // Issue everything; the controller's queue and the track's
         // admission policy shape the pipeline.
-        for (std::uint64_t i = 0; i < n_carts; ++i)
-            run_cart(static_cast<CartId>(i));
-        run_to(n_carts);
+        for (const CartId id : ids)
+            trip(id);
+        meter.stepUntilStored(ids.size());
     } else {
         // Strictly serial: each cart's round trip completes before the
         // next is requested (the paper's Table VI accounting).
-        for (std::uint64_t i = 0; i < n_carts; ++i) {
-            run_cart(static_cast<CartId>(i));
-            run_to(i + 1);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            trip(ids[i]);
+            meter.stepUntilStored(i + 1);
         }
     }
+    return meter.result(bytes);
+}
 
-    panic_if(*completed != n_carts,
+std::vector<double>
+splitIntoCarts(double bytes, double capacity)
+{
+    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
+    const auto n_carts =
+        static_cast<std::size_t>(std::ceil(bytes / capacity));
+    std::vector<double> loads;
+    loads.reserve(n_carts);
+    double remaining = bytes;
+    for (std::size_t i = 0; i < n_carts; ++i) {
+        const double load = std::min(capacity, remaining);
+        loads.push_back(load);
+        remaining -= load;
+    }
+    return loads;
+}
+
+void
+roundTrip(DhlController &ctl, CartId id, const RequestMeta &meta,
+          bool read, std::function<void(double)> stored,
+          std::function<void(double)> docked)
+{
+    const double issued = ctl.now();
+    ctl.open(id, meta,
+             [&ctl, id, issued, read, stored = std::move(stored),
+              docked = std::move(docked)](Cart &cart, DockingStation &) {
+        if (docked)
+            docked(ctl.now() - issued);
+        auto close = [&ctl, id, stored](double bytes) {
+            ctl.close(id, [stored, bytes](Cart &) { stored(bytes); });
+        };
+        if (read && cart.storedBytes() > 0.0)
+            ctl.read(id, cart.storedBytes(), close);
+        else
+            close(0.0);
+    });
+}
+
+BulkRunMeter::BulkRunMeter(sim::Simulator &sim,
+                           std::vector<const DhlController *> controllers)
+    : sim_(sim), controllers_(std::move(controllers)), start_(sim.now()),
+      before_(totals())
+{}
+
+BulkRunMeter::Totals
+BulkRunMeter::totals() const
+{
+    Totals t;
+    for (const auto *c : controllers_) {
+        t.energy += c->totalEnergy();
+        t.launches += c->launches();
+        t.ssd_failures += c->ssdFailures();
+    }
+    return t;
+}
+
+void
+BulkRunMeter::stepUntilStored(std::uint64_t carts)
+{
+    while (stored_ < carts && sim_.pendingEvents() > 0)
+        sim_.step();
+    panic_if(stored_ != carts,
              "bulk transfer finished with carts unaccounted for");
+}
 
+BulkRunResult
+BulkRunMeter::result(double bytes) const
+{
+    const Totals after = totals();
     BulkRunResult r{};
-    r.total_time = sim_.now() - start;
-    r.total_energy = controller_->totalEnergy() - energy_before;
-    r.launches = controller_->launches() - launches_before;
-    r.carts = n_carts;
-    r.ssd_failures = controller_->ssdFailures() - failures_before;
+    r.total_time = sim_.now() - start_;
+    r.total_energy = after.energy - before_.energy;
+    r.launches = after.launches - before_.launches;
+    r.carts = stored_;
+    r.ssd_failures = after.ssd_failures - before_.ssd_failures;
     r.avg_power = r.total_energy / r.total_time;
     r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = *bytes_read;
+    r.bytes_read = bytes_read_;
     return r;
 }
 

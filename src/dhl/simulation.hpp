@@ -3,14 +3,22 @@
  * High-level facade wiring a complete event-driven DHL system and
  * running bulk dataset transfers on it — the executable counterpart of
  * the closed-form AnalyticalModel (they must agree; experiment E11).
+ *
+ * Also home of the bulk-transfer pipeline every batch driver
+ * (DhlSimulation, DhlFleet, ops::FleetOps, the DES replay) runs on: the
+ * cart split, one cart's round trip through the four-command API, and
+ * the run meter that steps the loop and assembles the BulkRunResult.
+ * The drivers keep only their dispatch decision.
  */
 
 #ifndef DHL_DHL_SIMULATION_HPP
 #define DHL_DHL_SIMULATION_HPP
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <ostream>
+#include <vector>
 
 #include "dhl/analytical.hpp"
 #include "dhl/config.hpp"
@@ -36,11 +44,6 @@ struct BulkRunOptions
 
     /** Per-SSD per-trip failure probability (failure injection). */
     double failure_per_trip = 0.0;
-
-    /** Component fault injection (disabled by default; when
-     *  faults.enabled the run operates in degraded mode under a seeded
-     *  FaultInjector — see DESIGN.md §8). */
-    faults::FaultConfig faults{};
 };
 
 /** Result of an event-driven bulk transfer run. */
@@ -50,10 +53,81 @@ struct BulkRunResult
     double total_energy;        ///< J (LIM shots).
     std::uint64_t launches;     ///< one-way launches.
     std::uint64_t carts;        ///< carts used.
-    std::uint64_t ssd_failures; ///< failures injected en route.
+    std::uint64_t ssd_failures; ///< failures injected en route this run.
     double avg_power;           ///< W.
     double effective_bandwidth; ///< bytes/s.
     double bytes_read;          ///< bytes actually read at the rack.
+};
+
+/**
+ * The cart loads of a bulk move: ceil(@p bytes / @p capacity) carts,
+ * every one full except the last.  fatal() unless bytes > 0.
+ */
+std::vector<double> splitIntoCarts(double bytes, double capacity);
+
+/**
+ * One cart's round trip through the four-command API: open (with
+ * @p meta), read storedBytes() at the rack when @p read and the cart
+ * holds data, close.  @p docked (optional) receives the open's issue ->
+ * docked latency, s; @p stored fires once the cart is back in the
+ * library, with the bytes read (0 without a read).  Whatever the hooks
+ * capture must outlive the trip: the batch drivers return only after
+ * every cart is stored.
+ */
+void roundTrip(DhlController &ctl, CartId id, const RequestMeta &meta,
+               bool read, std::function<void(double)> stored,
+               std::function<void(double)> docked = nullptr);
+
+/**
+ * The accounting of one bulk run over a set of controllers sharing one
+ * event loop.  Energy, launches and SSD failures are read as deltas
+ * from construction, so a second run on the same controllers reports
+ * only its own.
+ */
+class BulkRunMeter
+{
+  public:
+    BulkRunMeter(sim::Simulator &sim,
+                 std::vector<const DhlController *> controllers);
+
+    // Round-trip hooks hold the meter's address.
+    BulkRunMeter(const BulkRunMeter &) = delete;
+    BulkRunMeter &operator=(const BulkRunMeter &) = delete;
+
+    /** The stored hook of a round trip: one cart home, @p bytes read. */
+    void
+    stored(double bytes)
+    {
+        ++stored_;
+        bytes_read_ += bytes;
+    }
+
+    /**
+     * Step the loop until @p carts carts are stored; panic() if the
+     * queue empties first.  A background process (fault injectors,
+     * maintenance windows, plant outages) left pending stays queued.
+     */
+    void stepUntilStored(std::uint64_t carts);
+
+    /** The run's result for a move of @p bytes, as of now. */
+    BulkRunResult result(double bytes) const;
+
+  private:
+    /** Running totals summed over the controllers. */
+    struct Totals
+    {
+        double energy = 0.0;
+        std::uint64_t launches = 0;
+        std::uint64_t ssd_failures = 0;
+    };
+    Totals totals() const;
+
+    sim::Simulator &sim_;
+    std::vector<const DhlController *> controllers_;
+    double start_;
+    Totals before_;
+    std::uint64_t stored_ = 0;
+    double bytes_read_ = 0.0;
 };
 
 /** A complete simulated DHL system. */
@@ -81,8 +155,7 @@ class DhlSimulation : public sim::Snapshotable
      * Turn on component fault injection (idempotent for an identical
      * config; fatal on an attempt to reconfigure).  Creates the
      * FaultState registry and the seeded FaultInjector and attaches
-     * them to the controller.  Also invoked lazily by runBulkTransfer
-     * when opts.faults.enabled.
+     * them to the controller; call it before the run it should fault.
      */
     void enableFaults(const faults::FaultConfig &cfg);
 

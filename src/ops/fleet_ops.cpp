@@ -5,9 +5,6 @@
 
 #include "ops/fleet_ops.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 
@@ -72,7 +69,6 @@ OpsRunResult
 FleetOps::runBulkTransfer(double bytes, const core::BulkRunOptions &opts,
                           const std::vector<core::RequestMeta> &meta)
 {
-    fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
     fatal_if(opts.pipelined,
              "a fleet runs serial per-track chains; pipelined bulk "
              "transfers need a single-track DhlSimulation");
@@ -146,11 +142,11 @@ FleetOps::installListeners()
     for (std::size_t t = 0; t < fleet_.numTracks(); ++t) {
         auto *state = fleet_.faultState(t);
         state->onOutage([this, t] {
-            if (active_)
+            if (meter_)
                 drainTrack(t);
         });
         state->onRepair([this] {
-            if (active_)
+            if (meter_)
                 pump();
         });
     }
@@ -192,7 +188,8 @@ FleetOps::pump()
             ops_.dispatch.policy == DispatchPolicy::AvailabilityAware &&
             anyTrackDown();
 
-        // Best admissible job: highest priority, then arrival order.
+        // Best admissible job: highest priority, then arrival order
+        // (the job index).
         std::size_t best_pos = queue_.size();
         for (std::size_t pos = 0; pos < queue_.size(); ++pos) {
             Job &job = jobs_[queue_[pos]];
@@ -209,7 +206,7 @@ FleetOps::pump()
                     jobs_[queue_[best_pos]].meta.priority ||
                 (job.meta.priority ==
                      jobs_[queue_[best_pos]].meta.priority &&
-                 job.seq < jobs_[queue_[best_pos]].seq)) {
+                 queue_[pos] < queue_[best_pos])) {
                 best_pos = pos;
             }
         }
@@ -246,37 +243,20 @@ FleetOps::assign(std::size_t t, std::size_t j)
     const core::CartId id = ctl.addCart(jobs_[j].load).id();
     cart_job_[t][id] = j;
     ++outstanding_[t];
-    sim::Simulator &sim = fleet_.simulator();
-    const double issued = sim.now();
-    ctl.open(id, jobs_[j].meta,
-             [this, &sim, &ctl, t, id, issued](core::Cart &cart,
-                                               core::DockingStation &) {
-        open_latency_.push_back(sim.now() - issued);
-        if (opts_.include_read_time && cart.storedBytes() > 0.0) {
-            const double to_read = cart.storedBytes();
-            ctl.read(id, to_read, [this, &ctl, t, id](double b) {
-                bytes_read_ += b;
-                ctl.close(id, [this, t, id](core::Cart &) {
-                    finishJob(t, id);
-                });
-            });
-        } else {
-            ctl.close(id, [this, t, id](core::Cart &) {
-                finishJob(t, id);
-            });
-        }
-    });
+    core::roundTrip(ctl, id, jobs_[j].meta, opts_.include_read_time,
+                    [this, t, id](double b) { finishJob(t, id, b); },
+                    [this](double l) { open_latency_.push_back(l); });
 }
 
 void
-FleetOps::finishJob(std::size_t t, core::CartId id)
+FleetOps::finishJob(std::size_t t, core::CartId id, double bytes_read)
 {
     auto it = cart_job_[t].find(id);
     panic_if(it == cart_job_[t].end(),
              "finished a job the dispatcher never issued");
     cart_job_[t].erase(it);
     --outstanding_[t];
-    ++completed_;
+    meter_->stored(bytes_read);
     pump();
 }
 
@@ -284,62 +264,28 @@ core::BulkRunResult
 FleetOps::runPull(double bytes, const core::BulkRunOptions &opts,
                   const std::vector<core::RequestMeta> &meta)
 {
-    if (opts.faults.enabled)
-        fleet_.enableFaults(opts.faults);
-    sim::Simulator &sim = fleet_.simulator();
-    const std::size_t k = fleet_.numTracks();
-
-    const double cart_capacity =
-        fleet_.track(0).config().cartCapacity().value();
-    const auto n_carts =
-        static_cast<std::uint64_t>(std::ceil(bytes / cart_capacity));
+    const std::vector<double> loads = core::splitIntoCarts(
+        bytes, fleet_.track(0).config().cartCapacity().value());
     jobs_.clear();
-    jobs_.reserve(n_carts);
-    double remaining = bytes;
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        const double load = std::min(cart_capacity, remaining);
-        remaining -= load;
-        jobs_.push_back(Job{load,
-                            i < meta.size() ? meta[i]
-                                            : core::RequestMeta{},
-                            static_cast<std::size_t>(i)});
+    jobs_.reserve(loads.size());
+    queue_.clear();
+    queue_.reserve(loads.size());
+    for (std::size_t j = 0; j < loads.size(); ++j) {
+        jobs_.push_back(
+            Job{loads[j], j < meta.size() ? meta[j] : core::RequestMeta{}});
+        queue_.push_back(j);
     }
 
     installListeners();
     opts_ = opts;
-    queue_.clear();
-    queue_.reserve(jobs_.size());
-    for (std::size_t j = 0; j < jobs_.size(); ++j)
-        queue_.push_back(j);
-    outstanding_.assign(k, 0);
-    cart_job_.assign(k, {});
-    completed_ = 0;
-    bytes_read_ = 0.0;
+    outstanding_.assign(fleet_.numTracks(), 0);
+    cart_job_.assign(fleet_.numTracks(), {});
 
-    const double start = sim.now();
-    const double energy_before = fleet_.totalEnergy();
-    const std::uint64_t launches_before = fleet_.launches();
-
-    active_ = true;
+    meter_.emplace(fleet_.simulator(), fleet_.tracks());
     pump();
-    while (completed_ < n_carts && sim.pendingEvents() > 0)
-        sim.step();
-    active_ = false;
-    panic_if(completed_ != n_carts,
-             "fleet transfer finished with carts unaccounted for");
-
-    core::BulkRunResult r{};
-    r.total_time = sim.now() - start;
-    r.total_energy = fleet_.totalEnergy() - energy_before;
-    r.launches = fleet_.launches() - launches_before;
-    r.carts = n_carts;
-    std::uint64_t failures = 0;
-    for (std::size_t t = 0; t < k; ++t)
-        failures += fleet_.track(t).ssdFailures();
-    r.ssd_failures = failures;
-    r.avg_power = r.total_energy / r.total_time;
-    r.effective_bandwidth = bytes / r.total_time;
-    r.bytes_read = bytes_read_;
+    meter_->stepUntilStored(jobs_.size());
+    const core::BulkRunResult r = meter_->result(bytes);
+    meter_.reset();
     return r;
 }
 

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -121,7 +122,6 @@ class FleetOps
     {
         double load;
         core::RequestMeta meta;
-        std::size_t seq;
         bool deferral_counted = false;
     };
 
@@ -134,7 +134,7 @@ class FleetOps
     std::size_t capacity(std::size_t t);
     void pump();
     void assign(std::size_t t, std::size_t j);
-    void finishJob(std::size_t t, core::CartId id);
+    void finishJob(std::size_t t, core::CartId id, double bytes_read);
     void drainTrack(std::size_t t);
 
     OpsConfig ops_;
@@ -146,16 +146,15 @@ class FleetOps
     OpsRunResult run_{};
     std::vector<double> open_latency_; ///< per open, issue -> docked, s
 
-    // Pull-engine state, valid during a runPull.
-    bool active_ = false;
+    // Pull-engine state, valid during a runPull (meter_ is set only
+    // while one runs).
+    std::optional<core::BulkRunMeter> meter_;
     bool listeners_installed_ = false;
     core::BulkRunOptions opts_{};
     std::vector<Job> jobs_;
     std::vector<std::size_t> queue_; ///< pending job indices
     std::vector<std::size_t> outstanding_;
     std::vector<std::unordered_map<core::CartId, std::size_t>> cart_job_;
-    std::uint64_t completed_ = 0;
-    double bytes_read_ = 0.0;
 };
 
 } // namespace ops

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "common/logging.hpp"
-#include "dhl/dataset_manager.hpp"
 
 namespace dhl {
 namespace workloads {
@@ -88,12 +87,8 @@ replayDhlSimulated(const std::vector<TransferRequest> &requests,
     const double capacity = cfg.cartCapacity().value();
     for (const auto &req : sorted) {
         std::vector<core::CartId> carts;
-        double remaining = req.bytes;
-        while (remaining > 0.0) {
-            const double load = std::min(capacity, remaining);
+        for (const double load : core::splitIntoCarts(req.bytes, capacity))
             carts.push_back(controller.addCart(load).id());
-            remaining -= load;
-        }
         request_carts.push_back(std::move(carts));
     }
 
@@ -112,27 +107,16 @@ replayDhlSimulated(const std::vector<TransferRequest> &requests,
         auto pending = std::make_shared<std::size_t>(carts.size());
         for (core::CartId id : carts) {
             sim.scheduleAt(at, [&, id, at, pending] {
-                auto closed = [&, at, pending](core::Cart &) {
-                    if (--*pending > 0)
-                        return;
-                    const double latency = sim.now() - at;
-                    *latency_sum += latency;
-                    *max_latency = std::max(*max_latency, latency);
-                    *last_finish = sim.now();
-                    ++*completed;
-                };
-                controller.open(
-                    id, [&, id, closed](core::Cart &cart,
-                                        core::DockingStation &) {
-                        if (include_reads && cart.storedBytes() > 0.0) {
-                            controller.read(
-                                id, cart.storedBytes(),
-                                [&, id, closed](double) {
-                                    controller.close(id, closed);
-                                });
-                        } else {
-                            controller.close(id, closed);
-                        }
+                core::roundTrip(
+                    controller, id, core::RequestMeta{}, include_reads,
+                    [&, at, pending](double) {
+                        if (--*pending > 0)
+                            return;
+                        const double latency = sim.now() - at;
+                        *latency_sum += latency;
+                        *max_latency = std::max(*max_latency, latency);
+                        *last_finish = sim.now();
+                        ++*completed;
                     });
             });
         }

@@ -96,7 +96,7 @@ TEST(FaultProperty, NoTransferLostUnderHeavyFaults)
     BulkRunOptions opts;
     opts.include_read_time = true;
     opts.pipelined = true;
-    opts.faults = toFaultConfig(rel, 11);
+    des.enableFaults(toFaultConfig(rel, 11));
     const BulkRunResult r = des.runBulkTransfer(dataset, opts);
 
     // Every cart completed its round trip (runBulkTransfer panics
@@ -143,9 +143,8 @@ TEST(FaultProperty, FaultRunsAreDeterministic)
 
     auto run = [&] {
         DhlSimulation des(cfg);
-        BulkRunOptions opts;
-        opts.faults = toFaultConfig(rel, 5);
-        const BulkRunResult r = des.runBulkTransfer(dataset, opts);
+        des.enableFaults(toFaultConfig(rel, 5));
+        const BulkRunResult r = des.runBulkTransfer(dataset);
         return std::make_tuple(r.total_time, r.total_energy, r.launches,
                                des.controller().parkedLaunches(),
                                des.controller().cartBreakdowns(),
@@ -168,11 +167,12 @@ TEST(FaultProperty, ZeroRatesMatchFaultFreeRunExactly)
     const BulkRunResult rc = clean.runBulkTransfer(dataset);
 
     DhlSimulation faulty(cfg);
-    BulkRunOptions opts;
-    opts.faults.enabled = true;
-    opts.faults.horizon = 1e-9; // no failure is ever scheduled
-    opts.faults.cart_repair_per_trip = 0.0;
-    const BulkRunResult rf = faulty.runBulkTransfer(dataset, opts);
+    faults::FaultConfig fc;
+    fc.enabled = true;
+    fc.horizon = 1e-9; // no failure is ever scheduled
+    fc.cart_repair_per_trip = 0.0;
+    faulty.enableFaults(fc);
+    const BulkRunResult rf = faulty.runBulkTransfer(dataset);
 
     EXPECT_EQ(rf.total_time, rc.total_time);
     EXPECT_EQ(rf.total_energy, rc.total_energy);

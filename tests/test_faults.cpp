@@ -631,9 +631,8 @@ TEST(FleetFaultsTest, TracksFailIndependently)
     rel.cart_repair_per_trip = 0.0;
     auto run = [&] {
         core::DhlFleet f(cfg, 2);
-        core::BulkRunOptions opts;
-        opts.faults = core::toFaultConfig(rel, 21);
-        return f.runBulkTransfer(12.0 * cfg.cartCapacity().value(), opts)
+        f.enableFaults(core::toFaultConfig(rel, 21));
+        return f.runBulkTransfer(12.0 * cfg.cartCapacity().value())
             .total_time;
     };
     const double a = run();

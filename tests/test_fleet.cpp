@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/logging.hpp"
 #include "common/units.hpp"
 #include "dhl/fleet.hpp"
@@ -105,6 +107,31 @@ TEST(FleetTest, PerTrackSeedsDeriveFromTheFleetSeed)
     EXPECT_EQ(run(1), run(1)) << "same seed replays exactly";
     EXPECT_NE(run(1), run(1234567))
         << "the per-track streams follow the fleet seed";
+}
+
+TEST(FleetTest, SsdFailuresCountTheRunNotTheLifetime)
+{
+    // Two runs on one fleet: each reports its own failures, not the
+    // controllers' running totals.
+    auto prev = dhl::Logger::global().setLevel(dhl::LogLevel::Silent);
+    const DhlConfig cfg = defaultConfig();
+    DhlFleet fleet(cfg, 2, 7);
+    BulkRunOptions opts;
+    opts.failure_per_trip = 0.05;
+    auto lifetime = [&fleet] {
+        std::uint64_t total = 0;
+        for (std::size_t t = 0; t < fleet.numTracks(); ++t)
+            total += fleet.track(t).ssdFailures();
+        return total;
+    };
+    for (int run = 0; run < 2; ++run) {
+        const std::uint64_t before = lifetime();
+        const auto r =
+            fleet.runBulkTransfer(6.0 * cfg.cartCapacity().value(), opts);
+        EXPECT_GT(r.ssd_failures, 0u) << "run " << run;
+        EXPECT_EQ(r.ssd_failures, lifetime() - before) << "run " << run;
+    }
+    dhl::Logger::global().setLevel(prev);
 }
 
 TEST(FleetTest, Accessors)

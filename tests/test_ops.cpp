@@ -285,9 +285,8 @@ TEST(DispatcherTest, RoundRobinIsByteIdenticalUnderFaults)
     fc.seed = 21;
 
     core::DhlFleet plain(cfg, 2);
-    core::BulkRunOptions opts;
-    opts.faults = fc;
-    const auto expected = plain.runBulkTransfer(dataset, opts);
+    plain.enableFaults(fc);
+    const auto expected = plain.runBulkTransfer(dataset);
 
     OpsConfig oc;
     oc.faults = fc;
@@ -426,6 +425,34 @@ TEST(DispatcherTest, FleetStopsAtTheLastReturn)
     EXPECT_EQ(r.total_time, expected.total_time);
     EXPECT_GT(fleet.simulator().pendingEvents(), 0u)
         << "the window is still pending";
+}
+
+TEST(DispatcherTest, LeastQueuedSsdFailuresCountTheRun)
+{
+    // Two pull-engine runs on one FleetOps: each reports its own
+    // failures, not the controllers' running totals.
+    auto prev = Logger::global().setLevel(LogLevel::Silent);
+    const core::DhlConfig cfg = core::defaultConfig();
+    OpsConfig oc;
+    oc.dispatch.policy = DispatchPolicy::LeastQueued;
+    FleetOps fo(cfg, 2, oc, 7);
+    core::BulkRunOptions opts;
+    opts.failure_per_trip = 0.05;
+    auto lifetime = [&fo] {
+        std::uint64_t total = 0;
+        for (std::size_t t = 0; t < fo.fleet().numTracks(); ++t)
+            total += fo.fleet().track(t).ssdFailures();
+        return total;
+    };
+    for (int run = 0; run < 2; ++run) {
+        const std::uint64_t before = lifetime();
+        const auto r =
+            fo.runBulkTransfer(6.0 * cfg.cartCapacity().value(), opts);
+        EXPECT_GT(r.base.ssd_failures, 0u) << "run " << run;
+        EXPECT_EQ(r.base.ssd_failures, lifetime() - before)
+            << "run " << run;
+    }
+    Logger::global().setLevel(prev);
 }
 
 TEST(DispatcherTest, FleetOpsRejectsPipelinedRuns)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -112,4 +113,41 @@ TEST(DhlSimulationTest, RejectsBadDataset)
 {
     DhlSimulation sim(defaultConfig());
     EXPECT_THROW(sim.runBulkTransfer(0.0), dhl::FatalError);
+}
+
+TEST(CartSplitTest, ExactMultipleHasNoEmptyTailCart)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    const auto loads = splitIntoCarts(3.0 * cap, cap);
+    ASSERT_EQ(loads.size(), 3u);
+    for (const double load : loads)
+        EXPECT_EQ(load, cap);
+    DhlSimulation sim(defaultConfig());
+    EXPECT_EQ(sim.runBulkTransfer(3.0 * cap).carts, 3u);
+}
+
+TEST(CartSplitTest, OnlyTheLastCartIsPartial)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    const auto loads = splitIntoCarts(2.5 * cap, cap);
+    ASSERT_EQ(loads.size(), 3u);
+    EXPECT_EQ(loads[0], cap);
+    EXPECT_EQ(loads[1], cap);
+    EXPECT_EQ(loads[2], 0.5 * cap);
+}
+
+TEST(CartSplitTest, SubCartDatasetIsOneCart)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    const auto loads = splitIntoCarts(0.25 * cap, cap);
+    ASSERT_EQ(loads.size(), 1u);
+    EXPECT_EQ(loads[0], 0.25 * cap);
+}
+
+TEST(CartSplitTest, NonPositiveSizeIsFatal)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    EXPECT_THROW(splitIntoCarts(0.0, cap), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(-cap, cap), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(std::nan(""), cap), dhl::FatalError);
 }

@@ -37,7 +37,6 @@
 #include "cost/opex.hpp"
 #include "dhl/comparison.hpp"
 #include "dhl/config_io.hpp"
-#include "dhl/fleet.hpp"
 #include "dhl/reliability.hpp"
 #include "dhl/simulation.hpp"
 #include "exp/experiment_runner.hpp"
@@ -337,6 +336,8 @@ cmdSimulate(int argc, const char *const *argv)
                   << u::formatDuration(r.base.total_time) << "\n"
                   << "  energy        "
                   << u::formatEnergy(r.base.total_energy) << "\n"
+                  << "  power         "
+                  << u::formatPower(r.base.avg_power) << "\n"
                   << "  bandwidth     "
                   << u::formatBandwidth(r.base.effective_bandwidth)
                   << "\n"
@@ -358,7 +359,8 @@ cmdSimulate(int argc, const char *const *argv)
     core::DhlSimulation sim(cfg);
     if (args.provided("dump-trace"))
         sim.trace().enable();
-    opts.faults = fault_cfg;
+    if (fault_cfg.enabled)
+        sim.enableFaults(fault_cfg);
     const auto r = sim.runBulkTransfer(
         u::petabytes(args.getDouble("petabytes")), opts);
     std::cout << cfg.label() << " (DES):\n"
@@ -754,38 +756,6 @@ cmdIngest(int argc, const char *const *argv)
 }
 
 int
-cmdFleet(int argc, const char *const *argv)
-{
-    ArgParser args("dhl_cli fleet",
-                   "event-driven bulk move over K parallel tracks");
-    addConfigFlags(args);
-    args.addOption("petabytes", "dataset size, PB", "2.9");
-    args.addOption("tracks", "parallel DHL tracks", "2");
-    args.addSwitch("reads", "read each cart at the rack");
-    if (!args.parse(argc, argv, std::cout))
-        return 0;
-    const core::DhlConfig cfg = configFromFlags(args);
-    const std::size_t tracks = countFlag(args, "tracks");
-    core::DhlFleet fleet(cfg, tracks);
-    core::BulkRunOptions opts;
-    opts.include_read_time = args.getSwitch("reads");
-    const auto r = fleet.runBulkTransfer(
-        u::petabytes(args.getDouble("petabytes")), opts);
-    std::cout << tracks << " x " << cfg.label() << " (DES fleet):\n"
-              << "  carts         " << r.carts << "\n"
-              << "  launches      " << r.launches << "\n"
-              << "  time          " << u::formatDuration(r.total_time)
-              << "\n"
-              << "  energy        " << u::formatEnergy(r.total_energy)
-              << "\n"
-              << "  fleet power   " << u::formatPower(r.avg_power)
-              << "\n"
-              << "  bandwidth     "
-              << u::formatBandwidth(r.effective_bandwidth) << "\n";
-    return 0;
-}
-
-int
 cmdSweep(int argc, const char *const *argv)
 {
     ArgParser args("dhl_cli sweep",
@@ -993,14 +963,13 @@ usage(std::ostream &os)
        << "Commands:\n"
        << "  launch     single-launch metrics\n"
        << "  bulk       closed-form bulk move + route comparisons\n"
-       << "  simulate   event-driven bulk move\n"
+       << "  simulate   event-driven bulk move (--tracks N: a fleet)\n"
        << "  cost       materials cost (Table VIII)\n"
        << "  tco        capex + energy opex vs the network\n"
        << "  crossover  break-even dataset sizes (§V-E)\n"
        << "  ingest     training-epoch ingestion stalls\n"
        << "  sweep      Figure 6 power sweep (--jobs N parallel "
           "scenarios)\n"
-       << "  fleet      event-driven bulk move over parallel tracks\n"
        << "  serve      open-loop serving: staged load, per-stage "
           "SLOs,\n"
        << "             checkpoint/restore across DES epochs\n"
@@ -1037,8 +1006,6 @@ main(int argc, char **argv)
             return cmdIngest(argc - 1, argv + 1);
         if (cmd == "sweep")
             return cmdSweep(argc - 1, argv + 1);
-        if (cmd == "fleet")
-            return cmdFleet(argc - 1, argv + 1);
         if (cmd == "serve")
             return cmdServe(argc - 1, argv + 1);
         if (cmd == "plan")
