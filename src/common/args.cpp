@@ -5,6 +5,7 @@
 
 #include "common/args.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 
@@ -118,6 +119,10 @@ ArgParser::getDouble(const std::string &name) const
     const double d = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0')
         fatal("--" + name + " expects a number, got '" + v + "'");
+    // strtod also accepts nan and inf, and overflows such as 1e400 to
+    // inf; no option means any of them.
+    if (!std::isfinite(d))
+        fatal("--" + name + " expects a finite number, got '" + v + "'");
     return d;
 }
 

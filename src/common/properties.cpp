@@ -5,6 +5,7 @@
 
 #include "common/properties.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -90,6 +91,12 @@ Properties::getDouble(const std::string &key, double fallback) const
     const double d = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0')
         fatal("property '" + key + "' expects a number, got '" + v + "'");
+    // strtod also accepts nan and inf, and overflows such as 1e400 to
+    // inf; no property means any of them.
+    if (!std::isfinite(d)) {
+        fatal("property '" + key + "' expects a finite number, got '" + v +
+              "'");
+    }
     return d;
 }
 

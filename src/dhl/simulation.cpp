@@ -83,8 +83,11 @@ std::vector<double>
 splitIntoCarts(double bytes, double capacity)
 {
     fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
-    const auto n_carts =
-        static_cast<std::size_t>(std::ceil(bytes / capacity));
+    fatal_if(!std::isfinite(bytes), "bulk transfer size must be finite");
+    const double carts = std::ceil(bytes / capacity);
+    // Converting a count a size_t cannot hold is undefined behaviour.
+    fatal_if(!(carts < 0x1p64), "bulk transfer needs too many carts");
+    const auto n_carts = static_cast<std::size_t>(carts);
     std::vector<double> loads;
     loads.reserve(n_carts);
     double remaining = bytes;

@@ -61,7 +61,8 @@ struct BulkRunResult
 
 /**
  * The cart loads of a bulk move: ceil(@p bytes / @p capacity) carts,
- * every one full except the last.  fatal() unless bytes > 0.
+ * every one full except the last.  fatal() unless bytes is positive
+ * and finite and the cart count fits a size_t.
  */
 std::vector<double> splitIntoCarts(double bytes, double capacity);
 

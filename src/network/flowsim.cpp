@@ -2,28 +2,42 @@
  * @file
  * Implementation of the max-min fair fluid flow simulator.
  *
- * Three exact facts let the kernel work on path groups while staying
+ * Four exact facts let the kernel work on path groups while staying
  * bit-identical to the per-flow, id-ordered original:
  *
  *  (a) Flows with the same link list share a rate.  They cross the same
  *      links, so water-filling freezes them in the same round at the
  *      same share.  A link's unfrozen count is the sum of its groups'
  *      counts, and freezing a group applies `count` identical
- *      `residual -= share; clamp; allocated += share` steps to each of
- *      its links — the same sequence the per-flow loop produced, since
- *      within a round every step on a link uses the same share.
+ *      `residual -= share; clamp` steps to each of its links — the same
+ *      sequence the per-flow loop produced, since within a round every
+ *      step on a link uses the same share.  The matching
+ *      `allocated += share` steps are recorded as (share, count) in
+ *      freeze order and replayed only when linkUtilisation() asks.
  *  (b) The next completion can be found per group.  Correctly rounded
  *      division by a positive constant is monotone, so
  *      min_i(rem_i / r) == min_i(rem_i) / r exactly.
- *  (c) The drain is elementwise: rem = max(0, rem - rate·dt) per flow.
- *      It is also monotone in rem, so a group's minimum drains by the
- *      same formula without rescanning its members.
+ *  (c) The drain is elementwise: rem = max(0, rem - d) per flow, with
+ *      one d = fl(rate·dt) per group.  It is also monotone in rem, so a
+ *      group's minimum drains by the same formula without rescanning
+ *      its members.
+ *  (d) The completion test needs no per-flow division.  Each of its
+ *      three clauses (rem <= 1e-6, rem <= size·1e-9, rem / rate <= 1e-9)
+ *      is a down-set in rem, the last by the monotonicity in (b), so
+ *      their union is rem <= max(drainFloor(size), quotientBound(rate,
+ *      1e-9)): a per-flow floor fixed at start and a per-group bound.
+ *      The bound can only take a member if it takes the group's
+ *      smallest, so a completion event divides once per group (that
+ *      smallest by the rate) and finds the bound only for groups where
+ *      the division says it matters.
  */
 
 #include "network/flowsim.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -40,20 +54,52 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /** Absolute byte floor below which a flow counts as drained. */
 constexpr double kDrainEpsilon = 1e-6;
 
-/** True if the flow's residue is floating-point noise: either an
- *  absolute sliver, a sliver relative to the flow's size, or something
- *  its current rate clears in under a nanosecond. */
-bool
-drained(double remaining, double total, double rate)
+/** A residue the flow's rate clears in under this many seconds is
+ *  floating-point noise. */
+constexpr double kDrainHorizon = 1e-9;
+
+/**
+ * The neighbouring double of @p x: the next larger for @p dir = 1, the
+ * next smaller for -1.  For finite x >= 0 (x > 0 when stepping down),
+ * where consecutive doubles have consecutive bit patterns; the same
+ * result as std::nextafter, without its library call.
+ */
+double
+nextDouble(double x, std::int64_t dir)
 {
-    if (remaining <= kDrainEpsilon)
-        return true;
-    if (remaining <= total * 1e-9)
-        return true;
-    return rate > 0.0 && remaining / rate <= 1e-9;
+    std::int64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    bits += dir;
+    std::memcpy(&x, &bits, sizeof x);
+    return x;
 }
 
 } // namespace
+
+double
+drainFloor(double size)
+{
+    return std::max(kDrainEpsilon, size * 1e-9);
+}
+
+double
+quotientBound(double rate, double limit)
+{
+    // fl(rate·limit) / rate lands within a few ulps of limit; step to
+    // the edge of the down-set {x : x / rate <= limit}.
+    double t = rate * limit;
+    if (t / rate <= limit) {
+        for (double up = nextDouble(t, 1); up / rate <= limit;
+             up = nextDouble(up, 1)) {
+            t = up;
+        }
+    } else {
+        do {
+            t = nextDouble(t, -1);
+        } while (t / rate > limit);
+    }
+    return t;
+}
 
 FlowSim::FlowSim(sim::Simulator &sim, std::string name)
     : sim::SimObject(sim, std::move(name)),
@@ -78,7 +124,7 @@ int
 FlowSim::addLink(double capacity)
 {
     fatal_if(!(capacity > 0.0), "link capacity must be positive");
-    links_.push_back(Link{capacity, 0.0, {}, 0.0, 0});
+    links_.push_back(Link{capacity, {}, 0.0, 0});
     return static_cast<int>(links_.size()) - 1;
 }
 
@@ -112,7 +158,9 @@ FlowSim::internGroup(std::vector<int> &links)
     grp.links.assign(key.begin(), key.end());
     grp.rate = 0.0;
     grp.min_remaining = kInf;
-    grp.count = 0;
+    // Room for a few flows up front, so a new group does not regrow on
+    // each of its first starts (a recycled slot keeps its capacity).
+    grp.members.reserve(8);
     for (int l : grp.links)
         links_[static_cast<std::size_t>(l)].groups.push_back(g);
     return g;
@@ -137,19 +185,20 @@ FlowSim::startFlow(std::vector<int> links, double bytes, double route_power,
     fatal_if(links.empty(), "a flow needs at least one link");
     for (int l : links)
         fatal_if(l < 0 || l >= numLinks(), "flow references unknown link");
-    fatal_if(!(bytes > 0.0), "flow size must be positive");
-    fatal_if(route_power < 0.0, "route power must be non-negative");
+    fatal_if(!(bytes > 0.0) || !std::isfinite(bytes),
+             "flow size must be positive and finite");
+    fatal_if(!(route_power >= 0.0) || !std::isfinite(route_power),
+             "route power must be non-negative and finite");
 
     drainFlows();
 
     const std::uint32_t g = internGroup(links);
-    const FlowId id = next_id_++;
-    remaining_.push_back(bytes);
-    total_.push_back(bytes);
-    group_.push_back(g);
-    meta_.push_back(FlowMeta{id, route_power, now(), std::move(cb)});
     Group &grp = groups_[g];
-    ++grp.count;
+    const FlowId id = next_id_++;
+    meta_.push_back(FlowMeta{id, route_power, now(), bytes, std::move(cb), g,
+                             static_cast<std::uint32_t>(grp.count())});
+    grp.members.push_back(Member{bytes, drainFloor(bytes),
+                                 static_cast<std::uint32_t>(meta_.size() - 1)});
     grp.min_remaining = std::min(grp.min_remaining, bytes);
 
     active_power_ += route_power;
@@ -171,33 +220,24 @@ FlowSim::slotOf(FlowId id) const
 }
 
 void
-FlowSim::removeSlot(std::size_t slot)
+FlowSim::removeMember(std::uint32_t g, std::uint32_t index)
 {
-    const std::uint32_t g = group_[slot];
-    const std::size_t last = remaining_.size() - 1;
-    if (slot != last) {
-        remaining_[slot] = remaining_[last];
-        total_[slot] = total_[last];
-        group_[slot] = group_[last];
-        meta_[slot] = std::move(meta_[last]);
+    Group &grp = groups_[g];
+    const std::uint32_t slot = grp.members[index].meta;
+    if (index + 1 != grp.members.size()) {
+        grp.members[index] = grp.members.back();
+        meta_[grp.members[index].meta].index = index;
     }
-    remaining_.pop_back();
-    total_.pop_back();
-    group_.pop_back();
-    meta_.pop_back();
-    if (--groups_[g].count == 0)
-        retireGroup(g);
-}
+    grp.members.pop_back();
 
-void
-FlowSim::recomputeMinRemaining()
-{
-    for (Group &grp : groups_)
-        grp.min_remaining = kInf;
-    for (std::size_t i = 0; i < remaining_.size(); ++i) {
-        Group &grp = groups_[group_[i]];
-        grp.min_remaining = std::min(grp.min_remaining, remaining_[i]);
+    if (slot + 1 != meta_.size()) {
+        FlowMeta &m = meta_[slot];
+        m = std::move(meta_.back());
+        groups_[m.group].members[m.index].meta = slot;
     }
+    meta_.pop_back();
+    if (grp.members.empty())
+        retireGroup(g);
 }
 
 bool
@@ -210,11 +250,16 @@ FlowSim::cancelFlow(FlowId id)
     const FlowMeta &m = meta_[slot];
     active_power_ -= m.route_power;
     active_power_tstart_ -= m.route_power * m.start_time;
-    const std::uint32_t g = group_[slot];
-    const bool was_min = remaining_[slot] == groups_[g].min_remaining;
-    removeSlot(slot);
-    if (was_min && groups_[g].count > 0)
-        recomputeMinRemaining();
+    const std::uint32_t g = m.group;
+    Group &grp = groups_[g];
+    const bool was_min =
+        grp.members[m.index].remaining == grp.min_remaining;
+    removeMember(g, m.index);
+    if (was_min && !grp.members.empty()) {
+        grp.min_remaining = kInf;
+        for (const Member &f : grp.members)
+            grp.min_remaining = std::min(grp.min_remaining, f.remaining);
+    }
     reallocate();
     return true;
 }
@@ -224,7 +269,7 @@ FlowSim::flowRate(FlowId id) const
 {
     const std::size_t slot = slotOf(id);
     fatal_if(slot == meta_.size(), "unknown or finished flow");
-    return groups_[group_[slot]].rate;
+    return groups_[meta_[slot].group].rate;
 }
 
 double
@@ -237,8 +282,16 @@ double
 FlowSim::linkUtilisation(int link) const
 {
     fatal_if(link < 0 || link >= numLinks(), "link id out of range");
-    const Link &l = links_[static_cast<std::size_t>(link)];
-    return l.allocated / l.capacity;
+    // Fact (a): the per-flow kernel's `allocated += share` steps on this
+    // link, in the order water-filling froze them.
+    double allocated = 0.0;
+    for (const Freeze &f : freezes_) {
+        if (f.link != link)
+            continue;
+        for (int k = 0; k < f.flows; ++k)
+            allocated += f.share;
+    }
+    return allocated / links_[static_cast<std::size_t>(link)].capacity;
 }
 
 void
@@ -248,18 +301,15 @@ FlowSim::drainFlows()
     last_update_ = now();
     if (dt <= 0.0)
         return;
-    const std::size_t n = remaining_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        remaining_[i] = std::max(
-            0.0, remaining_[i] - groups_[group_[i]].rate * dt);
-    }
-    // Fact (c): the drain is monotone, so it maps each group's minimum
-    // to the minimum of the drained members.
     for (Group &grp : groups_) {
-        if (grp.count > 0) {
-            grp.min_remaining =
-                std::max(0.0, grp.min_remaining - grp.rate * dt);
-        }
+        if (grp.members.empty())
+            continue;
+        const double d = grp.rate * dt;
+        for (Member &f : grp.members)
+            f.remaining = std::max(0.0, f.remaining - d);
+        // Fact (c): the drain is monotone, so it maps the group's
+        // minimum to the minimum of the drained members.
+        grp.min_remaining = std::max(0.0, grp.min_remaining - d);
     }
 }
 
@@ -269,12 +319,11 @@ FlowSim::reallocate()
     simulator().cancel(completion_event_);
     completion_event_ = sim::EventHandle();
 
-    if (remaining_.empty()) {
+    freezes_.clear();
+    if (meta_.empty()) {
         // Clamp floating-point residue in the maintained aggregates.
         active_power_ = 0.0;
         active_power_tstart_ = 0.0;
-        for (auto &l : links_)
-            l.allocated = 0.0;
         return;
     }
 
@@ -283,18 +332,17 @@ FlowSim::reallocate()
     // flow), fix its groups at that fair share, and continue with the
     // remaining capacity.
     for (auto &l : links_) {
-        l.allocated = 0.0;
         l.residual = l.capacity;
         l.unfrozen = 0;
     }
     std::size_t unfrozen_groups = 0;
     for (Group &grp : groups_) {
-        if (grp.count == 0)
+        if (grp.members.empty())
             continue;
         grp.rate = -1.0; // unfrozen marker
         ++unfrozen_groups;
         for (int l : grp.links)
-            links_[static_cast<std::size_t>(l)].unfrozen += grp.count;
+            links_[static_cast<std::size_t>(l)].unfrozen += grp.count();
     }
 
     while (unfrozen_groups > 0) {
@@ -327,17 +375,15 @@ FlowSim::reallocate()
                 // Fact (a): one step per member flow.  A link whose
                 // last unfrozen flows freeze here never has its
                 // residual read again before the next reset.
+                const int count = grp.count();
                 for (int fl : grp.links) {
                     Link &m = links_[static_cast<std::size_t>(fl)];
-                    m.unfrozen -= grp.count;
-                    double allocated = m.allocated;
-                    for (int k = 0; k < grp.count; ++k)
-                        allocated += share;
-                    m.allocated = allocated;
+                    m.unfrozen -= count;
+                    freezes_.push_back(Freeze{fl, count, share});
                     if (m.unfrozen == 0)
                         continue;
                     double residual = m.residual;
-                    for (int k = 0; k < grp.count; ++k) {
+                    for (int k = 0; k < count; ++k) {
                         residual -= share;
                         if (residual < 0.0)
                             residual = 0.0;
@@ -352,7 +398,7 @@ FlowSim::reallocate()
     // Schedule the next completion (fact (b)).
     double next = kInf;
     for (const Group &grp : groups_) {
-        if (grp.count == 0)
+        if (grp.members.empty())
             continue;
         panic_if(grp.rate <= 0.0, "flow allocated a non-positive rate");
         next = std::min(next, grp.min_remaining / grp.rate);
@@ -364,54 +410,72 @@ FlowSim::reallocate()
 void
 FlowSim::onCompletionEvent()
 {
-    // One pass: drain to now(), collect the drained flows, and take
-    // each group's minimum over the flows that stay.
+    // One pass per group: drain to now(), collect the drained flows, and
+    // take the group's minimum over the flows that stay.
     const double dt = now() - last_update_;
     last_update_ = now();
-    for (Group &grp : groups_)
-        grp.min_remaining = kInf;
     done_.clear();
-    const std::size_t n = remaining_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        Group &grp = groups_[group_[i]];
-        double rem = remaining_[i];
-        if (dt > 0.0) {
-            rem = std::max(0.0, rem - grp.rate * dt);
-            remaining_[i] = rem;
+    // Drain group g's members by d bytes, collect those left with at
+    // most max(floor, below) bytes, and take the minimum of the rest.
+    const auto sweep = [this](std::uint32_t g, double d, double below) {
+        Group &grp = groups_[g];
+        double lo = kInf;
+        const std::size_t n = grp.members.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            Member &f = grp.members[k];
+            const double rem = std::max(0.0, f.remaining - d);
+            f.remaining = rem;
+            if (rem <= std::max(f.floor, below)) {
+                done_.push_back(
+                    Done{meta_[f.meta].id, g, static_cast<std::uint32_t>(k)});
+            } else {
+                lo = std::min(lo, rem);
+            }
         }
-        if (drained(rem, total_[i], grp.rate))
-            done_.push_back(i);
-        else
-            grp.min_remaining = std::min(grp.min_remaining, rem);
+        grp.min_remaining = lo;
+    };
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+        const Group &grp = groups_[g];
+        if (grp.members.empty())
+            continue;
+        const double d = grp.rate * dt;
+        // Fact (d): the rate clause takes a member only if it takes the
+        // group's smallest, which drains to max(0, min - d) (fact (c)).
+        // Otherwise the floors alone decide, and 0 stands in for the
+        // bound (every floor is positive).
+        const double lowest = std::max(0.0, grp.min_remaining - d);
+        const double below = lowest / grp.rate <= kDrainHorizon
+                                 ? quotientBound(grp.rate, kDrainHorizon)
+                                 : 0.0;
+        sweep(g, d, below);
     }
-    const bool forced = done_.empty();
-    if (forced) {
+    if (done_.empty()) {
         // Pure floating-point jitter: the scheduled completion landed a
         // hair before the flow's residue cleared.  Force-complete the
-        // flow(s) that are next to finish rather than spinning.
+        // flow(s) that are next to finish rather than spinning.  Every
+        // flow is above its floor here, so max(floor, bound) is the
+        // bound and the sweep takes exactly rem / rate <= limit.
         double min_tt = kInf;
         for (const Group &grp : groups_) {
-            if (grp.count > 0)
+            if (!grp.members.empty())
                 min_tt = std::min(min_tt, grp.min_remaining / grp.rate);
         }
         panic_if(!std::isfinite(min_tt) || min_tt > 1e-6,
                  "completion event fired with no flow near completion");
-        for (std::size_t i = 0; i < n; ++i) {
-            if (remaining_[i] / groups_[group_[i]].rate <=
-                min_tt * (1.0 + 1e-9)) {
-                done_.push_back(i);
-            }
+        const double limit = min_tt * (1.0 + 1e-9);
+        for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+            const Group &grp = groups_[g];
+            if (!grp.members.empty())
+                sweep(g, 0.0, quotientBound(grp.rate, limit));
         }
     }
 
     // The power aggregates and the callbacks see the completed flows in
     // flow-id order, as the per-flow kernel did.
     std::sort(done_.begin(), done_.end(),
-              [this](std::size_t a, std::size_t b) {
-                  return meta_[a].id < meta_[b].id;
-              });
-    for (const std::size_t slot : done_) {
-        FlowMeta &m = meta_[slot];
+              [](const Done &a, const Done &b) { return a.id < b.id; });
+    for (const Done &dn : done_) {
+        FlowMeta &m = meta_[groups_[dn.group].members[dn.index].meta];
         active_power_ -= m.route_power;
         active_power_tstart_ -= m.route_power * m.start_time;
         FlowRecord rec{};
@@ -419,15 +483,16 @@ FlowSim::onCompletionEvent()
         rec.start_time = m.start_time;
         rec.finish_time = now();
         rec.energy = m.route_power * (now() - m.start_time);
-        rec.bytes = total_[slot];
+        rec.bytes = m.size;
         finished_.emplace_back(rec, std::move(m.cb));
     }
-    // Highest slot first, so no swap moves a flow still to be removed.
-    std::sort(done_.begin(), done_.end(), std::greater<>());
-    for (const std::size_t slot : done_)
-        removeSlot(slot);
-    if (forced)
-        recomputeMinRemaining();
+    // Highest member index first, so no swap moves a flow still to be
+    // removed.
+    std::sort(done_.begin(), done_.end(), [](const Done &a, const Done &b) {
+        return a.index > b.index;
+    });
+    for (const Done &dn : done_)
+        removeMember(dn.group, dn.index);
 
     // Callbacks may start new flows.
     for (auto &[rec, cb] : finished_) {

@@ -11,15 +11,16 @@
  * model cannot (bulk backups squeezing foreground traffic, the paper's
  * §II motivation).
  *
- * Path groups (see DESIGN.md §"Kernel internals"): flows with the same
- * link list always receive the same max-min rate, so rates live on an
- * interned path group carrying a live-flow count, and water-filling
- * runs over groups instead of flows.  The per-flow hot state
- * (remaining bytes, size, group) sits in dense slot arrays, so each
- * event costs one streaming pass over the in-flight flows plus a
- * water-filling over the live groups.  Groups are retired when their
- * last flow leaves, so the cost tracks the active paths, not every
- * path ever seen.
+ * Path groups (see DESIGN.md §7): flows with the same link list always
+ * receive the same max-min rate, so rates live on an interned path
+ * group, and water-filling runs over groups instead of flows.  Each
+ * group also owns its members' hot state (remaining bytes, drain floor,
+ * cold-state slot) in one contiguous array, so the drain and completion
+ * passes walk one group at a time with its rate hoisted, and the
+ * completion test is one comparison per flow against a threshold
+ * instead of a division.  Groups are retired when their last flow
+ * leaves, so the cost tracks the active paths, not every path ever
+ * seen.
  *
  * Determinism: every rate, finish time and energy is bit-identical to
  * the original per-flow, id-ordered kernel (tests/flowsim_reference.hpp
@@ -61,6 +62,20 @@ struct FlowRecord
     double avgBandwidth() const { return bytes / duration(); }
 };
 
+/**
+ * Byte floor at or below which a flow of @p size bytes counts as
+ * drained: max(1e-6, size·1e-9), an absolute or a relative sliver.
+ */
+double drainFloor(double size);
+
+/**
+ * The largest double T with T / @p rate <= @p limit, for positive
+ * finite @p rate and @p limit.  Correctly rounded division by a
+ * positive number is monotone, so for every double x,
+ * x / rate <= limit exactly when x <= T.
+ */
+double quotientBound(double rate, double limit);
+
 /** The fluid flow simulator. */
 class FlowSim : public sim::SimObject
 {
@@ -81,8 +96,9 @@ class FlowSim : public sim::SimObject
      * Start a flow of @p bytes over the given links.
      *
      * @param links        Link ids in hop order (at least one).
-     * @param bytes        Flow size, bytes (> 0).
-     * @param route_power  Electrical power attributed while active, W.
+     * @param bytes        Flow size, bytes (finite, > 0).
+     * @param route_power  Electrical power attributed while active, W
+     *                     (finite, >= 0).
      * @param cb           Invoked at completion (may be null).
      * @return The flow id.
      */
@@ -100,7 +116,7 @@ class FlowSim : public sim::SimObject
     double flowRate(FlowId id) const;
 
     /** Number of in-flight flows. */
-    std::size_t activeFlows() const { return remaining_.size(); }
+    std::size_t activeFlows() const { return meta_.size(); }
 
     /** Number of distinct link lists among the in-flight flows (the
      *  live path groups); 0 once every flow has finished. */
@@ -117,23 +133,39 @@ class FlowSim : public sim::SimObject
      */
     double totalEnergy() const;
 
-    /** Utilisation of a link right now, in [0, 1].  O(1). */
+    /**
+     * Utilisation of a link right now, in [0, 1].  Replays the last
+     * water-filling's freezes: O(freezes + flows frozen on the link).
+     */
     double linkUtilisation(int link) const;
 
   private:
-    /** Flows sharing one link list, hence one max-min rate. */
+    /** Hot state of one in-flight flow, held by its group. */
+    struct Member
+    {
+        double remaining;   ///< Bytes left.
+        double floor;       ///< drainFloor(size).
+        std::uint32_t meta; ///< Slot of the flow's cold state in meta_.
+    };
+
+    /**
+     * Flows sharing one link list, hence one max-min rate.  Members are
+     * swap-removed (member order is not id order); a group with no
+     * members is a free slot.
+     */
     struct Group
     {
         std::vector<int> links; ///< The shared path, hop order.
         double rate;            ///< Rate of every member flow, bytes/s.
         double min_remaining;   ///< Smallest remaining bytes of a member.
-        int count;              ///< Live member flows; 0 = free slot.
+        std::vector<Member> members;
+
+        int count() const { return static_cast<int>(members.size()); }
     };
 
     struct Link
     {
         double capacity;
-        double allocated; ///< Σ current rates of flows on this link.
         /** Live groups crossing this link (once per occurrence in the
          *  group's path; order is immaterial). */
         std::vector<std::uint32_t> groups;
@@ -143,13 +175,33 @@ class FlowSim : public sim::SimObject
         int unfrozen;
     };
 
-    /** Cold per-flow state, slot-parallel to the hot arrays. */
+    /** @p flows flows frozen at @p share on @p link, one water-filling
+     *  step of the utilisation sum linkUtilisation() replays. */
+    struct Freeze
+    {
+        int link;
+        int flows;
+        double share;
+    };
+
+    /** Cold per-flow state, in dense swap-removed slots. */
     struct FlowMeta
     {
         FlowId id;
         double route_power;
         double start_time;
+        double size; ///< Bytes the flow carries.
         Callback cb;
+        std::uint32_t group; ///< Group holding the flow's hot state...
+        std::uint32_t index; ///< ...and its index among the members.
+    };
+
+    /** A drained flow found by a completion pass. */
+    struct Done
+    {
+        FlowId id;
+        std::uint32_t group;
+        std::uint32_t index;
     };
 
     /** Group of the link list @p links, creating it if new; may move
@@ -159,14 +211,13 @@ class FlowSim : public sim::SimObject
     /** Release group @p g (its last flow left). */
     void retireGroup(std::uint32_t g);
 
-    /** Slot of flow @p id, or activeFlows() if it is not in flight. */
+    /** Slot of flow @p id in meta_, or activeFlows() if it is not in
+     *  flight. */
     std::size_t slotOf(FlowId id) const;
 
-    /** Swap-remove the flow in @p slot, retiring its group if empty. */
-    void removeSlot(std::size_t slot);
-
-    /** Recompute every live group's min_remaining from the flows. */
-    void recomputeMinRemaining();
+    /** Swap-remove member @p index of group @p g and its cold state,
+     *  retiring the group if it empties. */
+    void removeMember(std::uint32_t g, std::uint32_t index);
 
     /** Drain every active flow's remaining bytes to now(). */
     void drainFlows();
@@ -178,20 +229,18 @@ class FlowSim : public sim::SimObject
     void onCompletionEvent();
 
     std::vector<Link> links_;
+    /** The last water-filling's freezes, in freeze order. */
+    std::vector<Freeze> freezes_;
 
-    // Per-flow state in dense slots (swap-removed; slot order is not
-    // id order).
-    std::vector<double> remaining_;
-    std::vector<double> total_;
-    std::vector<std::uint32_t> group_;
+    // Cold per-flow state (swap-removed; slot order is not id order).
     std::vector<FlowMeta> meta_;
 
-    std::vector<Group> groups_;                ///< Slots; count 0 = free.
-    std::vector<std::uint32_t> free_groups_;   ///< Free group slots.
+    std::vector<Group> groups_;              ///< Slots; empty = free.
+    std::vector<std::uint32_t> free_groups_; ///< Free group slots.
     std::map<std::vector<int>, std::uint32_t> group_index_; ///< Live.
     // Completion scratch, kept across events so its capacity is reused:
-    // drained slots, then their records.
-    std::vector<std::size_t> done_;
+    // drained flows, then their records.
+    std::vector<Done> done_;
     std::vector<std::pair<FlowRecord, Callback>> finished_;
 
     FlowId next_id_;

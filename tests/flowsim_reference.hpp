@@ -29,6 +29,23 @@ namespace dhl {
 namespace network {
 namespace reference {
 
+/**
+ * The original completion test: true if the flow's residue is
+ * floating-point noise — an absolute sliver, a sliver relative to the
+ * flow's size, or something its current rate clears in under a
+ * nanosecond.  network::FlowSim replaces it with one comparison
+ * against max(drainFloor(total), quotientBound(rate, 1e-9)).
+ */
+inline bool
+drained(double remaining, double total, double rate)
+{
+    if (remaining <= 1e-6)
+        return true;
+    if (remaining <= total * 1e-9)
+        return true;
+    return rate > 0.0 && remaining / rate <= 1e-9;
+}
+
 /** The map-based kernel; same public surface as network::FlowSim. */
 class FlowSim
 {
@@ -99,6 +116,13 @@ class FlowSim
                active_power_tstart_;
     }
 
+    /** Completions that only the size·1e-9 floor declared drained. */
+    std::size_t
+    sizeFloorCompletions() const
+    {
+        return size_floor_completions_;
+    }
+
     double
     linkUtilisation(int link) const
     {
@@ -127,16 +151,6 @@ class FlowSim
         double residual;
         int unfrozen;
     };
-
-    static bool
-    drained(double remaining, double total, double rate)
-    {
-        if (remaining <= 1e-6)
-            return true;
-        if (remaining <= total * 1e-9)
-            return true;
-        return rate > 0.0 && remaining / rate <= 1e-9;
-    }
 
     void
     drainFlows()
@@ -242,6 +256,8 @@ class FlowSim
         for (auto it = flows_.begin(); it != flows_.end();) {
             Flow &f = it->second;
             if (drained(f.remaining, f.total, f.rate)) {
+                size_floor_completions_ +=
+                    f.remaining > 1e-6 && f.remaining / f.rate > 1e-9;
                 detachFlow(f);
                 done.push_back(std::move(f));
                 it = flows_.erase(it);
@@ -294,6 +310,7 @@ class FlowSim
     double finished_energy_ = 0.0;
     double active_power_ = 0.0;
     double active_power_tstart_ = 0.0;
+    std::size_t size_floor_completions_ = 0;
     sim::EventHandle completion_event_;
 };
 

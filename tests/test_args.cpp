@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/args.hpp"
@@ -131,6 +132,30 @@ TEST(ArgParserTest, Errors)
         EXPECT_THROW(args.addOption("x", "again"), dhl::FatalError);
         EXPECT_THROW(args.addSwitch("x", "again"), dhl::FatalError);
     }
+}
+
+TEST(ArgParserTest, RejectsNonFiniteDoubles)
+{
+    for (const char *bad : {"nan", "inf", "-inf", "1e400", "-1e400"}) {
+        ArgParser args("prog", "t");
+        args.addOption("petabytes", "PB", "1");
+        std::ostringstream os;
+        EXPECT_TRUE(parse(args, {"--petabytes", bad}, os));
+        try {
+            args.getDouble("petabytes");
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const dhl::FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("--petabytes expects a finite number, "
+                                  "got '") + bad + "'");
+        }
+    }
+    // Finite extremes still parse.
+    ArgParser args("prog", "t");
+    args.addOption("x", "x", "0");
+    std::ostringstream os;
+    EXPECT_TRUE(parse(args, {"--x", "1.7e308"}, os));
+    EXPECT_DOUBLE_EQ(args.getDouble("x"), 1.7e308);
 }
 
 TEST(ArgParserTest, IntegerParsing)

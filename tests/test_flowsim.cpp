@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -186,6 +188,14 @@ TEST(FlowSimTest, RejectsBadArguments)
     EXPECT_THROW(fs.startFlow({l + 7}, 100.0), dhl::FatalError);
     EXPECT_THROW(fs.startFlow({l}, 0.0), dhl::FatalError);
     EXPECT_THROW(fs.startFlow({l}, 100.0, -1.0), dhl::FatalError);
+    // Non-finite sizes and powers: a NaN power fails no `< 0` test.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(fs.startFlow({l}, inf), dhl::FatalError);
+    EXPECT_THROW(fs.startFlow({l}, nan), dhl::FatalError);
+    EXPECT_THROW(fs.startFlow({l}, 100.0, inf), dhl::FatalError);
+    EXPECT_THROW(fs.startFlow({l}, 100.0, nan), dhl::FatalError);
+    EXPECT_EQ(fs.activeFlows(), 0u);
     EXPECT_THROW(fs.flowRate(999), dhl::FatalError);
     EXPECT_THROW(fs.linkCapacity(-1), dhl::FatalError);
 }
@@ -245,8 +255,28 @@ TEST(FlowSimTest, ThreeLinkContentionRatesAreExactlyDeterministic)
 
 namespace {
 
+/** Link capacities and flow sizes a differential workload draws from. */
+struct Scale
+{
+    double capacities[4]; ///< bytes/s
+    double sizes[6];      ///< bytes
+};
+
+/** Kilobyte flows on slow links: the size·1e-9 floor sits below the
+ *  absolute 1e-6 B floor. */
+constexpr Scale kByteScale{{100.0, 300.0, 1000.0, 64.0},
+                           {1000.0, 1000.0, 2500.0, 4096.0, 1234.5, 300.0}};
+
+/** Gigabyte flows on 100 Gbit/s links: size·1e-9 is bytes, so it, not
+ *  the absolute floor, competes with the rate bound.  Sizes a few bytes
+ *  apart leave that residue on one flow when its twin completes. */
+constexpr Scale kGigabyteScale{
+    {12.5e9, 12.5e9, 12.5e9, 12.5e9},
+    {1e9, 1e9 + 0.75, 2.5e9, 4.096e9, 4.096e9 + 3.5, 1234567890.5}};
+
 /**
- * Drive @p Kernel through a seeded random multi-link workload and
+ * Drive @p Kernel through a seeded random multi-link workload at
+ * @p scale and
  * return every observable as hexfloat text: the rate of each flow at
  * start, each completion's finish time and energy, mid-run link
  * utilisation reads (from scripted events and from inside completion
@@ -262,7 +292,9 @@ namespace {
  */
 template <typename Kernel>
 std::string
-differentialRun(std::uint64_t seed, std::size_t *groups_left = nullptr)
+differentialRun(std::uint64_t seed, const Scale &scale,
+                std::size_t *groups_left = nullptr,
+                std::size_t *size_floor_completions = nullptr)
 {
     std::mt19937_64 rng(seed);
     const auto pick = [&rng](std::size_t n) {
@@ -271,10 +303,9 @@ differentialRun(std::uint64_t seed, std::size_t *groups_left = nullptr)
 
     Simulator sim;
     Kernel fs(sim);
-    const double capacities[] = {100.0, 300.0, 1000.0, 64.0};
     const int n_links = 2 + static_cast<int>(pick(5));
     for (int l = 0; l < n_links; ++l)
-        fs.addLink(capacities[pick(4)]);
+        fs.addLink(scale.capacities[pick(4)]);
 
     std::vector<std::vector<int>> paths(2 + pick(6));
     for (auto &path : paths) {
@@ -282,8 +313,7 @@ differentialRun(std::uint64_t seed, std::size_t *groups_left = nullptr)
         for (std::size_t h = 0; h < hops; ++h)
             path.push_back(static_cast<int>(pick(n_links)));
     }
-    const double sizes[] = {1000.0, 1000.0, 2500.0, 4096.0, 1234.5,
-                            300.0};
+    const double *sizes = scale.sizes;
     const double powers[] = {0.0, 24.0, 7.5};
 
     std::ostringstream out;
@@ -347,6 +377,9 @@ differentialRun(std::uint64_t seed, std::size_t *groups_left = nullptr)
     if constexpr (std::is_same_v<Kernel, FlowSim>) {
         if (groups_left != nullptr)
             *groups_left = fs.pathGroups();
+    } else {
+        if (size_floor_completions != nullptr)
+            *size_floor_completions = fs.sizeFloorCompletions();
     }
     return out.str();
 }
@@ -359,8 +392,9 @@ TEST(FlowSimDifferential, BitIdenticalToReferenceKernel)
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
         std::size_t groups_left = 99;
         const std::string want =
-            differentialRun<reference::FlowSim>(seed);
-        const std::string got = differentialRun<FlowSim>(seed, &groups_left);
+            differentialRun<reference::FlowSim>(seed, kByteScale);
+        const std::string got =
+            differentialRun<FlowSim>(seed, kByteScale, &groups_left);
         ASSERT_EQ(want, got) << "seed " << seed;
         EXPECT_EQ(groups_left, 0u) << "seed " << seed;
         for (std::size_t i = 0; i < got.size(); ++i) {
@@ -372,4 +406,107 @@ TEST(FlowSimDifferential, BitIdenticalToReferenceKernel)
     // The workload must actually exercise the kernel.
     EXPECT_GT(flows, 10000u);
     EXPECT_GT(completions, 10000u);
+}
+
+TEST(FlowSimDifferential, GigabyteFlowsBitIdenticalToReferenceKernel)
+{
+    // At GB sizes the size·1e-9 floor is about a byte, far above the
+    // absolute 1e-6 B floor, so it is the floor that competes with the
+    // rate bound when a completion is judged.
+    std::size_t completions = 0, size_floor = 0;
+    for (std::uint64_t seed = 1001; seed <= 1100; ++seed) {
+        std::size_t groups_left = 99, hits = 0;
+        const std::string want = differentialRun<reference::FlowSim>(
+            seed, kGigabyteScale, nullptr, &hits);
+        const std::string got =
+            differentialRun<FlowSim>(seed, kGigabyteScale, &groups_left);
+        ASSERT_EQ(want, got) << "seed " << seed;
+        EXPECT_EQ(groups_left, 0u) << "seed " << seed;
+        size_floor += hits;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            completions += (i == 0 || got[i - 1] == '\n') && got[i] == 'd';
+    }
+    EXPECT_GT(completions, 5000u);
+    // Some completions are decided by the size floor alone.
+    EXPECT_GT(size_floor, 0u);
+}
+
+//===========================================================================
+// The division-free completion test
+//===========================================================================
+
+TEST(FlowSimThreshold, QuotientBoundIsTheExactEdge)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto check = [inf](double rate, double limit) {
+        const double t = quotientBound(rate, limit);
+        EXPECT_LE(t / rate, limit) << std::hexfloat << rate << " " << limit;
+        EXPECT_GT(std::nextafter(t, inf) / rate, limit)
+            << std::hexfloat << rate << " " << limit;
+    };
+    // Log-uniform rates over the range a fabric can carry.
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> exponent(-3.0, 13.0);
+    for (int i = 0; i < 100000; ++i)
+        check(std::pow(10.0, exponent(rng)), 1e-9);
+    // Edge rates: the range ends and their neighbours, powers of two,
+    // link capacities and their fair shares.
+    for (const double rate :
+         {1e-3, 1e13, std::nextafter(1e-3, inf), std::nextafter(1e13, 0.0),
+          1.0, 0.5, 2.0, 1024.0, 0x1p-10, 0x1p40, 64.0, 100.0, 300.0,
+          1000.0, 12.5e9, 12.5e9 / 3.0, 12.5e9 / 7.0, 12.5e9 / 800.0,
+          50e9, 50e9 / 3.0, 1e9 + 1.0, 3.0, 0.1, 1e-9, 1e9}) {
+        check(rate, 1e-9);
+    }
+    // The forced-completion path asks for other limits.
+    std::uniform_real_distribution<double> lim_exp(-15.0, -6.0);
+    for (int i = 0; i < 10000; ++i) {
+        const double limit = std::pow(10.0, lim_exp(rng)) * (1.0 + 1e-9);
+        check(std::pow(10.0, exponent(rng)), limit);
+    }
+}
+
+TEST(FlowSimThreshold, CompletionTestMatchesThreeWayOracle)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto fast = [](double rem, double total, double rate) {
+        return rem <= std::max(drainFloor(total),
+                               quotientBound(rate, 1e-9));
+    };
+    std::size_t checked = 0, drained = 0;
+    const auto agree = [&](double rem, double total, double rate) {
+        const bool want = reference::drained(rem, total, rate);
+        ASSERT_EQ(fast(rem, total, rate), want)
+            << std::hexfloat << rem << " " << total << " " << rate;
+        ++checked;
+        drained += want;
+    };
+    std::mt19937_64 rng(11);
+    std::uniform_real_distribution<double> rate_exp(-3.0, 13.0);
+    std::uniform_real_distribution<double> total_exp(0.0, 13.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 20000; ++i) {
+        const double rate = std::pow(10.0, rate_exp(rng));
+        const double total = std::pow(10.0, total_exp(rng));
+        // Each clause's boundary and its neighbouring doubles.
+        for (const double edge :
+             {1e-6, total * 1e-9, rate * 1e-9,
+              quotientBound(rate, 1e-9)}) {
+            double below = edge, above = edge;
+            for (int k = 0; k < 3; ++k) {
+                agree(below, total, rate);
+                agree(above, total, rate);
+                below = std::nextafter(below, 0.0);
+                above = std::nextafter(above, inf);
+            }
+        }
+        // And a spread of residues from nothing to the whole flow.
+        agree(0.0, total, rate);
+        agree(total, total, rate);
+        agree(total * std::pow(unit(rng), 8.0), total, rate);
+    }
+    EXPECT_GT(checked, 500000u);
+    // Both outcomes occur.
+    EXPECT_GT(drained, 0u);
+    EXPECT_LT(drained, checked);
 }

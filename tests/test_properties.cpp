@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "common/logging.hpp"
 #include "common/properties.hpp"
@@ -43,6 +44,25 @@ TEST(PropertiesTest, TypedAccessors)
     EXPECT_THROW(props.getDouble("bad", 0.0), dhl::FatalError);
     EXPECT_THROW(props.getInt("bad", 0), dhl::FatalError);
     EXPECT_THROW(props.getBool("bad", false), dhl::FatalError);
+}
+
+TEST(PropertiesTest, RejectsNonFiniteDoubles)
+{
+    const auto props = Properties::fromString(
+        "a = nan\nb = inf\nc = -inf\nd = 1e400\ne = 1e-400\n");
+    for (const char *key : {"a", "b", "c", "d"}) {
+        try {
+            props.getDouble(key, 0.0);
+            ADD_FAILURE() << "accepted key " << key;
+        } catch (const dhl::FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("property '") + key +
+                          "' expects a finite number, got '" +
+                          props.get(key) + "'");
+        }
+    }
+    // An underflow is finite and still parses.
+    EXPECT_GE(props.getDouble("e", 1.0), 0.0);
 }
 
 TEST(PropertiesTest, SettersAndRoundTrip)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -150,4 +151,13 @@ TEST(CartSplitTest, NonPositiveSizeIsFatal)
     EXPECT_THROW(splitIntoCarts(0.0, cap), dhl::FatalError);
     EXPECT_THROW(splitIntoCarts(-cap, cap), dhl::FatalError);
     EXPECT_THROW(splitIntoCarts(std::nan(""), cap), dhl::FatalError);
+}
+
+TEST(CartSplitTest, NonFiniteSizeIsFatal)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(splitIntoCarts(inf, cap), dhl::FatalError);
+    // Finite, but more carts than a size_t can count.
+    EXPECT_THROW(splitIntoCarts(1e300, cap), dhl::FatalError);
 }
