@@ -116,12 +116,17 @@ class FlowSim
                active_power_tstart_;
     }
 
-    /** Completions that only the size·1e-9 floor declared drained. */
-    std::size_t
-    sizeFloorCompletions() const
+    /** How often two rarely taken completion paths ran. */
+    struct Counts
     {
-        return size_floor_completions_;
-    }
+        /** Flows only the size·1e-9 floor declared drained. */
+        std::size_t size_floor = 0;
+        /** Completion events that found no drained flow and forced the
+         *  next-to-finish ones out. */
+        std::size_t forced = 0;
+    };
+
+    const Counts &counts() const { return counts_; }
 
     double
     linkUtilisation(int link) const
@@ -256,7 +261,7 @@ class FlowSim
         for (auto it = flows_.begin(); it != flows_.end();) {
             Flow &f = it->second;
             if (drained(f.remaining, f.total, f.rate)) {
-                size_floor_completions_ +=
+                counts_.size_floor +=
                     f.remaining > 1e-6 && f.remaining / f.rate > 1e-9;
                 detachFlow(f);
                 done.push_back(std::move(f));
@@ -266,6 +271,7 @@ class FlowSim
             }
         }
         if (done.empty()) {
+            ++counts_.forced;
             double min_tt = std::numeric_limits<double>::infinity();
             for (const auto &[id, f] : flows_) {
                 (void)id;
@@ -310,7 +316,7 @@ class FlowSim
     double finished_energy_ = 0.0;
     double active_power_ = 0.0;
     double active_power_tstart_ = 0.0;
-    std::size_t size_floor_completions_ = 0;
+    Counts counts_;
     sim::EventHandle completion_event_;
 };
 

@@ -260,12 +260,21 @@ struct Scale
 {
     double capacities[4]; ///< bytes/s
     double sizes[6];      ///< bytes
+    double epoch = 0.0;   ///< s added to every scripted time
 };
 
 /** Kilobyte flows on slow links: the size·1e-9 floor sits below the
  *  absolute 1e-6 B floor. */
 constexpr Scale kByteScale{{100.0, 300.0, 1000.0, 64.0},
                            {1000.0, 1000.0, 2500.0, 4096.0, 1234.5, 300.0}};
+
+/** The byte scale a billion seconds in: the clock's ulp (~1.2e-7 s)
+ *  leaves residues a scheduled completion does not clear, so the
+ *  forced-completion path runs. */
+constexpr Scale kLateClockScale{
+    {100.0, 300.0, 1000.0, 64.0},
+    {1000.0, 1000.0, 2500.0, 4096.0, 1234.5, 300.0},
+    1e9};
 
 /** Gigabyte flows on 100 Gbit/s links: size·1e-9 is bytes, so it, not
  *  the absolute floor, competes with the rate bound.  Sizes a few bytes
@@ -294,7 +303,7 @@ template <typename Kernel>
 std::string
 differentialRun(std::uint64_t seed, const Scale &scale,
                 std::size_t *groups_left = nullptr,
-                std::size_t *size_floor_completions = nullptr)
+                reference::FlowSim::Counts *counts = nullptr)
 {
     std::mt19937_64 rng(seed);
     const auto pick = [&rng](std::size_t n) {
@@ -348,13 +357,13 @@ differentialRun(std::uint64_t seed, const Scale &scale,
             const double bytes = sizes[pick(6)];
             const double power = powers[pick(3)];
             const std::size_t copies = kind < 3 ? 2 + pick(3) : 1;
-            sim.scheduleAt(t, [&, path, bytes, power, copies] {
+            sim.scheduleAt(scale.epoch + t, [&, path, bytes, power, copies] {
                 for (std::size_t c = 0; c < copies; ++c)
                     start(path, bytes, power);
             });
         } else if (kind < 15) {
             const std::size_t which = pick(1000);
-            sim.scheduleAt(t, [&, which] {
+            sim.scheduleAt(scale.epoch + t, [&, which] {
                 if (started.empty())
                     return;
                 const FlowId id = started[which % started.size()];
@@ -362,7 +371,7 @@ differentialRun(std::uint64_t seed, const Scale &scale,
             });
         } else {
             const int l = static_cast<int>(pick(n_links));
-            sim.scheduleAt(t, [&, l] {
+            sim.scheduleAt(scale.epoch + t, [&, l] {
                 out << "u" << l << " " << fs.linkUtilisation(l) << " "
                     << fs.activeFlows() << " " << fs.totalEnergy()
                     << "\n";
@@ -378,8 +387,8 @@ differentialRun(std::uint64_t seed, const Scale &scale,
         if (groups_left != nullptr)
             *groups_left = fs.pathGroups();
     } else {
-        if (size_floor_completions != nullptr)
-            *size_floor_completions = fs.sizeFloorCompletions();
+        if (counts != nullptr)
+            *counts = fs.counts();
     }
     return out.str();
 }
@@ -415,20 +424,39 @@ TEST(FlowSimDifferential, GigabyteFlowsBitIdenticalToReferenceKernel)
     // rate bound when a completion is judged.
     std::size_t completions = 0, size_floor = 0;
     for (std::uint64_t seed = 1001; seed <= 1100; ++seed) {
-        std::size_t groups_left = 99, hits = 0;
+        std::size_t groups_left = 99;
+        reference::FlowSim::Counts counts;
         const std::string want = differentialRun<reference::FlowSim>(
-            seed, kGigabyteScale, nullptr, &hits);
+            seed, kGigabyteScale, nullptr, &counts);
         const std::string got =
             differentialRun<FlowSim>(seed, kGigabyteScale, &groups_left);
         ASSERT_EQ(want, got) << "seed " << seed;
         EXPECT_EQ(groups_left, 0u) << "seed " << seed;
-        size_floor += hits;
+        size_floor += counts.size_floor;
         for (std::size_t i = 0; i < got.size(); ++i)
             completions += (i == 0 || got[i - 1] == '\n') && got[i] == 'd';
     }
     EXPECT_GT(completions, 5000u);
     // Some completions are decided by the size floor alone.
     EXPECT_GT(size_floor, 0u);
+}
+
+TEST(FlowSimDifferential, LateClockBitIdenticalToReferenceKernel)
+{
+    std::size_t forced = 0;
+    for (std::uint64_t seed = 2001; seed <= 2100; ++seed) {
+        std::size_t groups_left = 99;
+        reference::FlowSim::Counts counts;
+        const std::string want = differentialRun<reference::FlowSim>(
+            seed, kLateClockScale, nullptr, &counts);
+        const std::string got =
+            differentialRun<FlowSim>(seed, kLateClockScale, &groups_left);
+        ASSERT_EQ(want, got) << "seed " << seed;
+        EXPECT_EQ(groups_left, 0u) << "seed " << seed;
+        forced += counts.forced;
+    }
+    // The forced-completion sweep actually runs.
+    EXPECT_GT(forced, 0u);
 }
 
 //===========================================================================
