@@ -12,8 +12,8 @@
  *      `residual -= share; clamp` steps to each of its links — the same
  *      sequence the per-flow loop produced, since within a round every
  *      step on a link uses the same share.  The matching
- *      `allocated += share` steps are recorded as (share, count) in
- *      freeze order and replayed only when linkUtilisation() asks.
+ *      `allocated += share` steps are recorded as (link, count, share)
+ *      in freeze order and replayed only when linkUtilisation() asks.
  *  (b) The next completion can be found per group.  Correctly rounded
  *      division by a positive constant is monotone, so
  *      min_i(rem_i / r) == min_i(rem_i) / r exactly.
