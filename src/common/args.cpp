@@ -5,6 +5,7 @@
 
 #include "common/args.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
@@ -131,9 +132,13 @@ ArgParser::getInt(const std::string &name) const
 {
     const std::string v = get(name);
     char *end = nullptr;
+    errno = 0;
     const long l = std::strtol(v.c_str(), &end, 10);
     if (end == v.c_str() || *end != '\0')
         fatal("--" + name + " expects an integer, got '" + v + "'");
+    // strtol clamps an out-of-range value to LONG_MIN/LONG_MAX.
+    if (errno == ERANGE)
+        fatal("--" + name + " is out of range, got '" + v + "'");
     return l;
 }
 

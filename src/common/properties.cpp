@@ -5,6 +5,7 @@
 
 #include "common/properties.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -107,9 +108,13 @@ Properties::getInt(const std::string &key, long fallback) const
         return fallback;
     const std::string v = get(key);
     char *end = nullptr;
+    errno = 0;
     const long l = std::strtol(v.c_str(), &end, 10);
     if (end == v.c_str() || *end != '\0')
         fatal("property '" + key + "' expects an integer, got '" + v + "'");
+    // strtol clamps an out-of-range value to LONG_MIN/LONG_MAX.
+    if (errno == ERANGE)
+        fatal("property '" + key + "' is out of range, got '" + v + "'");
     return l;
 }
 

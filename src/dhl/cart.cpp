@@ -5,6 +5,8 @@
 
 #include "dhl/cart.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace dhl {
@@ -48,13 +50,17 @@ Cart::Cart(CartId id, const DhlConfig &cfg,
            storage::ConnectorKind connector, double failure_per_trip)
     : id_(id),
       cfg_(cfg),
+      connector_(connector),
+      failure_per_trip_(failure_per_trip),
       state_(CartState::Stored),
       place_(CartPlace::Library),
-      trips_(0)
+      trips_(0),
+      failed_(cfg.ssds_per_cart, false)
 {
-    ssds_.reserve(cfg.ssds_per_cart);
-    for (std::size_t i = 0; i < cfg.ssds_per_cart; ++i)
-        ssds_.emplace_back(cfg.ssd, connector, failure_per_trip);
+    if (cfg.ssds_per_cart > 0)
+        fatal_if(!(cfg.ssd.capacity > 0.0), "SSD capacity must be positive");
+    fatal_if(failure_per_trip < 0.0 || failure_per_trip > 1.0,
+             "per-trip failure probability must be in [0, 1]");
 }
 
 double
@@ -66,9 +72,11 @@ Cart::capacity() const
 double
 Cart::storedBytes() const
 {
+    // Summed per SSD in index order, so the total has the same bits as
+    // adding up separately kept per-SSD counts.
     double total = 0.0;
-    for (const auto &s : ssds_)
-        total += s.storedBytes();
+    for (std::size_t i = 0; i < failed_.size(); ++i)
+        total += ssd_bytes_;
     return total;
 }
 
@@ -78,9 +86,13 @@ Cart::loadBytes(double bytes)
     fatal_if(bytes < 0.0, "load size must be non-negative");
     if (bytes > freeBytes() * (1.0 + 1e-9))
         fatal("load overflows cart " + std::to_string(id_));
-    const double per = bytes / static_cast<double>(ssds_.size());
-    for (auto &s : ssds_)
-        (void)s.write(per);
+    if (failed_.empty())
+        return;
+    fatal_if(unhealthySsds() != 0, "cannot write a non-healthy SSD");
+    const double per = bytes / static_cast<double>(failed_.size());
+    if (ssd_bytes_ + per > cfg_.ssd.capacity * (1.0 + 1e-9))
+        fatal("write overflows SSD '" + cfg_.ssd.name + "'");
+    ssd_bytes_ = std::min(ssd_bytes_ + per, cfg_.ssd.capacity);
 }
 
 void
@@ -89,16 +101,16 @@ Cart::unloadBytes(double bytes)
     fatal_if(bytes < 0.0, "unload size must be non-negative");
     if (bytes > storedBytes() + 1e-3)
         fatal("unload beyond stored bytes on cart " + std::to_string(id_));
-    const double per = bytes / static_cast<double>(ssds_.size());
-    for (auto &s : ssds_)
-        s.trim(std::min(per, s.storedBytes()));
+    if (failed_.empty())
+        return;
+    const double per = bytes / static_cast<double>(failed_.size());
+    ssd_bytes_ = std::max(ssd_bytes_ - std::min(per, ssd_bytes_), 0.0);
 }
 
 void
 Cart::eraseAll()
 {
-    for (auto &s : ssds_)
-        s.eraseAll();
+    ssd_bytes_ = 0.0;
 }
 
 void
@@ -159,40 +171,41 @@ Cart::finishIo()
     state_ = CartState::Docked;
 }
 
-void
-Cart::matingCycle()
-{
-    for (auto &s : ssds_)
-        s.matingCycle();
-}
-
 std::size_t
 Cart::rollTripFailures(Rng &rng)
 {
+    // A worn connector leaves no SSD healthy, so nothing rolls.
+    if (failure_per_trip_ <= 0.0 || connectorWorn())
+        return 0;
     std::size_t failed = 0;
-    for (auto &s : ssds_) {
-        if (s.rollTripFailure(rng))
+    for (std::size_t i = 0; i < failed_.size(); ++i) {
+        if (!failed_[i] && rng.uniform() < failure_per_trip_) {
+            failed_[i] = true;
             ++failed;
+        }
     }
+    failed_count_ += failed;
     return failed;
 }
 
-std::size_t
-Cart::unhealthySsds() const
+storage::SsdState
+Cart::ssdState(std::size_t i) const
 {
-    std::size_t n = 0;
-    for (const auto &s : ssds_) {
-        if (!s.healthy())
-            ++n;
-    }
-    return n;
+    panic_if(i >= failed_.size(), "SSD index out of range");
+    if (failed_[i])
+        return storage::SsdState::Failed;
+    return connectorWorn() ? storage::SsdState::ConnectorWorn
+                           : storage::SsdState::Healthy;
 }
 
 void
 Cart::repairAll()
 {
-    for (auto &s : ssds_)
-        s.repair();
+    // Replacement devices with contents restored from RAID/backup, so
+    // stored bytes survive the repair.
+    cycles_ = 0;
+    failed_.assign(failed_.size(), false);
+    failed_count_ = 0;
 }
 
 } // namespace core

@@ -1,8 +1,8 @@
 /**
  * @file
  * The maglev cart entity used by the event-driven DHL simulation: state
- * machine, location, payload accounting, and per-SSD behavioural models
- * (wear and failure injection).
+ * machine, location, payload accounting, and the state of its SSDs
+ * (connector wear and failure injection).
  */
 
 #ifndef DHL_DHL_CART_HPP
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.hpp"
 #include "dhl/config.hpp"
 #include "storage/ssd_model.hpp"
 
@@ -92,16 +93,28 @@ class Cart
     void beginIo();
     void finishIo();
 
-    /** Record one mating cycle on every SSD connector. */
-    void matingCycle();
+    /**
+     * Record one mating cycle on every SSD connector.  All of a cart's
+     * connectors mate together, so one counter serves them all; a
+     * connector is worn once the count exceeds its rating.
+     */
+    void matingCycle() { ++cycles_; }
 
-    /** Roll per-SSD trip-failure dice; returns # of SSDs that failed. */
+    /**
+     * Roll per-SSD trip-failure dice; returns # of SSDs that failed.
+     * Draws one rng.uniform() per healthy SSD in index order, and none
+     * while the failure probability is 0.
+     */
     std::size_t rollTripFailures(Rng &rng);
 
     /** Number of SSDs currently not healthy. */
-    std::size_t unhealthySsds() const;
+    std::size_t unhealthySsds() const
+    {
+        return connectorWorn() ? failed_.size() : failed_count_;
+    }
 
-    /** Repair all SSDs (library maintenance). */
+    /** Repair all SSDs (library maintenance): clears failures and
+     *  connector wear; stored bytes survive (RAID/backup restore). */
     void repairAll();
 
     /** Record a mechanical breakdown (cart pulled into the library's
@@ -114,16 +127,50 @@ class Cart
     /** Completed one-way trips. */
     std::uint64_t trips() const { return trips_; }
 
-    const std::vector<storage::SsdModel> &ssds() const { return ssds_; }
+    /** SSDs in the cart. */
+    std::size_t ssdCount() const { return failed_.size(); }
+
+    /** Bytes on each SSD (loads stripe evenly over all of them). */
+    double ssdBytes() const { return ssd_bytes_; }
+
+    /** Health of SSD @p i (a failure outranks connector wear). */
+    storage::SsdState ssdState(std::size_t i) const;
+
+    /** Connector mating cycles since the last repairAll(). */
+    std::uint64_t matingCycles() const { return cycles_; }
+
+    /** True once the connectors exceed their rated mating cycles. */
+    bool connectorWorn() const
+    {
+        return cycles_ > storage::ratedCycles(connector_);
+    }
+
+    /**
+     * Connector wear of each SSD as a fraction of the rated mating
+     * cycles (1.0 = at rated life; can exceed 1.0 once worn).  The ops
+     * layer's wear coupling scales cart breakdown probability and
+     * station MTBF with this.
+     */
+    double
+    wearFraction() const
+    {
+        return static_cast<double>(cycles_) /
+               static_cast<double>(storage::ratedCycles(connector_));
+    }
 
   private:
     CartId id_;
     const DhlConfig &cfg_;
+    storage::ConnectorKind connector_;
+    double failure_per_trip_;
     CartState state_;
     CartPlace place_;
     std::uint64_t trips_;
     std::uint64_t breakdowns_ = 0;
-    std::vector<storage::SsdModel> ssds_;
+    std::uint64_t cycles_ = 0;
+    double ssd_bytes_ = 0.0;
+    std::vector<bool> failed_; ///< Per SSD: failed in flight.
+    std::size_t failed_count_ = 0;
 };
 
 } // namespace core

@@ -172,22 +172,37 @@ DhlController::setScheduler(std::unique_ptr<OpenScheduler> scheduler)
     scheduler_ = std::move(scheduler);
 }
 
+DhlController::Trip &
+DhlController::trip(CartId id)
+{
+    if (id >= trips_.size())
+        trips_.resize(library_->totalCarts());
+    return trips_[id];
+}
+
+bool
+DhlController::anyDocked() const
+{
+    for (const Trip &t : trips_)
+        if (t.docked)
+            return true;
+    return false;
+}
+
 void
 DhlController::startOpen(CartId id, OpenCb cb, DockingStation &st)
 {
     Cart &cart = library_->cart(id);
     st.reserve(cart);
-    const double requested = now();
-
-    library_->beginUndock(id, [this, id, &st, requested,
-                               cb = std::move(cb)]() mutable {
-        launchOutbound(id, st, requested, std::move(cb), 0.0);
-    });
+    Trip &t = trip(id);
+    t.station = &st;
+    t.requested = now();
+    t.on_open = std::move(cb);
+    library_->beginUndock(id, [this, id] { launchOutbound(id, 0.0); });
 }
 
 void
-DhlController::launchOutbound(CartId id, DockingStation &st,
-                              double requested, OpenCb cb, double backoff)
+DhlController::launchOutbound(CartId id, double backoff)
 {
     // Degraded mode: a LIM or track outage parks the trip in place
     // (cart waiting on the track apron, station still reserved) and
@@ -202,10 +217,7 @@ DhlController::launchOutbound(CartId id, DockingStation &st,
                                     " parked outbound; retry in " +
                                     units::formatSig(wait, 4) + " s");
         }
-        schedule(wait, [this, id, &st, requested, wait,
-                        cb = std::move(cb)]() mutable {
-            launchOutbound(id, st, requested, std::move(cb), wait);
-        });
+        schedule(wait, [this, id, wait] { launchOutbound(id, wait); });
         return;
     }
 
@@ -218,20 +230,25 @@ DhlController::launchOutbound(CartId id, DockingStation &st,
                                     " outbound");
     });
     // Arrive, roll failure dice, and dock.
-    schedule(grant.arrive_time - now(), [this, id, &st, requested,
-                                         cb = std::move(cb)]() mutable {
-        Cart &cart = library_->cart(id);
-        handleArrivalFailures(cart);
-        st.beginDock([this, id, &st, requested,
-                      cb = std::move(cb)]() mutable {
-            Cart &cart = library_->cart(id);
-            cart_station_[id] = &st;
-            stat_opens_->increment();
-            stat_open_latency_->sample(now() - requested);
-            if (cb)
-                cb(cart, st);
-        });
+    schedule(grant.arrive_time - now(), [this, id] {
+        handleArrivalFailures(library_->cart(id));
+        trips_[id].station->beginDock([this, id] { finishOpen(id); });
     });
+}
+
+void
+DhlController::finishOpen(CartId id)
+{
+    Trip &t = trips_[id];
+    t.docked = true;
+    stat_opens_->increment();
+    stat_open_latency_->sample(now() - t.requested);
+    // Moved out first: the callback may open or close other carts,
+    // which can grow the trip table under a reference into it.
+    DockingStation &st = *t.station;
+    const OpenCb cb = std::move(t.on_open);
+    if (cb)
+        cb(library_->cart(id), st);
 }
 
 void
@@ -241,22 +258,18 @@ DhlController::close(CartId id, CloseCb cb)
     if (cart.place() != CartPlace::Rack || cart.state() != CartState::Docked)
         fatal("close: cart " + std::to_string(id) +
               " is not docked at the rack");
-    auto it = cart_station_.find(id);
-    panic_if(it == cart_station_.end(),
-             "docked cart has no station mapping");
-    DockingStation *st = it->second;
-    cart_station_.erase(it);
+    Trip &t = trip(id);
+    panic_if(!t.docked, "docked cart has no station mapping");
+    t.docked = false;
+    t.on_close = std::move(cb);
     if (tracingOn())
         traceEvent("api", "close cart " + std::to_string(id));
 
-    st->beginUndock([this, id, st, cb = std::move(cb)]() mutable {
-        launchInbound(id, *st, std::move(cb), 0.0);
-    });
+    t.station->beginUndock([this, id] { launchInbound(id, 0.0); });
 }
 
 void
-DhlController::launchInbound(CartId id, DockingStation &st, CloseCb cb,
-                             double backoff)
+DhlController::launchInbound(CartId id, double backoff)
 {
     // Same parking policy as outbound: the undocked cart waits at its
     // (still reserved) station until the propulsion path is repaired.
@@ -270,37 +283,30 @@ DhlController::launchInbound(CartId id, DockingStation &st, CloseCb cb,
                                     " parked inbound; retry in " +
                                     units::formatSig(wait, 4) + " s");
         }
-        schedule(wait,
-                 [this, id, &st, wait, cb = std::move(cb)]() mutable {
-                     launchInbound(id, st, std::move(cb), wait);
-                 });
+        schedule(wait, [this, id, wait] { launchInbound(id, wait); });
         return;
     }
 
     const LaunchGrant grant = track_->reserveLaunch(Direction::Inbound);
-    schedule(grant.depart_time - now(), [this, id, st = &st] {
+    schedule(grant.depart_time - now(), [this, id] {
         library_->cart(id).launch();
         if (tracingOn())
             traceEvent("track", "cart " + std::to_string(id) +
                                     " inbound");
         // The station is free once its cart has departed; serve any
         // queued open.
-        st->release();
+        trips_[id].station->release();
+        trips_[id].station = nullptr;
         dispatchOpens();
     });
-    schedule(grant.arrive_time - now(),
-             [this, id, cb = std::move(cb)]() mutable {
-                 Cart &cart = library_->cart(id);
-                 handleArrivalFailures(cart);
-                 library_->beginDock(
-                     id, [this, id, cb = std::move(cb)]() mutable {
-                         finishClose(id, std::move(cb));
-                     });
-             });
+    schedule(grant.arrive_time - now(), [this, id] {
+        handleArrivalFailures(library_->cart(id));
+        library_->beginDock(id, [this, id] { finishClose(id); });
+    });
 }
 
 void
-DhlController::finishClose(CartId id, CloseCb cb)
+DhlController::finishClose(CartId id)
 {
     stat_closes_->increment();
     Cart &cart = library_->cart(id);
@@ -320,6 +326,7 @@ DhlController::finishClose(CartId id, CloseCb cb)
                            " s");
         }
     }
+    const CloseCb cb = std::move(trips_[id].on_close);
     if (cb)
         cb(cart);
 }
@@ -354,10 +361,9 @@ DhlController::drainQueuedOpens()
 void
 DhlController::read(CartId id, double bytes, IoCb cb)
 {
-    auto it = cart_station_.find(id);
-    if (it == cart_station_.end())
+    if (id >= trips_.size() || !trips_[id].docked)
         fatal("read: cart " + std::to_string(id) + " is not docked");
-    it->second->read(bytes, [this, cb = std::move(cb)](double b) {
+    trips_[id].station->read(bytes, [this, cb = std::move(cb)](double b) {
         stat_reads_->increment();
         if (cb)
             cb(b);
@@ -367,10 +373,9 @@ DhlController::read(CartId id, double bytes, IoCb cb)
 void
 DhlController::write(CartId id, double bytes, IoCb cb)
 {
-    auto it = cart_station_.find(id);
-    if (it == cart_station_.end())
+    if (id >= trips_.size() || !trips_[id].docked)
         fatal("write: cart " + std::to_string(id) + " is not docked");
-    it->second->write(bytes, [this, cb = std::move(cb)](double b) {
+    trips_[id].station->write(bytes, [this, cb = std::move(cb)](double b) {
         stat_writes_->increment();
         if (cb)
             cb(b);
@@ -403,7 +408,7 @@ DhlController::handleArrivalFailures(Cart &cart)
 void
 DhlController::saveState(sim::SnapshotWriter &w) const
 {
-    fatal_if(scheduler_->size() != 0 || !cart_station_.empty(),
+    fatal_if(scheduler_->size() != 0 || anyDocked(),
              "controller checkpoint requires a drained boundary (no "
              "queued or docked work)");
     sim::SnapshotScope<sim::SnapshotWriter> scope(w, "controller");
@@ -419,7 +424,7 @@ DhlController::saveState(sim::SnapshotWriter &w) const
 void
 DhlController::restoreState(sim::SnapshotReader &r)
 {
-    fatal_if(scheduler_->size() != 0 || !cart_station_.empty(),
+    fatal_if(scheduler_->size() != 0 || anyDocked(),
              "controller restore requires a freshly constructed system");
     sim::SnapshotScope<sim::SnapshotReader> scope(r, "controller");
     r.getRng("rng", rng_);

@@ -15,7 +15,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.hpp"
@@ -186,13 +185,30 @@ class DhlController : public sim::SimObject
     {
         return faults_ != nullptr && !faults_->launchOk();
     }
+    /**
+     * One cart's trip in progress.  Every event of a trip captures only
+     * {this, cart id} and finds the rest here, so each fits the
+     * kernel's inline action buffer.
+     */
+    struct Trip
+    {
+        DockingStation *station = nullptr; ///< Reserved or docked at.
+        bool docked = false;               ///< Open done, close pending.
+        double requested = 0.0;            ///< When the open started, s.
+        OpenCb on_open;
+        CloseCb on_close;
+    };
+
+    /** The trip record of cart @p id (grown on first use). */
+    Trip &trip(CartId id);
+
     void dispatchOpens();
     void startOpen(CartId id, OpenCb cb, DockingStation &st);
-    void launchOutbound(CartId id, DockingStation &st, double requested,
-                        OpenCb cb, double backoff);
-    void launchInbound(CartId id, DockingStation &st, CloseCb cb,
-                       double backoff);
-    void finishClose(CartId id, CloseCb cb);
+    void launchOutbound(CartId id, double backoff);
+    void finishOpen(CartId id);
+    void launchInbound(CartId id, double backoff);
+    void finishClose(CartId id);
+    bool anyDocked() const;
     void handleArrivalFailures(Cart &cart);
     bool tracingOn() const
     {
@@ -207,7 +223,9 @@ class DhlController : public sim::SimObject
     std::unique_ptr<Library> library_;
     std::unique_ptr<Track> track_;
     std::vector<std::unique_ptr<DockingStation>> stations_;
-    std::unordered_map<CartId, DockingStation *> cart_station_;
+    // dhl-analyze: transient(trips_): no trip is in progress at a legal
+    // checkpoint boundary (saveState asserts no cart is docked)
+    std::vector<Trip> trips_; ///< Index = cart id.
     std::unique_ptr<OpenScheduler> scheduler_;
     std::uint64_t next_seq_;
     // dhl-analyze: transient(trace_, faults_): wiring pointers,

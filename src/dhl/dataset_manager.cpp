@@ -43,8 +43,9 @@ DatasetManager::registerDataset(const std::string &name, double bytes)
 
     Entry e{};
     e.bytes = bytes;
+    const DhlConfig &cfg = controller_.config();
     for (const double load : splitIntoCarts(
-             bytes, controller_.config().cartCapacity().value()))
+             bytes, cfg.cartCapacity().value(), cfg.library_slots))
         e.carts.push_back(controller_.addCart(load).id());
     auto [it, inserted] = datasets_.emplace(name, std::move(e));
     panic_if(!inserted, "dataset insertion raced");

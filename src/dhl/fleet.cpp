@@ -109,9 +109,9 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
     fatal_if(opts.pipelined,
              "a fleet runs serial per-track chains; pipelined bulk "
              "transfers need a single-track DhlSimulation");
-    const std::vector<double> loads =
-        splitIntoCarts(bytes, cfg_.cartCapacity().value());
     const std::size_t k = controllers_.size();
+    const std::vector<double> loads = splitIntoCarts(
+        bytes, cfg_.cartCapacity().value(), k * cfg_.library_slots);
 
     // Round-robin cart assignment; each track gets its own serial
     // chain of (cart id, job meta), cart ids local to that track's

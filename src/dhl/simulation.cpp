@@ -46,11 +46,8 @@ DhlSimulation::enableFaults(const faults::FaultConfig &cfg)
 BulkRunResult
 DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
 {
-    const std::vector<double> loads =
-        splitIntoCarts(bytes, cfg_.cartCapacity().value());
-    fatal_if(loads.size() > cfg_.library_slots,
-             "dataset needs more carts than the library has slots; "
-             "increase library_slots");
+    const std::vector<double> loads = splitIntoCarts(
+        bytes, cfg_.cartCapacity().value(), cfg_.library_slots);
     controller_->setFailureProbability(opts.failure_per_trip);
     std::vector<CartId> ids;
     ids.reserve(loads.size());
@@ -80,7 +77,7 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
 }
 
 std::vector<double>
-splitIntoCarts(double bytes, double capacity)
+splitIntoCarts(double bytes, double capacity, std::size_t max_carts)
 {
     fatal_if(!(bytes > 0.0), "bulk transfer size must be positive");
     fatal_if(!std::isfinite(bytes), "bulk transfer size must be finite");
@@ -88,6 +85,10 @@ splitIntoCarts(double bytes, double capacity)
     // Converting a count a size_t cannot hold is undefined behaviour.
     fatal_if(!(carts < 0x1p64), "bulk transfer needs too many carts");
     const auto n_carts = static_cast<std::size_t>(carts);
+    // Before the reserve: an absurd size must not ask for the memory.
+    fatal_if(n_carts > max_carts,
+             "bulk transfer needs more carts than the library has slots; "
+             "increase library_slots");
     std::vector<double> loads;
     loads.reserve(n_carts);
     double remaining = bytes;

@@ -62,9 +62,11 @@ struct BulkRunResult
 /**
  * The cart loads of a bulk move: ceil(@p bytes / @p capacity) carts,
  * every one full except the last.  fatal() unless bytes is positive
- * and finite and the cart count fits a size_t.
+ * and finite and the cart count is at most @p max_carts (the library
+ * slots that can hold them), checked before anything is allocated.
  */
-std::vector<double> splitIntoCarts(double bytes, double capacity);
+std::vector<double> splitIntoCarts(double bytes, double capacity,
+                                   std::size_t max_carts);
 
 /**
  * One cart's round trip through the four-command API: open (with

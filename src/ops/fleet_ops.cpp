@@ -264,8 +264,10 @@ core::BulkRunResult
 FleetOps::runPull(double bytes, const core::BulkRunOptions &opts,
                   const std::vector<core::RequestMeta> &meta)
 {
+    const core::DhlConfig &cfg = fleet_.track(0).config();
     const std::vector<double> loads = core::splitIntoCarts(
-        bytes, fleet_.track(0).config().cartCapacity().value());
+        bytes, cfg.cartCapacity().value(),
+        fleet_.numTracks() * cfg.library_slots);
     jobs_.clear();
     jobs_.reserve(loads.size());
     queue_.clear();

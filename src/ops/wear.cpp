@@ -22,13 +22,17 @@ validate(const WearCouplingConfig &cfg)
 double
 cartWear(const core::Library &library, std::uint32_t cart)
 {
-    const auto &ssds = library.cart(cart).ssds();
-    if (ssds.empty())
+    const core::Cart &c = library.cart(cart);
+    const std::size_t n = c.ssdCount();
+    if (n == 0)
         return 0.0;
+    // Every SSD of a cart carries the same wear; adding it once per SSD
+    // in index order keeps the bits of a per-SSD sum.
+    const double wear = c.wearFraction();
     double total = 0.0;
-    for (const auto &ssd : ssds)
-        total += ssd.wearFraction();
-    return total / static_cast<double>(ssds.size());
+    for (std::size_t i = 0; i < n; ++i)
+        total += wear;
+    return total / static_cast<double>(n);
 }
 
 double

@@ -77,6 +77,8 @@ ServingSim::ServingSim(const ServeConfig &cfg)
         ts.pool.reserve(cfg_.carts_per_track);
         for (std::size_t c = 0; c < cfg_.carts_per_track; ++c)
             ts.pool.push_back(ts.controller->addCart(0.0).id());
+        panic_if(ts.pool.back() + 1 != cfg_.carts_per_track,
+                 "serving expects cart ids 0..carts_per_track-1");
         if (cfg_.faults.enabled) {
             faults::FaultConfig fc = cfg_.faults;
             fc.seed = deriveSeed(cfg_.faults.seed, kFaultStreamSalt + t);
@@ -97,6 +99,8 @@ ServingSim::ServingSim(const ServeConfig &cfg)
     if (cfg_.domains.enabled)
         plants_ = std::make_unique<ops::CorrelatedFaultModel>(
             sim_, states, cfg_.domains);
+
+    active_.resize(cfg_.tracks * cfg_.carts_per_track);
 
     arrivals_ = std::make_unique<workloads::StagedArrivalProcess>(
         cfg_.stages, deriveSeed(cfg_.seed, kArrivalStreamSalt));
@@ -206,10 +210,13 @@ ServingSim::stepEpoch()
     // arrivals at their intended times (late ones fire immediately).
     pumping_ = true;
     pump();
-    for (const workloads::ArrivalEvent &ev : arrivals_->take(target)) {
-        const double when = std::max(ev.at, sim_.now());
-        auto boxed = std::make_shared<workloads::ArrivalEvent>(ev);
-        sim_.scheduleAt(when, [this, boxed] { admit(*boxed); });
+    // The arrivals come in time order, so they ride the kernel's
+    // in-order lane instead of the heap; every one fires before the
+    // epoch ends, so the vector outlives its events.
+    epoch_arrivals_ = arrivals_->take(target);
+    for (std::size_t i = 0; i < epoch_arrivals_.size(); ++i) {
+        const double when = std::max(epoch_arrivals_[i].at, sim_.now());
+        sim_.scheduleInOrder(when, [this, i] { admit(epoch_arrivals_[i]); });
     }
 
     // Anything startable has been started and this epoch's arrivals
@@ -326,9 +333,13 @@ ServingSim::tryStart(const workloads::ArrivalEvent &ev)
 
     const double trips =
         std::max(1.0, std::ceil(ev.bytes / cart_capacity_));
-    auto active = std::make_shared<Active>(
-        Active{ev, t, cart, static_cast<std::uint64_t>(trips)});
-    runTrip(active);
+    const std::size_t slot = t * cfg_.carts_per_track + cart;
+    Active &a = active_[slot];
+    a.ev = ev;
+    a.track = t;
+    a.cart = cart;
+    a.trips_left = static_cast<std::uint64_t>(trips);
+    runTrip(slot);
     return true;
 }
 
@@ -480,22 +491,30 @@ ServingSim::pump()
 //===========================================================================
 
 void
-ServingSim::runTrip(const std::shared_ptr<Active> &a)
+ServingSim::runTrip(std::size_t slot)
 {
-    core::DhlController &ctl = *tracks_[a->track].controller;
-    ctl.open(a->cart, [this, a](core::Cart &, core::DockingStation &) {
-        tracks_[a->track].controller->close(a->cart, [this, a](core::Cart &) {
-            if (--a->trips_left > 0)
-                runTrip(a);
-            else
-                finishRequest(*a);
+    const Active &a = active_[slot];
+    tracks_[a.track].controller->open(
+        a.cart, [this, slot](core::Cart &, core::DockingStation &) {
+            const Active &a = active_[slot];
+            tracks_[a.track].controller->close(
+                a.cart, [this, slot](core::Cart &) { finishTrip(slot); });
         });
-    });
 }
 
 void
-ServingSim::finishRequest(const Active &a)
+ServingSim::finishTrip(std::size_t slot)
 {
+    if (--active_[slot].trips_left > 0)
+        runTrip(slot);
+    else
+        finishRequest(slot);
+}
+
+void
+ServingSim::finishRequest(std::size_t slot)
+{
+    const Active &a = active_[slot];
     const std::size_t stage = static_cast<std::size_t>(a.ev.stage);
     const double latency = sim_.now() - a.ev.at;
     slo_[stage].complete(latency, a.ev.bytes);

@@ -241,7 +241,8 @@ class ServingSim
         workloads::ArrivalEvent ev;
     };
 
-    /** One dispatched request working through its trips. */
+    /** One dispatched request working through its trips, kept in its
+     *  cart's slot of active_. */
     struct Active
     {
         workloads::ArrivalEvent ev;
@@ -264,8 +265,9 @@ class ServingSim
     bool admissible(const workloads::ArrivalEvent &ev, bool degraded) const;
     bool tryStart(const workloads::ArrivalEvent &ev);
     std::size_t pickTrack(bool degraded) const;
-    void runTrip(const std::shared_ptr<Active> &a);
-    void finishRequest(const Active &a);
+    void runTrip(std::size_t slot);
+    void finishTrip(std::size_t slot);
+    void finishRequest(std::size_t slot);
     void saveFingerprint(sim::SnapshotWriter &w) const;
     void checkFingerprint(sim::SnapshotReader &r) const;
 
@@ -278,6 +280,13 @@ class ServingSim
     std::unique_ptr<workloads::StagedArrivalProcess> arrivals_;
     std::vector<stats::SloAccumulator> slo_;
     std::deque<Queued> queue_;
+    // dhl-analyze: transient(active_, epoch_arrivals_): nothing is in
+    // flight and every injected arrival has fired at a drained epoch
+    // boundary
+    /** Requests in flight; slot = track * carts_per_track + cart. */
+    std::vector<Active> active_;
+    /** This epoch's arrivals; each admission event holds its index. */
+    std::vector<workloads::ArrivalEvent> epoch_arrivals_;
     // dhl-analyze: transient(cart_capacity_): derived from the config
     // by the constructor, never mutated afterwards
     double cart_capacity_;

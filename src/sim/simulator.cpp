@@ -2,14 +2,14 @@
  * @file
  * Implementation of the discrete-event simulation kernel.
  *
- * The event queue is a binary min-heap of 24-byte POD keys; actions are
- * kept out of the heap in a slot registry so sift operations are plain
- * memmoves.  Cancellation bumps the slot's generation (O(1)) and the
- * orphaned heap entry is discarded when it reaches the top.  A slot is
- * returned to the free list only when its heap entry surfaces, so a
- * slot index in the heap always refers to the occupancy that pushed it
- * — a generation mismatch therefore uniquely identifies a cancelled
- * event.
+ * The event queue is a binary min-heap of 24-byte POD keys plus an
+ * in-order lane of the same keys; actions are kept out of both in a
+ * slot registry so sift operations are plain memmoves.  Cancellation
+ * bumps the slot's generation (O(1)) and the orphaned entry is
+ * discarded when it reaches the front of its queue.  A slot is returned
+ * to the free list only when its queue entry surfaces, so a slot index
+ * in the heap or lane always refers to the occupancy that pushed it — a
+ * generation mismatch therefore uniquely identifies a cancelled event.
  */
 
 #include "sim/simulator.hpp"
@@ -76,21 +76,50 @@ Simulator::checkWhen(Time when) const
     fatal_if(when < now_, "cannot schedule an event in the past");
 }
 
-EventHandle
-Simulator::scheduleImpl(Time when, Action &&action)
+Simulator::HeapEntry
+Simulator::makeEntry(Time when, Action &&action)
 {
     panic_if(!action, "scheduled event has no action");
 
     const std::uint32_t slot = allocSlot(std::move(action));
-    const std::uint32_t gen = slot_gen_[slot];
-    // when >= 0 here (validated by delayToWhen/checkWhen); +0.0
-    // canonicalises a possible -0.0 so the bit-pattern order holds.
-    const auto when_bits = std::bit_cast<std::uint64_t>(when + 0.0);
-    heap_.push_back(HeapEntry{when_bits, next_seq_++, slot, gen});
-    std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
     ++size_;
     stat_scheduled_->increment();
-    return EventHandle(slot, gen);
+    // when >= 0 here (validated by delayToWhen/checkWhen); +0.0
+    // canonicalises a possible -0.0 so the bit-pattern order holds.
+    return HeapEntry{std::bit_cast<std::uint64_t>(when + 0.0), next_seq_++,
+                     slot, slot_gen_[slot]};
+}
+
+EventHandle
+Simulator::scheduleImpl(Time when, Action &&action)
+{
+    const HeapEntry e = makeEntry(when, std::move(action));
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
+    return EventHandle(e.slot, e.gen);
+}
+
+EventHandle
+Simulator::scheduleLaneImpl(Time when, Action &&action)
+{
+    // Cancelled entries at the tail no longer bound the order.
+    while (lane_.size() > lane_head_ && !live(lane_.back())) {
+        free_slots_.push_back(lane_.back().slot);
+        lane_.pop_back();
+    }
+    fatal_if(lane_.size() > lane_head_ &&
+                 when + 0.0 < std::bit_cast<Time>(lane_.back().when_bits),
+             "in-order event scheduled before an earlier in-order event");
+    // A lane that never drains keeps its fired prefix; drop it once it
+    // is most of the vector.
+    if (lane_head_ >= 1024 && 2 * lane_head_ >= lane_.size()) {
+        lane_.erase(lane_.begin(),
+                    lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+        lane_head_ = 0;
+    }
+    const HeapEntry e = makeEntry(when, std::move(action));
+    lane_.push_back(e);
+    return EventHandle(e.slot, e.gen);
 }
 
 bool
@@ -110,46 +139,71 @@ Simulator::cancel(EventHandle handle)
 const Simulator::HeapEntry *
 Simulator::peekNext()
 {
-    while (!heap_.empty()) {
-        const HeapEntry &top = heap_.front();
-        if (slot_gen_[top.slot] == top.gen)
-            return &top;
-        // Cancelled occupant: reclaim the slot now that its (unique)
-        // heap entry has surfaced, then drop the entry.
-        free_slots_.push_back(top.slot);
+    // Cancelled occupants: reclaim each slot once its (unique) queue
+    // entry surfaces, then drop the entry.
+    while (!heap_.empty() && !live(heap_.front())) {
+        free_slots_.push_back(heap_.front().slot);
         std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
         heap_.pop_back();
     }
-    return nullptr;
+    while (lane_head_ < lane_.size() && !live(lane_[lane_head_])) {
+        free_slots_.push_back(lane_[lane_head_].slot);
+        ++lane_head_;
+    }
+    if (lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+        return heap_.empty() ? nullptr : &heap_.front();
+    }
+    const HeapEntry *lane = &lane_[lane_head_];
+    if (heap_.empty() || HeapCompare{}(heap_.front(), *lane))
+        return lane;
+    return &heap_.front();
 }
 
-Simulator::Action
-Simulator::takeTop()
+void
+Simulator::fire(const HeapEntry *top)
 {
-    const HeapEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-    heap_.pop_back();
+    const HeapEntry e = *top;
+    if (top == heap_.data()) {
+        std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
+        heap_.pop_back();
+    } else {
+        ++lane_head_;
+    }
+    ++slot_gen_[e.slot]; // late cancel() on this handle returns false
 
-    Action action = std::move(slotAction(top.slot)); // leaves slot empty
-    ++slot_gen_[top.slot]; // late cancel() on this handle returns false
-    free_slots_.push_back(top.slot);
-
-    const Time when = std::bit_cast<Time>(top.when_bits);
+    const Time when = std::bit_cast<Time>(e.when_bits);
     panic_if(when < now_, "event queue went backwards in time");
     now_ = when;
     --size_;
     ++executed_;
     stat_executed_->increment();
-    return action;
+
+    // The slot stays claimed while its action runs, so nothing the
+    // action schedules can land in it.
+    struct Release
+    {
+        Simulator &sim;
+        std::uint32_t slot;
+        ~Release()
+        {
+            sim.slotAction(slot) = nullptr;
+            sim.free_slots_.push_back(slot);
+        }
+    } release{*this, e.slot};
+    slotAction(e.slot)();
 }
 
 Time
 Simulator::run()
 {
     stopped_ = false;
-    while (!stopped_ && peekNext()) {
-        Action action = takeTop();
-        action();
+    while (!stopped_) {
+        const HeapEntry *top = peekNext();
+        if (!top)
+            break;
+        fire(top);
     }
     return now_;
 }
@@ -165,8 +219,7 @@ Simulator::runUntil(Time until)
             break;
         if (std::bit_cast<Time>(top->when_bits) > until)
             break; // leave the event queued for a later run
-        Action action = takeTop();
-        action();
+        fire(top);
     }
     if (now_ < until)
         now_ = until;
@@ -198,6 +251,9 @@ Simulator::restoreState(SnapshotReader &r)
     SnapshotScope<SnapshotReader> scope(r, "kernel");
     now_ = r.getDouble("now");
     executed_ = r.getU64("executed");
+    // The stat reports the run's tally, not this process's share.
+    stat_executed_->reset();
+    stat_executed_->increment(executed_);
 }
 
 std::uint64_t
@@ -205,9 +261,11 @@ Simulator::step(std::uint64_t max_events)
 {
     stopped_ = false; // same entry semantics as run()/runUntil()
     std::uint64_t fired = 0;
-    while (!stopped_ && fired < max_events && peekNext()) {
-        Action action = takeTop();
-        action();
+    while (!stopped_ && fired < max_events) {
+        const HeapEntry *top = peekNext();
+        if (!top)
+            break;
+        fire(top);
         ++fired;
     }
     return fired;

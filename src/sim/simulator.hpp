@@ -18,7 +18,10 @@
  * is {slot, generation}; cancel() is an O(1) generation bump (the dead
  * heap entry is reclaimed lazily when it surfaces).  Actions are stored
  * in an InlineFunction with a 64-byte small buffer, so the steady-state
- * schedule→fire path performs no heap allocations and no hashing.
+ * schedule→fire path performs no heap allocations and no hashing; an
+ * action runs in its slot, never moved out.  A caller whose event times
+ * never decrease may use the in-order lane (scheduleInOrder), a FIFO
+ * the kernel merges with the heap by (time, seq).
  */
 
 #ifndef DHL_SIM_SIMULATOR_HPP
@@ -117,6 +120,23 @@ class Simulator
     }
 
     /**
+     * Schedule @p action at the absolute time @p when on the in-order
+     * lane: a FIFO beside the heap for a caller whose times never
+     * decrease.  @p when must be >= now() and >= the time of every live
+     * event already on the lane (fatal otherwise).  Firing order is the
+     * same as scheduleAt(): the kernel fires whichever of the heap top
+     * and the lane head is earlier by (time, schedule order), so a
+     * batch of sorted arrivals skips the heap's sifts without moving
+     * one event.
+     */
+    EventHandle
+    scheduleInOrder(Time when, Action action)
+    {
+        checkWhen(when);
+        return scheduleLaneImpl(when, std::move(action));
+    }
+
+    /**
      * Cancel a previously scheduled event.  O(1).
      *
      * @return true if the event was pending and is now cancelled; false
@@ -185,7 +205,8 @@ class Simulator
      * step(). */
     bool stopRequested() const { return stopped_; }
 
-    /** Total number of events executed since construction. */
+    /** Total number of events executed in the run, counting the
+     *  events before a restore (the kernel stat reports the same). */
     std::uint64_t eventsExecuted() const { return executed_; }
 
     /** Kernel statistics group (events scheduled/executed/cancelled). */
@@ -197,7 +218,7 @@ class Simulator
      * the Snapshotable objects that scheduled them and are re-created
      * on restore at their saved absolute times.  The schedule/cancel
      * statistics counters are host-side tallies, not simulated state,
-     * and restart from the boundary.
+     * and restart from the boundary; the executed count is restored.
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -269,20 +290,34 @@ class Simulator
     /** Validate an absolute event time. */
     void checkWhen(Time when) const;
 
-    /** The single push path; the Action is moved into a slot exactly
+    /** The heap push path; the Action is moved into a slot exactly
      *  once (callers construct it in place at the API boundary). */
     EventHandle scheduleImpl(Time when, Action &&action);
 
+    /** The lane push path (scheduleInOrder). */
+    EventHandle scheduleLaneImpl(Time when, Action &&action);
+
+    /** Claim a slot for @p action; the key the event is ordered by. */
+    HeapEntry makeEntry(Time when, Action &&action);
+
     std::uint32_t allocSlot(Action &&action);
 
+    bool live(const HeapEntry &e) const { return slot_gen_[e.slot] == e.gen; }
+
     /**
-     * Drop cancelled entries off the top of the heap (reclaiming their
-     * slots) until a live event surfaces; null if the heap drains.
+     * Drop cancelled entries off the top of the heap and the head of
+     * the lane (reclaiming their slots) until a live event surfaces on
+     * each; return the earlier of the two by (time, seq), or null if
+     * both drain.
      */
     const HeapEntry *peekNext();
 
-    /** Pop the top (live) entry, returning its action; advances time. */
-    Action takeTop();
+    /**
+     * Fire @p top, the entry peekNext() returned: remove it from its
+     * queue, advance time, invoke the action in its slot (chunks never
+     * move) and free the slot afterwards, also if the action throws.
+     */
+    void fire(const HeapEntry *top);
 
     Time now_;
     // dhl-analyze: transient(next_seq_): FIFO tie-break is relative
@@ -294,10 +329,16 @@ class Simulator
     std::size_t size_; // live (non-cancelled) events
     bool stopped_;
 
-    // dhl-analyze: transient(heap_, slot_gen_, action_chunks_,
-    // free_slots_): the queue is empty at a legal checkpoint boundary;
-    // pending events belong to the Snapshotables that re-create them
+    // dhl-analyze: transient(heap_, lane_, lane_head_, slot_gen_,
+    // action_chunks_, free_slots_): the queue is empty at a legal
+    // checkpoint boundary; pending events belong to the Snapshotables
+    // that re-create them
     std::vector<HeapEntry> heap_;
+    /** The in-order lane: entries [lane_head_, end) in (when, seq)
+     *  order.  Emptied (capacity kept) whenever the head reaches the
+     *  end. */
+    std::vector<HeapEntry> lane_;
+    std::size_t lane_head_ = 0;
     /** Generation per slot; bumped whenever the slot's occupant leaves
      *  (fires or is cancelled), invalidating outstanding handles and
      *  heap entries in O(1). */
@@ -307,6 +348,7 @@ class Simulator
 
     // dhl-analyze: transient(stats_, stat_scheduled_, stat_executed_,
     // stat_cancelled_): host-side tallies, restart from the boundary
+    // (restoreState re-seeds stat_executed_ from executed_)
     stats::StatGroup stats_;
     stats::Counter *stat_scheduled_;
     stats::Counter *stat_executed_;

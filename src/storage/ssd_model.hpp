@@ -1,13 +1,11 @@
 /**
  * @file
- * Behavioural SSD model for the event-driven simulations.
- *
- * Tracks stored bytes, serves timed read/write operations at the device's
- * sequential bandwidth, counts connector mating cycles against the
- * connector's rated life (Discussion: USB-C 10k-20k cycles vs M.2's
+ * SSD facts for the event-driven simulations: the docking connector's
+ * rated mating cycles (Discussion: USB-C 10k-20k cycles vs M.2's
  * hundreds — the reason the paper recommends USB-C carrying PCIe for the
- * docking interface), and supports per-trip failure injection so the
- * RAID/backup recovery path in the controller can be exercised.
+ * docking interface) and the health states a simulated SSD can be in.
+ * The state itself is kept per cart (core::Cart): every dock and undock
+ * mates all of a cart's connectors at once.
  */
 
 #ifndef DHL_STORAGE_SSD_MODEL_HPP
@@ -15,9 +13,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "common/random.hpp"
-#include "storage/catalog.hpp"
 
 namespace dhl {
 namespace storage {
@@ -41,89 +36,6 @@ enum class SsdState
 };
 
 std::string to_string(SsdState state);
-
-/** One simulated SSD instance. */
-class SsdModel
-{
-  public:
-    /**
-     * @param spec               Device specification.
-     * @param connector          Docking connector technology.
-     * @param failure_per_trip   Probability the device fails during one
-     *                           shuttle trip (0 disables injection).
-     */
-    SsdModel(const DeviceSpec &spec,
-             ConnectorKind connector = ConnectorKind::UsbC,
-             double failure_per_trip = 0.0);
-
-    const DeviceSpec &spec() const { return spec_; }
-    SsdState state() const { return state_; }
-    bool healthy() const { return state_ == SsdState::Healthy; }
-
-    /** Bytes currently stored. */
-    double storedBytes() const { return stored_; }
-
-    /** Free capacity, bytes. */
-    double freeBytes() const { return spec_.capacity - stored_; }
-
-    /**
-     * Duration of a sequential read of @p bytes, s.  fatal() if more
-     * bytes than stored are requested or the device is not healthy.
-     */
-    double readTime(double bytes) const;
-
-    /**
-     * Duration of a sequential write of @p bytes, s, and commit the
-     * bytes.  fatal() on overflow or unhealthy device.
-     */
-    double write(double bytes);
-
-    /** Discard @p bytes (after a read has been consumed upstream). */
-    void trim(double bytes);
-
-    /** Erase all contents. */
-    void eraseAll() { stored_ = 0.0; }
-
-    /**
-     * Record one connector mating cycle (a dock or an undock).  Marks
-     * the device ConnectorWorn once the rated cycle count is exceeded.
-     */
-    void matingCycle();
-
-    std::uint64_t matingCycles() const { return cycles_; }
-    ConnectorKind connector() const { return connector_; }
-
-    /**
-     * Accumulated connector wear as a fraction of the rated mating
-     * cycles (1.0 = at rated life; can exceed 1.0 once worn).  The ops
-     * layer's wear coupling scales cart breakdown probability and
-     * station MTBF with this — the state-dependent-failure hook that
-     * replaces the memoryless assumption.
-     */
-    double
-    wearFraction() const
-    {
-        return static_cast<double>(cycles_) /
-               static_cast<double>(ratedCycles(connector_));
-    }
-
-    /**
-     * Roll the failure dice for one shuttle trip using @p rng.
-     * @return true if the device just failed.
-     */
-    bool rollTripFailure(Rng &rng);
-
-    /** Repair/replace the device (library maintenance path). */
-    void repair();
-
-  private:
-    DeviceSpec spec_;
-    ConnectorKind connector_;
-    double failure_per_trip_;
-    double stored_;
-    std::uint64_t cycles_;
-    SsdState state_;
-};
 
 } // namespace storage
 } // namespace dhl

@@ -87,7 +87,8 @@ replayDhlSimulated(const std::vector<TransferRequest> &requests,
     const double capacity = cfg.cartCapacity().value();
     for (const auto &req : sorted) {
         std::vector<core::CartId> carts;
-        for (const double load : core::splitIntoCarts(req.bytes, capacity))
+        for (const double load :
+             core::splitIntoCarts(req.bytes, capacity, cfg.library_slots))
             carts.push_back(controller.addCart(load).id());
         request_carts.push_back(std::move(carts));
     }

@@ -166,3 +166,28 @@ TEST(ArgParserTest, IntegerParsing)
     EXPECT_TRUE(parse(args, {"--count", "42"}, os));
     EXPECT_EQ(args.getInt("count"), 42);
 }
+
+TEST(ArgParserTest, RejectsOutOfRangeIntegers)
+{
+    // strtol clamps these to LONG_MAX/LONG_MIN instead of failing.
+    for (const char *v : {"99999999999999999999", "-99999999999999999999"}) {
+        ArgParser args("prog", "t");
+        args.addOption("count", "a count", "0");
+        std::ostringstream os;
+        ASSERT_TRUE(parse(args, {"--count", v}, os));
+        try {
+            (void)args.getInt("count");
+            ADD_FAILURE() << v << " was accepted";
+        } catch (const dhl::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--count is out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The edges of long still parse.
+    ArgParser args("prog", "t");
+    args.addOption("count", "a count", "0");
+    std::ostringstream os;
+    ASSERT_TRUE(parse(args, {"--count", "9223372036854775807"}, os));
+    EXPECT_EQ(args.getInt("count"), 9223372036854775807L);
+}

@@ -1,13 +1,22 @@
 /**
  * @file
- * Unit tests for the cart entity's state machine and payload handling.
+ * Unit tests for the cart entity's state machine and payload handling,
+ * and a differential test of its cart-level SSD state against the
+ * per-SSD model it replaced (tests/cart_reference.hpp).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "cart_reference.hpp"
 #include "common/logging.hpp"
 #include "common/units.hpp"
 #include "dhl/cart.hpp"
+#include "dhl/library.hpp"
+#include "ops/wear.hpp"
+#include "sim/simulator.hpp"
 
 using namespace dhl::core;
 namespace u = dhl::units;
@@ -32,7 +41,7 @@ TEST(CartTest, StartsStoredInLibrary)
     EXPECT_DOUBLE_EQ(c.capacity(), u::terabytes(256));
     EXPECT_DOUBLE_EQ(c.storedBytes(), 0.0);
     EXPECT_EQ(c.trips(), 0u);
-    EXPECT_EQ(c.ssds().size(), 32u);
+    EXPECT_EQ(c.ssdCount(), 32u);
 }
 
 TEST(CartTest, LoadUnloadStripesEvenly)
@@ -40,8 +49,7 @@ TEST(CartTest, LoadUnloadStripesEvenly)
     Cart c = freshCart();
     c.loadBytes(u::terabytes(32));
     EXPECT_DOUBLE_EQ(c.storedBytes(), u::terabytes(32));
-    for (const auto &s : c.ssds())
-        EXPECT_DOUBLE_EQ(s.storedBytes(), u::terabytes(1));
+    EXPECT_DOUBLE_EQ(c.ssdBytes(), u::terabytes(1));
     c.unloadBytes(u::terabytes(16));
     EXPECT_DOUBLE_EQ(c.storedBytes(), u::terabytes(16));
     c.eraseAll();
@@ -106,8 +114,11 @@ TEST(CartTest, MatingCyclesHitEverySsd)
 {
     Cart c = freshCart();
     c.beginUndock(); // records one mating cycle
-    for (const auto &s : c.ssds())
-        EXPECT_EQ(s.matingCycles(), 1u);
+    EXPECT_EQ(c.matingCycles(), 1u);
+    c.launch();
+    c.beginDock(CartPlace::Rack);
+    c.finishDock(); // and one more
+    EXPECT_EQ(c.matingCycles(), 2u);
 }
 
 TEST(CartTest, FailureInjectionAndRepair)
@@ -128,4 +139,107 @@ TEST(CartEnums, Names)
     EXPECT_EQ(to_string(CartState::InFlight), "in-flight");
     EXPECT_EQ(to_string(CartPlace::Rack), "rack");
     EXPECT_EQ(to_string(CartPlace::Track), "track");
+}
+
+namespace {
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Every observable of the cart's SSDs equals the per-SSD oracle's. */
+void
+expectSameSsds(const Cart &c, const dhl::reference::RefCartSsds &ref,
+               const Library &lib, int seed, int step)
+{
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+    ASSERT_EQ(c.unhealthySsds(), ref.unhealthySsds());
+    ASSERT_EQ(bits(c.storedBytes()), bits(ref.storedBytes()));
+    ASSERT_EQ(bits(dhl::ops::cartWear(lib, c.id())), bits(ref.meanWear()));
+    ASSERT_EQ(c.ssdCount(), ref.ssds().size());
+    for (std::size_t i = 0; i < ref.ssds().size(); ++i) {
+        ASSERT_EQ(c.ssdState(i), ref.ssds()[i].state());
+        ASSERT_EQ(c.matingCycles(), ref.ssds()[i].matingCycles());
+        ASSERT_EQ(bits(c.ssdBytes()), bits(ref.ssds()[i].storedBytes()));
+    }
+}
+
+} // namespace
+
+TEST(CartSsdDifferential, MatchesPerSsdModel)
+{
+    using dhl::storage::ConnectorKind;
+    const double probabilities[] = {0.0, 0.02, 0.3};
+    const std::size_t ssd_counts[] = {1, 7, 32};
+    for (int seed = 0; seed < 120; ++seed) {
+        dhl::Rng script(static_cast<std::uint64_t>(seed) * 7919u + 1u);
+        DhlConfig dc = defaultConfig();
+        dc.ssds_per_cart = ssd_counts[seed % 3];
+        const ConnectorKind connector =
+            (seed / 3) % 2 == 0 ? ConnectorKind::M2 : ConnectorKind::UsbC;
+        const double p = probabilities[(seed / 6) % 3];
+
+        dhl::sim::Simulator sim;
+        Library lib(sim, dc);
+        Cart &c = lib.addCart(0.0, connector, p);
+        dhl::reference::RefCartSsds ref(dc.ssd, dc.ssds_per_cart,
+                                        connector, p);
+        dhl::Rng rng(static_cast<std::uint64_t>(seed) + 100u);
+        dhl::Rng ref_rng(static_cast<std::uint64_t>(seed) + 100u);
+
+        for (int step = 0; step < 1500; ++step) {
+            const double op = script.uniform();
+            if (op < 0.15) {
+                const double bytes = script.uniform() * c.freeBytes();
+                if (c.unhealthySsds() == 0) {
+                    c.loadBytes(bytes);
+                    ref.load(bytes);
+                } else {
+                    // Writing to an unhealthy SSD fails and writes
+                    // nothing.
+                    const double before = c.storedBytes();
+                    EXPECT_THROW(c.loadBytes(bytes), dhl::FatalError);
+                    ASSERT_EQ(bits(c.storedBytes()), bits(before));
+                }
+            } else if (op < 0.27) {
+                const double bytes = script.uniform() * c.storedBytes();
+                c.unloadBytes(bytes);
+                ref.unload(bytes);
+            } else if (op < 0.29) {
+                c.eraseAll();
+                ref.eraseAll();
+            } else if (op < 0.65) {
+                c.matingCycle(); // a dock or an undock
+                ref.matingCycle();
+            } else if (op < 0.66) {
+                // A long stretch of trips, so USB-C connectors wear out
+                // within the script too.
+                for (int k = 0; k < 800; ++k) {
+                    c.matingCycle();
+                    ref.matingCycle();
+                }
+            } else if (op < 0.98) {
+                ASSERT_EQ(c.rollTripFailures(rng),
+                          ref.rollTripFailures(ref_rng));
+            } else {
+                c.repairAll();
+                ref.repairAll();
+            }
+            expectSameSsds(c, ref, lib, seed, step);
+        }
+        // Same draws in the same order: the streams stand at one place.
+        EXPECT_EQ(rng.next(), ref_rng.next()) << "seed " << seed;
+    }
+}
+
+TEST(CartSsdDifferential, ZeroProbabilityDrawsNothing)
+{
+    Cart c = freshCart(0.0);
+    dhl::Rng rng(5);
+    dhl::Rng untouched(5);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(c.rollTripFailures(rng), 0u);
+    EXPECT_EQ(rng.next(), untouched.next());
 }

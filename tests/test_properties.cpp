@@ -170,3 +170,23 @@ TEST(ConfigIoTest, InvalidValuesRejectedByValidation)
     const auto bad_brake = Properties::fromString("lim.braking = abs\n");
     EXPECT_THROW(loadConfig(bad_brake), dhl::FatalError);
 }
+
+TEST(PropertiesTest, RejectsOutOfRangeIntegers)
+{
+    auto props = Properties::fromString(
+        "big = 99999999999999999999\nsmall = -99999999999999999999\n"
+        "edge = -9223372036854775808\n");
+    for (const char *key : {"big", "small"}) {
+        try {
+            (void)props.getInt(key, 0);
+            ADD_FAILURE() << key << " was accepted";
+        } catch (const dhl::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("property '") + key +
+                          "' is out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(props.getInt("edge", 0), -9223372036854775807L - 1);
+}

@@ -366,3 +366,42 @@ TEST(ServingTest, DumpStatsReportsServeCounters)
     EXPECT_NE(text.find("serve"), std::string::npos);
     EXPECT_NE(text.find("offered"), std::string::npos);
 }
+
+namespace {
+
+/** The kernel's events_executed line of a fleet's stats dump. */
+std::string
+eventsExecutedLine(serve::ServingSim &sim)
+{
+    std::ostringstream os;
+    sim.dumpStats(os);
+    std::istringstream is(os.str());
+    std::string line;
+    while (std::getline(is, line))
+        if (line.rfind("kernel.events_executed ", 0) == 0)
+            return line;
+    return "";
+}
+
+} // namespace
+
+TEST(ServingTest, RestoredRunReportsTheWholeRunsEvents)
+{
+    // The executed-event count is simulated state: a restored fleet's
+    // stat covers the epochs before the hop too.
+    const serve::ServeConfig cfg = degradedConfig();
+    serve::ServingSim oracle(cfg);
+    oracle.run();
+
+    serve::ServingSim first(cfg);
+    first.run(3);
+    std::stringstream ck;
+    first.checkpoint(ck);
+    serve::ServingSim resumed(cfg);
+    resumed.restore(ck);
+    resumed.run();
+
+    const std::string want = eventsExecutedLine(oracle);
+    EXPECT_NE(want, "");
+    EXPECT_EQ(eventsExecutedLine(resumed), want);
+}

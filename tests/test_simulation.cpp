@@ -116,10 +116,13 @@ TEST(DhlSimulationTest, RejectsBadDataset)
     EXPECT_THROW(sim.runBulkTransfer(0.0), dhl::FatalError);
 }
 
+/** No slot limit: the split's own checks alone. */
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+
 TEST(CartSplitTest, ExactMultipleHasNoEmptyTailCart)
 {
     const double cap = defaultConfig().cartCapacity().value();
-    const auto loads = splitIntoCarts(3.0 * cap, cap);
+    const auto loads = splitIntoCarts(3.0 * cap, cap, kNoLimit);
     ASSERT_EQ(loads.size(), 3u);
     for (const double load : loads)
         EXPECT_EQ(load, cap);
@@ -130,7 +133,7 @@ TEST(CartSplitTest, ExactMultipleHasNoEmptyTailCart)
 TEST(CartSplitTest, OnlyTheLastCartIsPartial)
 {
     const double cap = defaultConfig().cartCapacity().value();
-    const auto loads = splitIntoCarts(2.5 * cap, cap);
+    const auto loads = splitIntoCarts(2.5 * cap, cap, kNoLimit);
     ASSERT_EQ(loads.size(), 3u);
     EXPECT_EQ(loads[0], cap);
     EXPECT_EQ(loads[1], cap);
@@ -140,7 +143,7 @@ TEST(CartSplitTest, OnlyTheLastCartIsPartial)
 TEST(CartSplitTest, SubCartDatasetIsOneCart)
 {
     const double cap = defaultConfig().cartCapacity().value();
-    const auto loads = splitIntoCarts(0.25 * cap, cap);
+    const auto loads = splitIntoCarts(0.25 * cap, cap, kNoLimit);
     ASSERT_EQ(loads.size(), 1u);
     EXPECT_EQ(loads[0], 0.25 * cap);
 }
@@ -148,16 +151,31 @@ TEST(CartSplitTest, SubCartDatasetIsOneCart)
 TEST(CartSplitTest, NonPositiveSizeIsFatal)
 {
     const double cap = defaultConfig().cartCapacity().value();
-    EXPECT_THROW(splitIntoCarts(0.0, cap), dhl::FatalError);
-    EXPECT_THROW(splitIntoCarts(-cap, cap), dhl::FatalError);
-    EXPECT_THROW(splitIntoCarts(std::nan(""), cap), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(0.0, cap, kNoLimit), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(-cap, cap, kNoLimit), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(std::nan(""), cap, kNoLimit), dhl::FatalError);
 }
 
 TEST(CartSplitTest, NonFiniteSizeIsFatal)
 {
     const double cap = defaultConfig().cartCapacity().value();
     const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(splitIntoCarts(inf, cap), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(inf, cap, kNoLimit), dhl::FatalError);
     // Finite, but more carts than a size_t can count.
-    EXPECT_THROW(splitIntoCarts(1e300, cap), dhl::FatalError);
+    EXPECT_THROW(splitIntoCarts(1e300, cap, kNoLimit), dhl::FatalError);
+}
+
+TEST(CartSplitTest, MoreCartsThanSlotsIsFatalBeforeAllocating)
+{
+    const double cap = defaultConfig().cartCapacity().value();
+    EXPECT_EQ(splitIntoCarts(2.0 * cap, cap, 2).size(), 2u);
+    EXPECT_THROW(splitIntoCarts(2.5 * cap, cap, 2), dhl::FatalError);
+    // 1e13 carts: refused by the count, not by a failed allocation.
+    EXPECT_THROW(splitIntoCarts(1e13 * cap, cap, 2), dhl::FatalError);
+
+    DhlConfig small = defaultConfig();
+    small.library_slots = 2;
+    DhlSimulation sim(small);
+    EXPECT_THROW(sim.runBulkTransfer(3.0 * cap), dhl::FatalError);
+    EXPECT_EQ(sim.runBulkTransfer(2.0 * cap).carts, 2u);
 }

@@ -23,10 +23,15 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/snapshot.hpp"
 
 using dhl::Rng;
 using dhl::sim::EventHandle;
@@ -339,3 +344,213 @@ TEST(SimulatorStress, HandlesStayUniqueAcrossSlotReuse)
 }
 
 } // namespace
+
+//----------------------------------------------------------------------
+// The in-order lane (scheduleInOrder) against an all-scheduleAt run
+//----------------------------------------------------------------------
+
+namespace {
+
+/**
+ * One side of the lane differential.  Both sides run the same script;
+ * the lane side routes its in-order schedules through scheduleInOrder,
+ * the reference side through scheduleAt.  What an action does depends
+ * only on (seed, token), so both sides make the same calls as long as
+ * they fire the same events in the same order.
+ */
+class LaneSide
+{
+  public:
+    LaneSide(bool use_lane, std::uint64_t seed)
+        : use_lane_(use_lane), seed_(seed)
+    {}
+
+    Simulator sim;
+    std::vector<std::pair<int, double>> fired; ///< (token, time)
+    std::vector<int> cancel_results;
+    double lane_tail = 0.0; ///< Bound for the next in-order time.
+
+    int
+    scheduleHeap(double when)
+    {
+        const int tok = static_cast<int>(handles_.size());
+        handles_.push_back(sim.scheduleAt(when, [this, tok] { fire(tok); }));
+        return tok;
+    }
+
+    int
+    scheduleOrdered(double when)
+    {
+        lane_tail = when;
+        const int tok = static_cast<int>(handles_.size());
+        auto action = [this, tok] { fire(tok); };
+        handles_.push_back(use_lane_ ? sim.scheduleInOrder(when, action)
+                                     : sim.scheduleAt(when, action));
+        return tok;
+    }
+
+    void
+    cancel(int tok)
+    {
+        cancel_results.push_back(sim.cancel(handles_[tok]) ? 1 : 0);
+    }
+
+    void
+    cancelAll()
+    {
+        for (int tok = 0; tok < tokens(); ++tok)
+            cancel(tok);
+    }
+
+    int tokens() const { return static_cast<int>(handles_.size()); }
+
+  private:
+    /** Time steps on a coarse grid, so equal times are common. */
+    static double
+    gridStep(Rng &r)
+    {
+        return static_cast<double>(r.uniformInt(0, 6)) * 0.5;
+    }
+
+    void
+    fire(int tok)
+    {
+        fired.emplace_back(tok, sim.now());
+        Rng r(seed_ * 1000003u + static_cast<std::uint64_t>(tok));
+        const double u = r.uniform();
+        if (u < 0.15) {
+            // Self-cancel: the firing event is no longer pending.
+            cancel(tok);
+        } else if (u < 0.35) {
+            scheduleHeap(sim.now() + gridStep(r));
+        } else if (u < 0.55) {
+            scheduleOrdered(std::max(lane_tail, sim.now()) + gridStep(r));
+            scheduleOrdered(lane_tail + gridStep(r));
+        } else if (u < 0.65 && tokens() > 0) {
+            cancel(static_cast<int>(r.uniformInt(0, tokens() - 1)));
+        }
+    }
+
+    bool use_lane_;
+    std::uint64_t seed_;
+    std::vector<EventHandle> handles_;
+};
+
+/** Drive both sides through one seeded script. */
+void
+runLaneScript(std::uint64_t seed, LaneSide &d)
+{
+    Rng script(seed);
+    std::string snapshot;
+    for (int step = 0; step < 300; ++step) {
+        const double op = script.uniform();
+        const double now = d.sim.now();
+        if (op < 0.30) {
+            const int k = static_cast<int>(script.uniformInt(1, 12));
+            double t = std::max(d.lane_tail, now);
+            for (int i = 0; i < k; ++i) {
+                t += static_cast<double>(script.uniformInt(0, 2)) * 0.5;
+                d.scheduleOrdered(t);
+            }
+        } else if (op < 0.48) {
+            d.scheduleHeap(now +
+                           static_cast<double>(script.uniformInt(0, 8)) *
+                               0.5);
+        } else if (op < 0.60) {
+            if (d.tokens() > 0)
+                d.cancel(static_cast<int>(
+                    script.uniformInt(0, d.tokens() - 1)));
+        } else if (op < 0.75) {
+            d.sim.runUntil(now + static_cast<double>(
+                                     script.uniformInt(0, 6)) * 0.5);
+        } else if (op < 0.88) {
+            d.sim.step(static_cast<std::uint64_t>(script.uniformInt(1, 6)));
+        } else if (op < 0.94) {
+            std::ostringstream os;
+            {
+                dhl::sim::SnapshotWriter w(os);
+                d.sim.saveState(w);
+            }
+            snapshot = os.str();
+        } else if (!snapshot.empty()) {
+            // Restore on an emptied queue: cancelled entries, some later
+            // than the rewound clock, still sit in the heap and lane.
+            d.cancelAll();
+            std::istringstream is(snapshot);
+            dhl::sim::SnapshotReader r(is);
+            d.sim.restoreState(r);
+            d.lane_tail = d.sim.now();
+        }
+    }
+    d.sim.run();
+}
+
+} // namespace
+
+TEST(SimulatorLane, FiresInTheSameOrderAsTheHeap)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        LaneSide lane(true, seed);
+        LaneSide heap(false, seed);
+        runLaneScript(seed, lane);
+        runLaneScript(seed, heap);
+        ASSERT_EQ(lane.fired.size(), heap.fired.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < lane.fired.size(); ++i) {
+            ASSERT_EQ(lane.fired[i].first, heap.fired[i].first)
+                << "seed " << seed << " event " << i;
+            ASSERT_EQ(lane.fired[i].second, heap.fired[i].second)
+                << "seed " << seed << " event " << i;
+        }
+        EXPECT_EQ(lane.cancel_results, heap.cancel_results)
+            << "seed " << seed;
+        EXPECT_EQ(lane.sim.eventsExecuted(), heap.sim.eventsExecuted());
+        EXPECT_EQ(lane.sim.pendingEvents(), 0u);
+        EXPECT_FALSE(lane.fired.empty());
+    }
+}
+
+TEST(SimulatorLane, EqualTimesFireInScheduleOrderAcrossHeapAndLane)
+{
+    Simulator sim;
+    std::vector<int> order;
+    sim.scheduleInOrder(1.0, [&] { order.push_back(0); });
+    sim.scheduleAt(1.0, [&] { order.push_back(1); });
+    sim.scheduleInOrder(1.0, [&] { order.push_back(2); });
+    sim.scheduleAt(0.5, [&] { order.push_back(3); });
+    sim.scheduleInOrder(2.0, [&] { order.push_back(4); });
+    sim.scheduleAt(1.0, [&] { order.push_back(5); });
+    EXPECT_EQ(sim.pendingEvents(), 6u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2, 5, 4}));
+}
+
+TEST(SimulatorLane, DecreasingTimeIsFatal)
+{
+    Simulator sim;
+    sim.scheduleInOrder(2.0, [] {});
+    EXPECT_THROW(sim.scheduleInOrder(1.0, [] {}), dhl::FatalError);
+    EXPECT_EQ(sim.pendingEvents(), 1u); // the refused event left no trace
+    EXPECT_THROW(sim.scheduleInOrder(-1.0, [] {}), dhl::FatalError);
+    // A cancelled tail no longer bounds the order.
+    const EventHandle tail = sim.scheduleInOrder(3.0, [] {});
+    EXPECT_TRUE(sim.cancel(tail));
+    EXPECT_NO_THROW(sim.scheduleInOrder(2.5, [] {}));
+    sim.run();
+    EXPECT_EQ(sim.eventsExecuted(), 2u);
+}
+
+TEST(SimulatorLane, ThrowingActionStillFreesItsSlot)
+{
+    Simulator sim;
+    int fired = 0;
+    sim.scheduleInOrder(1.0, [] { dhl::fatal("boom"); });
+    sim.scheduleAt(2.0, [&] { ++fired; });
+    EXPECT_THROW(sim.run(), dhl::FatalError);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run();
+    EXPECT_EQ(fired, 1);
+    // The freed slot is reused without disturbing anything.
+    sim.scheduleInOrder(3.0, [&] { ++fired; });
+    sim.run();
+    EXPECT_EQ(fired, 2);
+}

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +63,17 @@ countFlag(const ArgParser &args, const std::string &flag)
     if (v < 0)
         fatal("--" + flag + " must be >= 0, got " + std::to_string(v));
     return static_cast<std::size_t>(v);
+}
+
+/** An integer flag that must fit an int (fatal otherwise). */
+int
+intFlag(const ArgParser &args, const std::string &flag)
+{
+    const long v = args.getInt(flag);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        fatal("--" + flag + " is out of range, got " + std::to_string(v));
+    return static_cast<int>(v);
 }
 
 /** Register the shared configuration flags. */
@@ -517,8 +529,7 @@ cmdServe(int argc, const char *const *argv)
     cfg.carts_per_track = countFlag(args, "carts");
     cfg.max_pending = countFlag(args, "max-pending");
     cfg.policy = ops::parseDispatchPolicy(args.get("policy"));
-    cfg.min_priority_degraded =
-        static_cast<int>(args.getInt("min-priority"));
+    cfg.min_priority_degraded = intFlag(args, "min-priority");
     if (args.getSwitch("te")) {
         cfg.te.enabled = true;
         cfg.te.mode = te::parseTeMode(args.get("te-mode"));
@@ -530,8 +541,7 @@ cmdServe(int argc, const char *const *argv)
         cfg.te.headroom = args.getDouble("te-headroom");
         cfg.te.usage_multiplier = args.getDouble("te-multiplier");
         cfg.te.history = countFlag(args, "te-history");
-        cfg.te.min_priority_contended =
-            static_cast<int>(args.getInt("te-floor"));
+        cfg.te.min_priority_contended = intFlag(args, "te-floor");
         cfg.te.route = args.get("te-route");
     }
     if (args.getSwitch("faults")) {
