@@ -230,7 +230,7 @@ fleetPolicyScenario(std::string name, ops::DispatchPolicy policy,
 
         // Half the jobs are bulk (priority 0), half latency-sensitive
         // (priority 1); only the admission-control row sets a floor.
-        std::vector<RequestMeta> meta(carts);
+        std::vector<ops::RequestMeta> meta(carts);
         for (std::size_t j = 0; j < meta.size(); ++j)
             meta[j].priority = static_cast<int>(j % 2);
 

@@ -281,70 +281,6 @@ Accumulator::reset()
 }
 
 //===========================================================================
-// Histogram
-//===========================================================================
-
-Histogram::Histogram(std::string name, std::string desc,
-                     double lo, double hi, std::size_t n_bins)
-    : StatBase(std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(n_bins)),
-      bins_(n_bins, 0),
-      underflow_(0), overflow_(0), total_(0)
-{
-    fatal_if(n_bins == 0, "Histogram needs at least one bin");
-    fatal_if(!(hi > lo), "Histogram range must satisfy hi > lo");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++total_;
-    if (v < lo_) {
-        ++underflow_;
-    } else if (v >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= bins_.size())
-            idx = bins_.size() - 1; // guard against FP edge rounding
-        ++bins_[idx];
-    }
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    panic_if(i >= bins_.size(), "Histogram bin index out of range");
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-void
-Histogram::dump(std::ostream &os, const std::string &prefix) const
-{
-    dumpLine(os, prefix, name() + ".samples", std::to_string(total_), desc());
-    dumpLine(os, prefix, name() + ".underflow", std::to_string(underflow_),
-             desc());
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
-            continue;
-        std::string bucket = name() + "[" + units::formatSig(binLow(i), 6) +
-                             "," +
-                             units::formatSig(binLow(i) + width_, 6) + ")";
-        dumpLine(os, prefix, bucket, std::to_string(bins_[i]), desc());
-    }
-    dumpLine(os, prefix, name() + ".overflow", std::to_string(overflow_),
-             desc());
-}
-
-void
-Histogram::reset()
-{
-    std::fill(bins_.begin(), bins_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-}
-
-//===========================================================================
 // Formula
 //===========================================================================
 
@@ -377,14 +313,6 @@ StatGroup::addAccumulator(const std::string &name, const std::string &desc)
 {
     stats_.push_back(std::make_unique<Accumulator>(name, desc));
     return static_cast<Accumulator &>(*stats_.back());
-}
-
-Histogram &
-StatGroup::addHistogram(const std::string &name, const std::string &desc,
-                        double lo, double hi, std::size_t n_bins)
-{
-    stats_.push_back(std::make_unique<Histogram>(name, desc, lo, hi, n_bins));
-    return static_cast<Histogram &>(*stats_.back());
 }
 
 Formula &

@@ -10,7 +10,6 @@
  *  - Counter:      a monotonically increasing event count.
  *  - Accumulator:  running sum plus sample statistics (min/max/mean/
  *                  stddev, Welford's algorithm).
- *  - Histogram:    fixed-width binning over a configured range.
  *  - Formula:      a lazily evaluated derived value (e.g. bandwidth =
  *                  bytes / time), captured as a callable.
  *
@@ -137,42 +136,6 @@ class Accumulator : public StatBase
     double max_;
     double mean_;
     double m2_;
-};
-
-/** Fixed-width histogram over [lo, hi) with under/overflow buckets. */
-class Histogram : public StatBase
-{
-  public:
-    /**
-     * @param name     Statistic name.
-     * @param desc     Description.
-     * @param lo       Inclusive lower bound of the binned range.
-     * @param hi       Exclusive upper bound of the binned range.
-     * @param n_bins   Number of equal-width bins (>= 1).
-     */
-    Histogram(std::string name, std::string desc,
-              double lo, double hi, std::size_t n_bins);
-
-    void sample(double v);
-
-    std::uint64_t totalSamples() const { return total_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::size_t numBins() const { return bins_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return bins_.at(i); }
-    double binLow(std::size_t i) const;
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t underflow_;
-    std::uint64_t overflow_;
-    std::uint64_t total_;
 };
 
 /**
@@ -376,8 +339,6 @@ class StatGroup
     Counter &addCounter(const std::string &name, const std::string &desc);
     Accumulator &addAccumulator(const std::string &name,
                                 const std::string &desc);
-    Histogram &addHistogram(const std::string &name, const std::string &desc,
-                            double lo, double hi, std::size_t n_bins);
     Formula &addFormula(const std::string &name, const std::string &desc,
                         Formula::Fn fn);
 

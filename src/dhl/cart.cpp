@@ -96,24 +96,6 @@ Cart::loadBytes(double bytes)
 }
 
 void
-Cart::unloadBytes(double bytes)
-{
-    fatal_if(bytes < 0.0, "unload size must be non-negative");
-    if (bytes > storedBytes() + 1e-3)
-        fatal("unload beyond stored bytes on cart " + std::to_string(id_));
-    if (failed_.empty())
-        return;
-    const double per = bytes / static_cast<double>(failed_.size());
-    ssd_bytes_ = std::max(ssd_bytes_ - std::min(per, ssd_bytes_), 0.0);
-}
-
-void
-Cart::eraseAll()
-{
-    ssd_bytes_ = 0.0;
-}
-
-void
 Cart::beginUndock()
 {
     if (state_ != CartState::Stored && state_ != CartState::Docked)
@@ -186,16 +168,6 @@ Cart::rollTripFailures(Rng &rng)
     }
     failed_count_ += failed;
     return failed;
-}
-
-storage::SsdState
-Cart::ssdState(std::size_t i) const
-{
-    panic_if(i >= failed_.size(), "SSD index out of range");
-    if (failed_[i])
-        return storage::SsdState::Failed;
-    return connectorWorn() ? storage::SsdState::ConnectorWorn
-                           : storage::SsdState::Healthy;
 }
 
 void

@@ -79,12 +79,6 @@ class Cart
      */
     void loadBytes(double bytes);
 
-    /** Remove @p bytes, striped evenly.  fatal() if more than stored. */
-    void unloadBytes(double bytes);
-
-    /** Erase all contents. */
-    void eraseAll();
-
     /** Transition helpers (validated: panic on illegal transitions). */
     void beginUndock();
     void launch();
@@ -132,9 +126,6 @@ class Cart
 
     /** Bytes on each SSD (loads stripe evenly over all of them). */
     double ssdBytes() const { return ssd_bytes_; }
-
-    /** Health of SSD @p i (a failure outranks connector wear). */
-    storage::SsdState ssdState(std::size_t i) const;
 
     /** Connector mating cycles since the last repairAll(). */
     std::uint64_t matingCycles() const { return cycles_; }

@@ -83,6 +83,20 @@ parseTrackMode(const std::string &s)
           "got '" + s + "'");
 }
 
+/**
+ * A count key: absent keeps @p fallback; a negative value is fatal,
+ * naming the key, instead of wrapping into a huge size.
+ */
+std::size_t
+countKey(const Properties &props, const std::string &key,
+         std::size_t fallback)
+{
+    const long v = props.getInt(key, static_cast<long>(fallback));
+    if (v < 0)
+        fatal(key + " must be >= 0, got " + std::to_string(v));
+    return static_cast<std::size_t>(v);
+}
+
 } // namespace
 
 DhlConfig
@@ -108,8 +122,7 @@ loadConfig(const Properties &props)
     cfg.lim.regen_fraction =
         props.getDouble("lim.regen_fraction", cfg.lim.regen_fraction);
 
-    cfg.ssds_per_cart = static_cast<std::size_t>(props.getInt(
-        "ssds_per_cart", static_cast<long>(cfg.ssds_per_cart)));
+    cfg.ssds_per_cart = countKey(props, "ssds_per_cart", cfg.ssds_per_cart);
     cfg.ssd.name = props.get("ssd.name", cfg.ssd.name);
     if (props.has("ssd.capacity_tb")) {
         cfg.ssd.capacity =
@@ -135,9 +148,8 @@ loadConfig(const Properties &props)
             units::grams(props.getDouble("mass.frame_mass_g", 0.0));
     }
 
-    cfg.pcie.lanes_per_ssd = static_cast<std::size_t>(props.getInt(
-        "pcie.lanes_per_ssd",
-        static_cast<long>(cfg.pcie.lanes_per_ssd)));
+    cfg.pcie.lanes_per_ssd =
+        countKey(props, "pcie.lanes_per_ssd", cfg.pcie.lanes_per_ssd);
     if (props.has("pcie.lane_gbps")) {
         cfg.pcie.lane_bandwidth = units::gigabitsPerSecond(
             props.getDouble("pcie.lane_gbps", 0.0));
@@ -146,10 +158,9 @@ loadConfig(const Properties &props)
     if (props.has("track_mode"))
         cfg.track_mode = parseTrackMode(props.get("track_mode"));
     cfg.headway = props.getDouble("headway", cfg.headway);
-    cfg.docking_stations = static_cast<std::size_t>(props.getInt(
-        "docking_stations", static_cast<long>(cfg.docking_stations)));
-    cfg.library_slots = static_cast<std::size_t>(props.getInt(
-        "library_slots", static_cast<long>(cfg.library_slots)));
+    cfg.docking_stations =
+        countKey(props, "docking_stations", cfg.docking_stations);
+    cfg.library_slots = countKey(props, "library_slots", cfg.library_slots);
 
     validate(cfg);
     return cfg;

@@ -5,6 +5,7 @@
 
 #include "dhl/controller.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -17,7 +18,6 @@ DhlController::DhlController(sim::Simulator &sim, const DhlConfig &cfg,
                              std::string name, std::uint64_t seed)
     : sim::SimObject(sim, std::move(name)),
       cfg_(cfg),
-      scheduler_(makeFifoScheduler()),
       next_seq_(0),
       rng_(seed),
       failure_per_trip_(0.0),
@@ -78,15 +78,14 @@ DhlController::attachFaults(faults::FaultState *faults)
         // whichever stations survive, parked launches retry on their
         // own bounded backoff.
         faults->onRepair([this] {
-            if (tracingOn() && !scheduler_->empty() &&
-                !launchesBlocked()) {
+            if (tracingOn() && !queue_.empty() && !launchesBlocked()) {
                 traceEvent(
                     "fault",
                     "repair completed; dispatching " +
-                        std::to_string(scheduler_->size()) +
+                        std::to_string(queue_.size()) +
                         " queued open(s), oldest waited " +
                         units::formatSig(
-                            now() - scheduler_->oldestEnqueueTime(), 4) +
+                            now() - queue_.front().enqueue_time, 4) +
                         " s");
             }
             dispatchOpens();
@@ -115,12 +114,6 @@ DhlController::traceEvent(std::string_view category,
 void
 DhlController::open(CartId id, OpenCb cb)
 {
-    open(id, RequestMeta{}, std::move(cb));
-}
-
-void
-DhlController::open(CartId id, const RequestMeta &meta, OpenCb cb)
-{
     Cart &cart = library_->cart(id);
     if (cart.place() != CartPlace::Library ||
         cart.state() != CartState::Stored) {
@@ -139,8 +132,8 @@ DhlController::open(CartId id, const RequestMeta &meta, OpenCb cb)
                                     " held: cart in repair for another " +
                                     units::formatSig(wait, 4) + " s");
         }
-        schedule(wait, [this, id, meta, cb = std::move(cb)]() mutable {
-            open(id, meta, std::move(cb));
+        schedule(wait, [this, id, cb = std::move(cb)]() mutable {
+            open(id, std::move(cb));
         });
         return;
     }
@@ -156,20 +149,10 @@ DhlController::open(CartId id, const RequestMeta &meta, OpenCb cb)
             traceEvent("api",
                        "open cart " + std::to_string(id) + " queued");
         }
-        scheduler_->push(
-            QueuedOpen{id, meta, now(), next_seq_++, std::move(cb)});
+        queue_.push_back(QueuedOpen{id, now(), next_seq_++, std::move(cb)});
         return;
     }
     startOpen(id, std::move(cb), *st);
-}
-
-void
-DhlController::setScheduler(std::unique_ptr<OpenScheduler> scheduler)
-{
-    fatal_if(scheduler == nullptr, "scheduler must not be null");
-    fatal_if(!scheduler_->empty(),
-             "cannot swap schedulers while requests are queued");
-    scheduler_ = std::move(scheduler);
 }
 
 DhlController::Trip &
@@ -338,11 +321,12 @@ DhlController::dispatchOpens()
     // in the library than stranded at a station).
     if (launchesBlocked())
         return;
-    while (!scheduler_->empty()) {
+    while (!queue_.empty()) {
         DockingStation *st = findFreeStation();
         if (st == nullptr)
             return;
-        QueuedOpen req = scheduler_->pop();
+        QueuedOpen req = std::move(queue_.front());
+        queue_.pop_front();
         startOpen(req.id, std::move(req.cb), *st);
     }
 }
@@ -350,7 +334,9 @@ DhlController::dispatchOpens()
 std::vector<QueuedOpen>
 DhlController::drainQueuedOpens()
 {
-    std::vector<QueuedOpen> drained = scheduler_->drain();
+    std::vector<QueuedOpen> drained(std::make_move_iterator(queue_.begin()),
+                                    std::make_move_iterator(queue_.end()));
+    queue_.clear();
     if (tracingOn() && !drained.empty()) {
         traceEvent("fault", "drained " + std::to_string(drained.size()) +
                                 " queued open(s) for re-routing");
@@ -408,7 +394,7 @@ DhlController::handleArrivalFailures(Cart &cart)
 void
 DhlController::saveState(sim::SnapshotWriter &w) const
 {
-    fatal_if(scheduler_->size() != 0 || anyDocked(),
+    fatal_if(!queue_.empty() || anyDocked(),
              "controller checkpoint requires a drained boundary (no "
              "queued or docked work)");
     sim::SnapshotScope<sim::SnapshotWriter> scope(w, "controller");
@@ -424,7 +410,7 @@ DhlController::saveState(sim::SnapshotWriter &w) const
 void
 DhlController::restoreState(sim::SnapshotReader &r)
 {
-    fatal_if(scheduler_->size() != 0 || anyDocked(),
+    fatal_if(!queue_.empty() || anyDocked(),
              "controller restore requires a freshly constructed system");
     sim::SnapshotScope<sim::SnapshotReader> scope(r, "controller");
     r.getRng("rng", rng_);

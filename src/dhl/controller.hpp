@@ -22,7 +22,6 @@
 #include "dhl/config.hpp"
 #include "dhl/docking_station.hpp"
 #include "dhl/library.hpp"
-#include "dhl/scheduler.hpp"
 #include "dhl/track.hpp"
 #include "faults/fault_state.hpp"
 #include "sim/sim_object.hpp"
@@ -30,6 +29,15 @@
 
 namespace dhl {
 namespace core {
+
+/** One open waiting for a docking station. */
+struct QueuedOpen
+{
+    CartId id;
+    double enqueue_time;
+    std::uint64_t seq; ///< Arrival order.
+    std::function<void(Cart &, DockingStation &)> cb;
+};
 
 /** The DHL controller: owns the whole simulated system of one DHL. */
 class DhlController : public sim::SimObject
@@ -59,14 +67,11 @@ class DhlController : public sim::SimObject
 
     /**
      * Open: request a cart from the library.  If all rack docking
-     * stations are claimed the request queues under the configured
-     * scheduling policy (FIFO by default); once a station frees, the
-     * cart is undocked, shuttled, docked, and @p cb fires.
+     * stations are claimed the request queues in arrival order; once a
+     * station frees, the cart is undocked, shuttled, docked, and @p cb
+     * fires.
      */
     void open(CartId id, OpenCb cb);
-
-    /** Open with scheduling metadata (priority / deadline). */
-    void open(CartId id, const RequestMeta &meta, OpenCb cb);
 
     /**
      * Close: disconnect a docked cart and shuttle it back to the
@@ -95,16 +100,7 @@ class DhlController : public sim::SimObject
     std::uint64_t ssdFailures() const { return ssd_failures_; }
 
     /** Open requests currently waiting for a docking station. */
-    std::size_t queuedOpens() const { return scheduler_->size(); }
-
-    /**
-     * Replace the queueing policy (must be done while the queue is
-     * empty).  Default: FIFO.
-     */
-    void setScheduler(std::unique_ptr<OpenScheduler> scheduler);
-
-    /** The active policy's name. */
-    std::string schedulerName() const { return scheduler_->name(); }
+    std::size_t queuedOpens() const { return queue_.size(); }
 
     /** Set the per-SSD per-trip failure probability for new carts. */
     void setFailureProbability(double p) { failure_per_trip_ = p; }
@@ -226,7 +222,7 @@ class DhlController : public sim::SimObject
     // dhl-analyze: transient(trips_): no trip is in progress at a legal
     // checkpoint boundary (saveState asserts no cart is docked)
     std::vector<Trip> trips_; ///< Index = cart id.
-    std::unique_ptr<OpenScheduler> scheduler_;
+    std::deque<QueuedOpen> queue_; ///< Opens waiting, in arrival order.
     std::uint64_t next_seq_;
     // dhl-analyze: transient(trace_, faults_): wiring pointers,
     // re-attached by the harness before restore

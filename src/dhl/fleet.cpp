@@ -103,7 +103,6 @@ DhlFleet::faultInjector(std::size_t i)
 
 BulkRunResult
 DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
-                          const std::vector<RequestMeta> &meta,
                           std::vector<double> *open_latency)
 {
     fatal_if(opts.pipelined,
@@ -114,15 +113,12 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
         bytes, cfg_.cartCapacity().value(), k * cfg_.library_slots);
 
     // Round-robin cart assignment; each track gets its own serial
-    // chain of (cart id, job meta), cart ids local to that track's
-    // library.
-    std::vector<std::vector<std::pair<CartId, RequestMeta>>> per_track(k);
+    // chain of cart ids, local to that track's library.
+    std::vector<std::vector<CartId>> per_track(k);
     for (std::size_t i = 0; i < loads.size(); ++i) {
         auto &ctl = *controllers_[i % k];
         ctl.setFailureProbability(opts.failure_per_trip);
-        per_track[i % k].emplace_back(
-            ctl.addCart(loads[i]).id(),
-            i < meta.size() ? meta[i] : RequestMeta{});
+        per_track[i % k].push_back(ctl.addCart(loads[i]).id());
     }
 
     BulkRunMeter run(sim_, tracks());
@@ -137,8 +133,7 @@ DhlFleet::runBulkTransfer(double bytes, const BulkRunOptions &opts,
         chains[t] = [&, t](std::size_t idx) {
             if (idx == per_track[t].size())
                 return;
-            const auto &[id, job_meta] = per_track[t][idx];
-            roundTrip(*controllers_[t], id, job_meta,
+            roundTrip(*controllers_[t], per_track[t][idx],
                       opts.include_read_time,
                       [&, t, idx](double b) {
                           run.stored(b);

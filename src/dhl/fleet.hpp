@@ -21,7 +21,6 @@
 
 #include "dhl/config.hpp"
 #include "dhl/controller.hpp"
-#include "dhl/scheduler.hpp"
 #include "dhl/simulation.hpp"
 #include "sim/simulator.hpp"
 
@@ -60,8 +59,6 @@ class DhlFleet
      * outages) left pending stays queued.  Returns the fleet-level
      * metrics; `total_time` is the slowest track's completion.
      *
-     * @param meta          Per-job scheduling metadata, indexed by job
-     *                      (= cart); missing entries default.
      * @param open_latency  If non-null, receives each open's issue ->
      *                      docked latency, s, in completion order.
      *
@@ -69,7 +66,6 @@ class DhlFleet
      */
     BulkRunResult runBulkTransfer(double bytes,
                                   const BulkRunOptions &opts = {},
-                                  const std::vector<RequestMeta> &meta = {},
                                   std::vector<double> *open_latency =
                                       nullptr);
 

@@ -56,7 +56,7 @@ DhlSimulation::runBulkTransfer(double bytes, const BulkRunOptions &opts)
 
     BulkRunMeter meter(sim_, {controller_.get()});
     auto trip = [this, &opts, &meter](CartId id) {
-        roundTrip(*controller_, id, RequestMeta{}, opts.include_read_time,
+        roundTrip(*controller_, id, opts.include_read_time,
                   [&meter](double b) { meter.stored(b); });
     };
     if (opts.pipelined) {
@@ -101,12 +101,12 @@ splitIntoCarts(double bytes, double capacity, std::size_t max_carts)
 }
 
 void
-roundTrip(DhlController &ctl, CartId id, const RequestMeta &meta,
-          bool read, std::function<void(double)> stored,
+roundTrip(DhlController &ctl, CartId id, bool read,
+          std::function<void(double)> stored,
           std::function<void(double)> docked)
 {
     const double issued = ctl.now();
-    ctl.open(id, meta,
+    ctl.open(id,
              [&ctl, id, issued, read, stored = std::move(stored),
               docked = std::move(docked)](Cart &cart, DockingStation &) {
         if (docked)

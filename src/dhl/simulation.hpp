@@ -69,16 +69,16 @@ std::vector<double> splitIntoCarts(double bytes, double capacity,
                                    std::size_t max_carts);
 
 /**
- * One cart's round trip through the four-command API: open (with
- * @p meta), read storedBytes() at the rack when @p read and the cart
- * holds data, close.  @p docked (optional) receives the open's issue ->
+ * One cart's round trip through the four-command API: open, read
+ * storedBytes() at the rack when @p read and the cart holds data,
+ * close.  @p docked (optional) receives the open's issue ->
  * docked latency, s; @p stored fires once the cart is back in the
  * library, with the bytes read (0 without a read).  Whatever the hooks
  * capture must outlive the trip: the batch drivers return only after
  * every cart is stored.
  */
-void roundTrip(DhlController &ctl, CartId id, const RequestMeta &meta,
-               bool read, std::function<void(double)> stored,
+void roundTrip(DhlController &ctl, CartId id, bool read,
+               std::function<void(double)> stored,
                std::function<void(double)> docked = nullptr);
 
 /**

@@ -240,30 +240,6 @@ FlowSim::removeMember(std::uint32_t g, std::uint32_t index)
         retireGroup(g);
 }
 
-bool
-FlowSim::cancelFlow(FlowId id)
-{
-    const std::size_t slot = slotOf(id);
-    if (slot == meta_.size())
-        return false;
-    drainFlows();
-    const FlowMeta &m = meta_[slot];
-    active_power_ -= m.route_power;
-    active_power_tstart_ -= m.route_power * m.start_time;
-    const std::uint32_t g = m.group;
-    Group &grp = groups_[g];
-    const bool was_min =
-        grp.members[m.index].remaining == grp.min_remaining;
-    removeMember(g, m.index);
-    if (was_min && !grp.members.empty()) {
-        grp.min_remaining = kInf;
-        for (const Member &f : grp.members)
-            grp.min_remaining = std::min(grp.min_remaining, f.remaining);
-    }
-    reallocate();
-    return true;
-}
-
 double
 FlowSim::flowRate(FlowId id) const
 {

@@ -105,9 +105,6 @@ class FlowSim : public sim::SimObject
     FlowId startFlow(std::vector<int> links, double bytes,
                      double route_power = 0.0, Callback cb = nullptr);
 
-    /** Cancel an in-flight flow; returns false if unknown/finished. */
-    bool cancelFlow(FlowId id);
-
     /**
      * Current fair-share rate of an active flow, bytes/s.  Searches
      * the in-flight flows newest first: O(1) for the flow just

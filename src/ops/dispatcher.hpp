@@ -16,8 +16,8 @@
  *                       a track the moment its launches block and the
  *                       jobs re-routed fleet-wide, and (c) while the
  *                       fleet is degraded, jobs below a priority floor
- *                       are deferred (admission control, reusing
- *                       core::RequestMeta).
+ *                       are deferred (admission control on
+ *                       ops::RequestMeta::priority).
  *
  * Traffic engineering is not a dispatch policy: the serving loop runs
  * it through serve::ServeConfig::te.

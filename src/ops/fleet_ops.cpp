@@ -67,7 +67,7 @@ FleetOps::FleetOps(const core::DhlConfig &cfg, std::size_t tracks,
 
 OpsRunResult
 FleetOps::runBulkTransfer(double bytes, const core::BulkRunOptions &opts,
-                          const std::vector<core::RequestMeta> &meta)
+                          const std::vector<RequestMeta> &meta)
 {
     fatal_if(opts.pipelined,
              "a fleet runs serial per-track chains; pipelined bulk "
@@ -75,7 +75,7 @@ FleetOps::runBulkTransfer(double bytes, const core::BulkRunOptions &opts,
     run_ = OpsRunResult{};
     open_latency_.clear();
     if (ops_.dispatch.policy == DispatchPolicy::RoundRobin)
-        run_.base = fleet_.runBulkTransfer(bytes, opts, meta, &open_latency_);
+        run_.base = fleet_.runBulkTransfer(bytes, opts, &open_latency_);
     else
         run_.base = runPull(bytes, opts, meta);
 
@@ -243,7 +243,7 @@ FleetOps::assign(std::size_t t, std::size_t j)
     const core::CartId id = ctl.addCart(jobs_[j].load).id();
     cart_job_[t][id] = j;
     ++outstanding_[t];
-    core::roundTrip(ctl, id, jobs_[j].meta, opts_.include_read_time,
+    core::roundTrip(ctl, id, opts_.include_read_time,
                     [this, t, id](double b) { finishJob(t, id, b); },
                     [this](double l) { open_latency_.push_back(l); });
 }
@@ -262,7 +262,7 @@ FleetOps::finishJob(std::size_t t, core::CartId id, double bytes_read)
 
 core::BulkRunResult
 FleetOps::runPull(double bytes, const core::BulkRunOptions &opts,
-                  const std::vector<core::RequestMeta> &meta)
+                  const std::vector<RequestMeta> &meta)
 {
     const core::DhlConfig &cfg = fleet_.track(0).config();
     const std::vector<double> loads = core::splitIntoCarts(
@@ -274,7 +274,7 @@ FleetOps::runPull(double bytes, const core::BulkRunOptions &opts,
     queue_.reserve(loads.size());
     for (std::size_t j = 0; j < loads.size(); ++j) {
         jobs_.push_back(
-            Job{loads[j], j < meta.size() ? meta[j] : core::RequestMeta{}});
+            Job{loads[j], j < meta.size() ? meta[j] : RequestMeta{}});
         queue_.push_back(j);
     }
 

@@ -57,6 +57,14 @@ struct OpsConfig
 
 };
 
+/** Per-job metadata the pull engine's dispatcher reads. */
+struct RequestMeta
+{
+    /** Larger is more urgent: dispatched first, and kept under the
+     *  AvailabilityAware degraded-mode floor. */
+    int priority = 0;
+};
+
 /** Validate against a fleet of @p tracks tracks; fatal() on nonsense. */
 void validate(const OpsConfig &cfg, std::size_t tracks);
 
@@ -109,25 +117,26 @@ class FleetOps
      * Move @p bytes through the fleet under the configured policy with
      * every configured ops process running, and report the combined
      * transfer + operations metrics.  @p meta optionally assigns
-     * per-job scheduling metadata (indexed by job = cart; missing
-     * entries default).  Semantics otherwise match
+     * per-job metadata to the pull engine (indexed by job = cart;
+     * missing entries default; RoundRobin dispatches in job order and
+     * reads none).  Semantics otherwise match
      * DhlFleet::runBulkTransfer, which rejects opts.pipelined.
      */
     OpsRunResult
     runBulkTransfer(double bytes, const core::BulkRunOptions &opts = {},
-                    const std::vector<core::RequestMeta> &meta = {});
+                    const std::vector<RequestMeta> &meta = {});
 
   private:
     struct Job
     {
         double load;
-        core::RequestMeta meta;
+        RequestMeta meta;
         bool deferral_counted = false;
     };
 
     core::BulkRunResult runPull(double bytes,
                                 const core::BulkRunOptions &opts,
-                                const std::vector<core::RequestMeta> &meta);
+                                const std::vector<RequestMeta> &meta);
     void installListeners();
     bool trackUp(std::size_t t);
     bool anyTrackDown();

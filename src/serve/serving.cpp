@@ -375,9 +375,7 @@ ServingSim::admitTe(const workloads::ArrivalEvent &ev)
     const std::size_t tenant = tenantOf(ev);
     te_->recordUsage(tenant, ev.bytes);
 
-    core::RequestMeta meta;
-    meta.priority = ev.priority;
-    const te::TeDecision d = te_->decide(tenant, ev.bytes, meta);
+    const te::TeDecision d = te_->decide(tenant, ev.bytes, ev.priority);
 
     if (d.substrate == te::Substrate::Optical) {
         // Optical requests never queue: the fluid FlowSim models their
@@ -469,9 +467,8 @@ ServingSim::pump()
                 // (DHL); only the admit verdict is re-evaluated, so a
                 // contention hold behaves exactly like the degraded
                 // floor: skipped now, revisited on the next pump.
-                core::RequestMeta meta;
-                meta.priority = it->ev.priority;
-                if (!te_->decide(tenantOf(it->ev), it->ev.bytes, meta)
+                if (!te_->decide(tenantOf(it->ev), it->ev.bytes,
+                                 it->ev.priority)
                          .admit)
                     continue;
             }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of SimObject and PeriodicProcess.
+ * Implementation of SimObject.
  */
 
 #include "sim/sim_object.hpp"
@@ -22,65 +22,6 @@ EventHandle
 SimObject::schedule(Time delay, Simulator::Action action)
 {
     return sim_.schedule(delay, std::move(action));
-}
-
-PeriodicProcess::PeriodicProcess(Simulator &sim, Time period, Tick tick)
-    : sim_(sim), period_(period), tick_(std::move(tick)), running_(false)
-{
-    fatal_if(!(period > 0.0), "PeriodicProcess period must be positive");
-    fatal_if(!tick_, "PeriodicProcess needs a tick callback");
-}
-
-PeriodicProcess::~PeriodicProcess()
-{
-    stop();
-}
-
-void
-PeriodicProcess::start()
-{
-    start(period_);
-}
-
-void
-PeriodicProcess::start(Time initial_delay)
-{
-    fatal_if(!(initial_delay >= 0.0),
-             "PeriodicProcess initial delay must be non-negative");
-    if (running_)
-        return;
-    running_ = true;
-    scheduleNext(initial_delay);
-}
-
-void
-PeriodicProcess::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    sim_.cancel(pending_);
-    pending_ = EventHandle();
-}
-
-void
-PeriodicProcess::setPeriod(Time period)
-{
-    fatal_if(!(period > 0.0), "PeriodicProcess period must be positive");
-    period_ = period;
-}
-
-void
-PeriodicProcess::scheduleNext(Time delay)
-{
-    pending_ = sim_.schedule(delay, [this] {
-        if (!running_)
-            return;
-        tick_();
-        // tick_() may have stopped us (or rescheduled with a new period).
-        if (running_)
-            scheduleNext(period_);
-    });
 }
 
 } // namespace sim

@@ -1,17 +1,15 @@
 /**
  * @file
- * Base class for named simulation objects plus small process helpers.
+ * Base class for named simulation objects.
  *
  * A SimObject is a named entity bound to a Simulator, with its own
  * statistics group — the moral equivalent of gem5's SimObject, scaled to
- * this project.  PeriodicProcess wraps the common "re-schedule myself
- * every T seconds" pattern with clean cancellation.
+ * this project.
  */
 
 #ifndef DHL_SIM_SIM_OBJECT_HPP
 #define DHL_SIM_SIM_OBJECT_HPP
 
-#include <functional>
 #include <string>
 
 #include "common/stats.hpp"
@@ -69,52 +67,6 @@ class SimObject : public Snapshotable
     // dhl-analyze: transient(stats_): host-side stats tallies, restart
     // from the boundary
     stats::StatGroup stats_;
-};
-
-/**
- * A periodically firing process.  Starts stopped; start() schedules the
- * first tick after @p period (or a custom initial delay); stop() cancels
- * cleanly; the callback may call stop() on its owner.
- */
-class PeriodicProcess
-{
-  public:
-    using Tick = std::function<void()>;
-
-    /**
-     * @param sim    Owning simulator.
-     * @param period Interval between ticks, seconds (> 0).
-     * @param tick   Callback per tick.
-     */
-    PeriodicProcess(Simulator &sim, Time period, Tick tick);
-
-    ~PeriodicProcess();
-
-    PeriodicProcess(const PeriodicProcess &) = delete;
-    PeriodicProcess &operator=(const PeriodicProcess &) = delete;
-
-    /** Begin ticking; first tick after @p initial_delay (default: one
-     * period). */
-    void start();
-    void start(Time initial_delay);
-
-    /** Cancel the pending tick; safe to call repeatedly. */
-    void stop();
-
-    bool running() const { return running_; }
-    Time period() const { return period_; }
-
-    /** Change the period; takes effect from the next (re)scheduling. */
-    void setPeriod(Time period);
-
-  private:
-    void scheduleNext(Time delay);
-
-    Simulator &sim_;
-    Time period_;
-    Tick tick_;
-    bool running_;
-    EventHandle pending_;
 };
 
 } // namespace sim

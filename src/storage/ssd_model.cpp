@@ -1,6 +1,6 @@
 /**
  * @file
- * SSD connector ratings and state names.
+ * SSD connector ratings.
  */
 
 #include "storage/ssd_model.hpp"
@@ -20,20 +20,6 @@ ratedCycles(ConnectorKind kind)
         return 10000;
     }
     panic("unreachable connector kind");
-}
-
-std::string
-to_string(SsdState state)
-{
-    switch (state) {
-      case SsdState::Healthy:
-        return "healthy";
-      case SsdState::Failed:
-        return "failed";
-      case SsdState::ConnectorWorn:
-        return "connector-worn";
-    }
-    panic("unreachable SSD state");
 }
 
 } // namespace storage

@@ -3,16 +3,15 @@
  * SSD facts for the event-driven simulations: the docking connector's
  * rated mating cycles (Discussion: USB-C 10k-20k cycles vs M.2's
  * hundreds — the reason the paper recommends USB-C carrying PCIe for the
- * docking interface) and the health states a simulated SSD can be in.
- * The state itself is kept per cart (core::Cart): every dock and undock
- * mates all of a cart's connectors at once.
+ * docking interface).  The SSD state itself is kept per cart
+ * (core::Cart): every dock and undock mates all of a cart's connectors
+ * at once.
  */
 
 #ifndef DHL_STORAGE_SSD_MODEL_HPP
 #define DHL_STORAGE_SSD_MODEL_HPP
 
 #include <cstdint>
-#include <string>
 
 namespace dhl {
 namespace storage {
@@ -26,16 +25,6 @@ enum class ConnectorKind
 
 /** Rated mating cycles for a connector kind. */
 std::uint64_t ratedCycles(ConnectorKind kind);
-
-/** Health state of a simulated SSD. */
-enum class SsdState
-{
-    Healthy,
-    Failed,          ///< Data loss in flight; needs RAID/backup recovery.
-    ConnectorWorn,   ///< Connector exceeded rated mating cycles.
-};
-
-std::string to_string(SsdState state);
 
 } // namespace storage
 } // namespace dhl

@@ -188,7 +188,7 @@ void TeController::tick()
 }
 
 TeDecision TeController::decide(std::size_t tenant, double bytes,
-                                const core::RequestMeta &meta) const
+                                int priority) const
 {
     fatal_if(tenant >= tenants_.size(), "te: tenant index out of range");
     switch (cfg_.mode) {
@@ -206,7 +206,7 @@ TeDecision TeController::decide(std::size_t tenant, double bytes,
     // verdict, so once the loop is past its horizon everything admits
     // and the driver's drain terminates.
     if (tick_pending_ && contended_[tenant] &&
-        meta.priority < cfg_.min_priority_contended) {
+        priority < cfg_.min_priority_contended) {
         if (downgrade_ok_)
             return {Substrate::Optical, true, true};
         return {Substrate::Dhl, false, false}; // Hold until contention

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "dhl/scheduler.hpp"
 #include "sim/sim_object.hpp"
 #include "te/demand.hpp"
 #include "te/fairness.hpp"
@@ -172,10 +171,10 @@ class TeController : public sim::SimObject
      *  size against small_bytes). */
     void recordUsage(std::size_t tenant, double bytes);
 
-    /** The substrate verdict for one request; pure w.r.t. controller
-     *  state (all effect accounting lives with the caller). */
-    TeDecision decide(std::size_t tenant, double bytes,
-                      const core::RequestMeta &meta) const;
+    /** The substrate verdict for one request of @p priority (larger
+     *  is more urgent); pure w.r.t. controller state (all effect
+     *  accounting lives with the caller). */
+    TeDecision decide(std::size_t tenant, double bytes, int priority) const;
 
     //------------------------------------------------------------------
     // Published control state (stable between ticks; tables/tests).

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the open-loop arrival processes.
+ * Implementation of the open-loop arrival process.
  */
 
 #include "workloads/arrival.hpp"
@@ -11,53 +11,6 @@
 
 namespace dhl {
 namespace workloads {
-
-//===========================================================================
-// ReplayArrivalProcess
-//===========================================================================
-
-ReplayArrivalProcess::ReplayArrivalProcess(
-    std::vector<TransferRequest> requests)
-    : requests_(std::move(requests))
-{
-    validateRequests(requests_, "arrival process");
-}
-
-std::vector<ArrivalEvent>
-ReplayArrivalProcess::take(double until)
-{
-    fatal_if(until < cursor_, "arrival cursor cannot move backwards");
-    std::vector<ArrivalEvent> out;
-    while (next_ < requests_.size() && requests_[next_].at <= until) {
-        const auto &r = requests_[next_++];
-        out.push_back(ArrivalEvent{r.at, r.bytes, r.tag, 0, 0});
-    }
-    cursor_ = until;
-    return out;
-}
-
-void
-ReplayArrivalProcess::saveState(sim::SnapshotWriter &w) const
-{
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "arrivals");
-    w.putU64("next", next_);
-    w.putDouble("cursor", cursor_);
-}
-
-void
-ReplayArrivalProcess::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "arrivals");
-    next_ = r.getU64("next");
-    fatal_if(next_ > requests_.size(),
-             "arrival restore: cursor beyond the request list (the "
-             "checkpoint was taken against a different workload)");
-    cursor_ = r.getDouble("cursor");
-}
-
-//===========================================================================
-// StagedArrivalProcess
-//===========================================================================
 
 namespace {
 

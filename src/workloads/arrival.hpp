@@ -1,31 +1,27 @@
 /**
  * @file
- * Composable open-loop arrival processes for the serving mode.
+ * The open-loop arrival process for the serving mode.
  *
  * The batch generators in workloads/generator.hpp turn (config,
  * duration, rng) into a complete time-sorted request list up front —
  * fine for replay studies, wrong for open-loop serving where load
  * changes over a run and the simulation consumes arrivals epoch by
- * epoch.  An ArrivalProcess is the incremental counterpart: it owns a
- * time cursor and hands out the arrivals in (cursor, until] on each
+ * epoch.  StagedArrivalProcess is the incremental counterpart: it owns
+ * a time cursor and hands out the arrivals in (cursor, until] on each
  * take() call, so a serving loop can interleave injection with DES
  * epochs and a checkpoint can capture exactly where the arrival stream
  * stood.
  *
- * Two concrete processes:
- *
- *  - ReplayArrivalProcess: serves a pre-built request list (any batch
- *    generator's output) incrementally — the bridge from the old API.
- *  - StagedArrivalProcess: a staged open-loop profile (ramp / hold /
- *    ramp ...), each stage a nonhomogeneous Poisson process with a
- *    linear rate ramp and a per-stage request-class mix.  Sampled by
- *    thinning against the stage's max rate; at stage edges and take()
- *    boundaries the candidate stream is discarded and redrawn, which
- *    is distributionally exact because exponential gaps are memoryless.
- *    Snapshot state is therefore just (stage, cursor, rng) — no
- *    lookahead to serialise.  Both the checkpointed run and the
- *    uninterrupted oracle consume the stream on the same epoch grid,
- *    so restored runs replay arrivals byte-for-byte.
+ * The profile is staged (ramp / hold / ramp ...), each stage a
+ * nonhomogeneous Poisson process with a linear rate ramp and a
+ * per-stage request-class mix.  Sampled by thinning against the
+ * stage's max rate; at stage edges and take() boundaries the candidate
+ * stream is discarded and redrawn, which is distributionally exact
+ * because exponential gaps are memoryless.  Snapshot state is
+ * therefore just (stage, cursor, rng) — no lookahead to serialise.
+ * Both the checkpointed run and the uninterrupted oracle consume the
+ * stream on the same epoch grid, so restored runs replay arrivals
+ * byte-for-byte.
  */
 
 #ifndef DHL_WORKLOADS_ARRIVAL_HPP
@@ -37,7 +33,6 @@
 
 #include "common/random.hpp"
 #include "sim/snapshot.hpp"
-#include "workloads/generator.hpp"
 
 namespace dhl {
 namespace workloads {
@@ -73,60 +68,6 @@ struct StageSpec
 };
 
 /**
- * Incremental arrival stream with a time cursor.
- *
- * take(until) returns the arrivals with cursor < at <= until in time
- * order and advances the cursor to @p until; calls must be monotone.
- * Snapshot via sim/snapshot.hpp captures the cursor and any sampling
- * state so a restored process continues the identical stream *provided
- * take() boundaries match the original run* (the serving loop's epoch
- * grid guarantees this).
- */
-class ArrivalProcess
-{
-  public:
-    virtual ~ArrivalProcess() = default;
-
-    /** Arrivals in (cursor, until], advancing the cursor. */
-    virtual std::vector<ArrivalEvent> take(double until) = 0;
-
-    /** Current cursor position, s. */
-    virtual double cursor() const = 0;
-
-    /** True once no future arrival can ever be produced. */
-    virtual bool exhausted() const = 0;
-
-    virtual void saveState(sim::SnapshotWriter &w) const = 0;
-    virtual void restoreState(sim::SnapshotReader &r) = 0;
-};
-
-/**
- * Serves a pre-built, time-sorted request list incrementally: the
- * bridge from the batch generators (and trace files) to the open-loop
- * serving API.  Requests are validated (non-empty, finite, sorted) at
- * construction; every arrival reports stage 0 and priority 0.
- */
-class ReplayArrivalProcess : public ArrivalProcess
-{
-  public:
-    explicit ReplayArrivalProcess(std::vector<TransferRequest> requests);
-
-    std::vector<ArrivalEvent> take(double until) override;
-    double cursor() const override { return cursor_; }
-    bool exhausted() const override { return next_ >= requests_.size(); }
-
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
-
-  private:
-    // dhl-analyze: transient(requests_): the replayed trace itself —
-    // constructor input, never mutated; only the cursor is state
-    std::vector<TransferRequest> requests_;
-    std::size_t next_ = 0;
-    double cursor_ = 0.0;
-};
-
-/**
  * Staged nonhomogeneous Poisson arrivals: the open-loop load profile.
  *
  * Stage k spans [sum(d_0..d_{k-1}), sum(d_0..d_k)) with the arrival
@@ -139,18 +80,29 @@ class ReplayArrivalProcess : public ArrivalProcess
  * function of (stages, seed, epoch grid).  Stages with zero max rate
  * are skipped without consuming randomness.  After the final stage the
  * process is exhausted.
+ *
+ * take(until) returns the arrivals with cursor < at <= until in time
+ * order and advances the cursor to @p until; calls must be monotone.
+ * A restored process continues the identical stream *provided take()
+ * boundaries match the original run* (the serving loop's epoch grid
+ * guarantees this).
  */
-class StagedArrivalProcess : public ArrivalProcess
+class StagedArrivalProcess
 {
   public:
     StagedArrivalProcess(std::vector<StageSpec> stages, std::uint64_t seed);
 
-    std::vector<ArrivalEvent> take(double until) override;
-    double cursor() const override { return cursor_; }
-    bool exhausted() const override { return stage_ >= stages_.size(); }
+    /** Arrivals in (cursor, until], advancing the cursor. */
+    std::vector<ArrivalEvent> take(double until);
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    /** Current cursor position, s. */
+    double cursor() const { return cursor_; }
+
+    /** True once no future arrival can ever be produced. */
+    bool exhausted() const { return stage_ >= stages_.size(); }
+
+    void saveState(sim::SnapshotWriter &w) const;
+    void restoreState(sim::SnapshotReader &r);
 
     std::size_t stageCount() const { return stages_.size(); }
     const StageSpec &stage(std::size_t i) const { return stages_.at(i); }

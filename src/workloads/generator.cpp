@@ -57,40 +57,6 @@ totalBytes(const std::vector<TransferRequest> &requests)
 }
 
 //===========================================================================
-// PoissonBulkGenerator
-//===========================================================================
-
-PoissonBulkGenerator::PoissonBulkGenerator(double mean_interarrival,
-                                           double median_bytes,
-                                           double sigma)
-    : mean_interarrival_(mean_interarrival),
-      median_bytes_(median_bytes),
-      sigma_(sigma)
-{
-    fatal_if(!(mean_interarrival > 0.0),
-             "mean interarrival must be positive");
-    fatal_if(!(median_bytes > 0.0), "median size must be positive");
-    fatal_if(sigma < 0.0, "sigma must be non-negative");
-}
-
-std::vector<TransferRequest>
-PoissonBulkGenerator::generate(double duration, Rng &rng) const
-{
-    fatal_if(!(duration > 0.0), "duration must be positive");
-    std::vector<TransferRequest> out;
-    double t = rng.exponential(mean_interarrival_);
-    while (t < duration) {
-        const double bytes =
-            sigma_ > 0.0
-                ? rng.lognormal(std::log(median_bytes_), sigma_)
-                : median_bytes_;
-        out.push_back(TransferRequest{t, bytes, "bulk"});
-        t += rng.exponential(mean_interarrival_);
-    }
-    return out;
-}
-
-//===========================================================================
 // PeriodicBackupGenerator
 //===========================================================================
 

@@ -3,9 +3,6 @@
  * Synthetic bulk-transfer workload generators for the paper's three
  * application domains (§II-D):
  *
- *  - PoissonBulkGenerator:   ad-hoc large transfers with exponential
- *                            inter-arrivals and log-normal sizes
- *                            (generic "move this dataset" traffic).
  *  - PeriodicBackupGenerator: fixed-size backups on a fixed period
  *                            with optional jitter (§II-D2).
  *  - BurstSourceGenerator:   a detector-style source producing
@@ -54,27 +51,6 @@ void validateRequests(const std::vector<TransferRequest> &requests,
 
 /** Sum of request bytes. */
 double totalBytes(const std::vector<TransferRequest> &requests);
-
-/** Poisson arrivals, log-normal sizes. */
-class PoissonBulkGenerator
-{
-  public:
-    /**
-     * @param mean_interarrival Mean gap between requests, s (> 0).
-     * @param median_bytes      Median transfer size, bytes (> 0).
-     * @param sigma             Log-normal shape (0 = constant size).
-     */
-    PoissonBulkGenerator(double mean_interarrival, double median_bytes,
-                         double sigma = 1.0);
-
-    /** Generate all requests with arrival < duration. */
-    std::vector<TransferRequest> generate(double duration, Rng &rng) const;
-
-  private:
-    double mean_interarrival_;
-    double median_bytes_;
-    double sigma_;
-};
 
 /** Fixed-size backups on a fixed period. */
 class PeriodicBackupGenerator

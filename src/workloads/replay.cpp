@@ -109,7 +109,7 @@ replayDhlSimulated(const std::vector<TransferRequest> &requests,
         for (core::CartId id : carts) {
             sim.scheduleAt(at, [&, id, at, pending] {
                 core::roundTrip(
-                    controller, id, core::RequestMeta{}, include_reads,
+                    controller, id, include_reads,
                     [&, at, pending](double) {
                         if (--*pending > 0)
                             return;

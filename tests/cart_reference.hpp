@@ -5,7 +5,7 @@
  * be checked against it bit for bit (tests/test_cart.cpp).
  *
  * Every SSD keeps its own stored bytes, mating-cycle count and health
- * state; the cart walks all of them on every load, unload, dock, undock,
+ * state; the cart walks all of them on every load, dock, undock,
  * failure roll and repair.  It is deliberately the slow definition the
  * cart-level state must reproduce.
  */
@@ -13,7 +13,6 @@
 #ifndef DHL_TESTS_CART_REFERENCE_HPP
 #define DHL_TESTS_CART_REFERENCE_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +24,14 @@
 namespace dhl {
 namespace reference {
 
+/** Health state of one reference SSD. */
+enum class RefSsdState
+{
+    Healthy,
+    Failed,        ///< Data loss in flight; needs RAID/backup recovery.
+    ConnectorWorn, ///< Connector exceeded rated mating cycles.
+};
+
 /** One simulated SSD, as the per-SSD model kept it. */
 class RefSsd
 {
@@ -35,8 +42,8 @@ class RefSsd
           failure_per_trip_(failure_per_trip)
     {}
 
-    storage::SsdState state() const { return state_; }
-    bool healthy() const { return state_ == storage::SsdState::Healthy; }
+    RefSsdState state() const { return state_; }
+    bool healthy() const { return state_ == RefSsdState::Healthy; }
     double storedBytes() const { return stored_; }
     std::uint64_t matingCycles() const { return cycles_; }
 
@@ -53,24 +60,12 @@ class RefSsd
     }
 
     void
-    trim(double bytes)
-    {
-        fatal_if(bytes < 0.0, "trim size must be non-negative");
-        fatal_if(bytes > stored_ + 1e-6, "trim beyond stored bytes");
-        stored_ -= bytes;
-        if (stored_ < 0.0)
-            stored_ = 0.0;
-    }
-
-    void eraseAll() { stored_ = 0.0; }
-
-    void
     matingCycle()
     {
         ++cycles_;
-        if (state_ == storage::SsdState::Healthy &&
+        if (state_ == RefSsdState::Healthy &&
             cycles_ > storage::ratedCycles(connector_))
-            state_ = storage::SsdState::ConnectorWorn;
+            state_ = RefSsdState::ConnectorWorn;
     }
 
     double
@@ -83,10 +78,10 @@ class RefSsd
     bool
     rollTripFailure(Rng &rng)
     {
-        if (failure_per_trip_ <= 0.0 || state_ != storage::SsdState::Healthy)
+        if (failure_per_trip_ <= 0.0 || state_ != RefSsdState::Healthy)
             return false;
         if (rng.uniform() < failure_per_trip_) {
-            state_ = storage::SsdState::Failed;
+            state_ = RefSsdState::Failed;
             return true;
         }
         return false;
@@ -95,7 +90,7 @@ class RefSsd
     void
     repair()
     {
-        state_ = storage::SsdState::Healthy;
+        state_ = RefSsdState::Healthy;
         cycles_ = 0;
     }
 
@@ -105,7 +100,7 @@ class RefSsd
     double failure_per_trip_;
     double stored_ = 0.0;
     std::uint64_t cycles_ = 0;
-    storage::SsdState state_ = storage::SsdState::Healthy;
+    RefSsdState state_ = RefSsdState::Healthy;
 };
 
 /** A cart's SSDs as the per-SSD loops walked them. */
@@ -135,22 +130,6 @@ class RefCartSsds
         const double per = bytes / static_cast<double>(ssds_.size());
         for (auto &s : ssds_)
             s.write(per);
-    }
-
-    /** Cart::unloadBytes's per-SSD part. */
-    void
-    unload(double bytes)
-    {
-        const double per = bytes / static_cast<double>(ssds_.size());
-        for (auto &s : ssds_)
-            s.trim(std::min(per, s.storedBytes()));
-    }
-
-    void
-    eraseAll()
-    {
-        for (auto &s : ssds_)
-            s.eraseAll();
     }
 
     void

@@ -5,9 +5,9 @@
  * be checked against it bit for bit (tests/test_flowsim.cpp).
  *
  * Flows live in a std::map keyed by id; every link keeps the id-ordered
- * list of flows crossing it.  Each arrival, departure and cancellation
- * drains every flow, re-runs progressive water-filling over every flow,
- * and rescans every flow for the next completion.  It is deliberately
+ * list of flows crossing it.  Each arrival and departure drains every
+ * flow, re-runs progressive water-filling over every flow, and rescans
+ * every flow for the next completion.  It is deliberately
  * slow and simple: it is the definition the fast kernel must reproduce.
  */
 
@@ -83,19 +83,6 @@ class FlowSim
         active_power_tstart_ += route_power * sim_.now();
         reallocate();
         return id;
-    }
-
-    bool
-    cancelFlow(FlowId id)
-    {
-        auto it = flows_.find(id);
-        if (it == flows_.end())
-            return false;
-        drainFlows();
-        detachFlow(it->second);
-        flows_.erase(it);
-        reallocate();
-        return true;
     }
 
     double

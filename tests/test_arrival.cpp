@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the open-loop arrival processes
- * (workloads/arrival.hpp): incremental replay, staged profiles, the
- * same-grid determinism contract, and snapshot round-trips.
+ * Unit tests for the open-loop arrival process
+ * (workloads/arrival.hpp): staged profiles, the cursor, the same-grid
+ * determinism contract, and snapshot round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ sameEvent(const ArrivalEvent &a, const ArrivalEvent &b)
 }
 
 std::vector<ArrivalEvent>
-drainOnGrid(ArrivalProcess &p, double step, double end)
+drainOnGrid(StagedArrivalProcess &p, double step, double end)
 {
     std::vector<ArrivalEvent> all;
     for (double t = step; t <= end + 1e-9; t += step)
@@ -53,71 +53,16 @@ drainOnGrid(ArrivalProcess &p, double step, double end)
 
 } // namespace
 
-TEST(ReplayArrival, IncrementalTakeMatchesBatchList)
+TEST(StagedArrival, TakeAdvancesTheCursorMonotonically)
 {
-    std::vector<TransferRequest> requests = {
-        {0.0, u::terabytes(1), "a"},
-        {10.0, u::terabytes(2), "b"},
-        {10.0, u::terabytes(3), "c"}, // ties stay in list order
-        {35.0, u::terabytes(4), "d"},
-        {90.0, u::terabytes(5), "e"},
-    };
-    ReplayArrivalProcess p(requests);
-    EXPECT_FALSE(p.exhausted());
-
-    // take(until) returns (cursor, until] — inclusive upper bound.
-    auto first = p.take(10.0);
-    ASSERT_EQ(first.size(), 3u);
-    EXPECT_EQ(first[2].tag, "c");
-    EXPECT_EQ(p.cursor(), 10.0);
-
-    EXPECT_TRUE(p.take(20.0).empty()); // empty window is fine
-
-    auto rest = p.take(1000.0);
-    ASSERT_EQ(rest.size(), 2u);
-    EXPECT_EQ(rest[0].tag, "d");
-    EXPECT_EQ(rest[1].bytes, u::terabytes(5));
-    EXPECT_EQ(rest[1].stage, 0);
-    EXPECT_EQ(rest[1].priority, 0);
+    StagedArrivalProcess p(rampHoldDrain(), 5);
+    p.take(700.0);
+    EXPECT_EQ(p.cursor(), 700.0);
+    EXPECT_TRUE(p.take(700.0).empty()); // an empty window is fine
+    EXPECT_THROW(p.take(699.0), FatalError);
+    EXPECT_EQ(p.cursor(), 700.0);
+    p.take(1e9);
     EXPECT_TRUE(p.exhausted());
-}
-
-TEST(ReplayArrival, ConstructionValidatesRequests)
-{
-    EXPECT_THROW(ReplayArrivalProcess({}), FatalError);
-    std::vector<TransferRequest> unsorted = {
-        {5.0, u::terabytes(1), "late"},
-        {1.0, u::terabytes(1), "early"},
-    };
-    EXPECT_THROW(ReplayArrivalProcess{unsorted}, FatalError);
-}
-
-TEST(ReplayArrival, SnapshotResumesMidStream)
-{
-    std::vector<TransferRequest> requests = {
-        {1.0, u::terabytes(1), "a"},
-        {2.0, u::terabytes(2), "b"},
-        {3.0, u::terabytes(3), "c"},
-    };
-    ReplayArrivalProcess p(requests);
-    p.take(1.5);
-
-    std::stringstream doc;
-    {
-        sim::SnapshotWriter w(doc);
-        p.saveState(w);
-    }
-    ReplayArrivalProcess q(requests);
-    sim::SnapshotReader r(doc);
-    q.restoreState(r);
-    EXPECT_EQ(q.cursor(), 1.5);
-
-    const auto from_p = p.take(10.0);
-    const auto from_q = q.take(10.0);
-    ASSERT_EQ(from_p.size(), 2u);
-    ASSERT_EQ(from_q.size(), 2u);
-    for (std::size_t i = 0; i < from_p.size(); ++i)
-        EXPECT_TRUE(sameEvent(from_p[i], from_q[i]));
 }
 
 TEST(StagedArrival, SameGridIsDeterministic)

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hpp"
 #include "common/units.hpp"
 #include "dhl/controller.hpp"
+#include "faults/fault_state.hpp"
 
 using namespace dhl::core;
 using dhl::sim::Simulator;
@@ -109,6 +112,63 @@ TEST(ControllerTest, OpensQueueWhenStationsBusy)
     EXPECT_GT(b_docked, 8.6); // had to wait for a's departure
     EXPECT_EQ(r.ctl.queuedOpens(), 0u);
     EXPECT_EQ(r.ctl.launches(), 3u); // a out, a back, b out
+}
+
+TEST(ControllerTest, DrainQueuedOpensReturnsArrivalOrder)
+{
+    DhlConfig cfg = defaultConfig();
+    cfg.docking_stations = 1;
+    Rig r(cfg);
+    for (int i = 0; i < 4; ++i)
+        r.ctl.addCart();
+
+    int queued_fired = 0;
+    r.ctl.open(0, nullptr); // takes the only station
+    const std::vector<CartId> arrivals = {3, 1, 2};
+    for (const CartId id : arrivals) {
+        r.ctl.open(id, [&](Cart &, DockingStation &) { ++queued_fired; });
+    }
+    ASSERT_EQ(r.ctl.queuedOpens(), 3u);
+
+    const std::vector<QueuedOpen> drained = r.ctl.drainQueuedOpens();
+    EXPECT_EQ(r.ctl.queuedOpens(), 0u);
+    ASSERT_EQ(drained.size(), arrivals.size());
+    for (std::size_t i = 0; i < drained.size(); ++i) {
+        EXPECT_EQ(drained[i].id, arrivals[i]);
+        EXPECT_DOUBLE_EQ(drained[i].enqueue_time, 0.0);
+        if (i > 0) {
+            EXPECT_LT(drained[i - 1].seq, drained[i].seq);
+        }
+    }
+    EXPECT_TRUE(r.ctl.drainQueuedOpens().empty());
+
+    // Drained opens are gone: only cart 0 docks.
+    r.sim.run();
+    EXPECT_EQ(queued_fired, 0);
+    EXPECT_EQ(r.ctl.launches(), 1u);
+}
+
+TEST(ControllerTest, HeldOpenReissuesAtRepairEnd)
+{
+    Rig r;
+    dhl::faults::FaultState faults(r.sim);
+    r.ctl.attachFaults(&faults);
+    Cart &cart = r.ctl.addCart(u::terabytes(1));
+    faults.sendCartToRepair(cart.id(), 100.0);
+
+    double docked_at = -1.0;
+    r.ctl.open(cart.id(), [&](Cart &c, DockingStation &) {
+        docked_at = r.sim.now();
+        r.ctl.close(c.id(), nullptr);
+    });
+    EXPECT_EQ(r.ctl.heldOpens(), 1u);
+    EXPECT_EQ(r.ctl.queuedOpens(), 0u);
+    r.sim.run();
+    // Re-issued at the repair end, then one trip (8.6 s).
+    EXPECT_NEAR(docked_at, 108.6, 1e-9);
+    EXPECT_EQ(cart.state(), CartState::Stored);
+    EXPECT_EQ(r.ctl.heldOpens(), 1u);
+    r.ctl.attachFaults(nullptr);
 }
 
 TEST(ControllerTest, TwoStationsDockTwoCarts)

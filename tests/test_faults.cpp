@@ -504,15 +504,13 @@ TEST(ControllerFaultsTest, BreakdownHoldsNextOpenUntilRepair)
         << "the held open waited for the repair turnaround";
 }
 
-TEST(ControllerFaultsTest, PriorityFifoWithinLevelAfterRepair)
+TEST(ControllerFaultsTest, QueuedOpensDockInArrivalOrderAfterRepair)
 {
     // Four opens queue behind a failed station; the repair re-dispatch
-    // must honour the policy order: priority first, FIFO within a
-    // level (seq breaks the tie, never heap order or arrival jitter).
+    // docks them in the order they arrived (not cart-id order).
     core::DhlConfig cfg = core::defaultConfig(); // one station
     core::DhlSimulation des(cfg);
     des.enableFaults(manualConfig());
-    des.controller().setScheduler(core::makePriorityScheduler());
     for (int i = 0; i < 4; ++i)
         des.controller().addCart(0.0);
 
@@ -522,51 +520,17 @@ TEST(ControllerFaultsTest, PriorityFifoWithinLevelAfterRepair)
         dock_order.push_back(c.id());
         des.controller().close(c.id(), nullptr);
     };
-    des.controller().open(0, core::RequestMeta{1, 1e18}, record);
-    des.controller().open(1, core::RequestMeta{2, 1e18}, record);
-    des.controller().open(2, core::RequestMeta{2, 1e18}, record);
-    des.controller().open(3, core::RequestMeta{1, 1e18}, record);
+    const std::vector<core::CartId> arrivals = {2, 0, 3, 1};
+    for (const core::CartId id : arrivals)
+        des.controller().open(id, record);
+    EXPECT_EQ(des.controller().queuedOpens(), 4u);
     des.simulator().schedule(500.0, [&] {
         des.faultState()->repair(Component::Station, 0);
     });
     des.simulator().run();
 
-    ASSERT_EQ(dock_order.size(), 4u);
-    EXPECT_EQ(dock_order[0], 1u); // priority 2, earlier seq
-    EXPECT_EQ(dock_order[1], 2u); // priority 2
-    EXPECT_EQ(dock_order[2], 0u); // priority 1, earlier seq
-    EXPECT_EQ(dock_order[3], 3u); // priority 1
-}
-
-TEST(ControllerFaultsTest, EdfEqualDeadlinesKeepArrivalOrderAfterRepair)
-{
-    core::DhlConfig cfg = core::defaultConfig(); // one station
-    core::DhlSimulation des(cfg);
-    des.enableFaults(manualConfig());
-    des.controller().setScheduler(core::makeDeadlineScheduler());
-    for (int i = 0; i < 4; ++i)
-        des.controller().addCart(0.0);
-
-    des.faultState()->fail(Component::Station, 0);
-    std::vector<core::CartId> dock_order;
-    auto record = [&](core::Cart &c, core::DockingStation &) {
-        dock_order.push_back(c.id());
-        des.controller().close(c.id(), nullptr);
-    };
-    des.controller().open(0, core::RequestMeta{0, 1000.0}, record);
-    des.controller().open(1, core::RequestMeta{0, 500.0}, record);
-    des.controller().open(2, core::RequestMeta{0, 500.0}, record);
-    des.controller().open(3, core::RequestMeta{0, 1000.0}, record);
-    des.simulator().schedule(500.0, [&] {
-        des.faultState()->repair(Component::Station, 0);
-    });
-    des.simulator().run();
-
-    ASSERT_EQ(dock_order.size(), 4u);
-    EXPECT_EQ(dock_order[0], 1u); // deadline 500, earlier seq
-    EXPECT_EQ(dock_order[1], 2u); // deadline 500
-    EXPECT_EQ(dock_order[2], 0u); // deadline 1000, earlier seq
-    EXPECT_EQ(dock_order[3], 3u); // deadline 1000
+    EXPECT_EQ(dock_order, arrivals);
+    EXPECT_EQ(des.controller().queuedOpens(), 0u);
 }
 
 TEST(ControllerFaultsTest, FaultEventsFlowThroughTrace)

@@ -98,8 +98,7 @@ TEST(FlowSimTest, MaxMinNonBottleneckedFlowTakesRemainder)
     fs.startFlow({shared}, 1e6, 0.0, nullptr);
     EXPECT_DOUBLE_EQ(fs.flowRate(1), 10.0);
     EXPECT_DOUBLE_EQ(fs.flowRate(2), 90.0);
-    fs.cancelFlow(1);
-    fs.cancelFlow(2);
+    sim.run();
 }
 
 TEST(FlowSimTest, EnergyIntegratesRoutePower)
@@ -130,22 +129,6 @@ TEST(FlowSimTest, EnergyWithContention)
     // and hence its route-element energy.
     EXPECT_NEAR(e1, 100.0, 1e-9);
     EXPECT_NEAR(e2, 100.0, 1e-9);
-}
-
-TEST(FlowSimTest, CancelFlowStopsDelivery)
-{
-    Simulator sim;
-    FlowSim fs(sim);
-    const int l = fs.addLink(100.0);
-    bool fired = false;
-    const FlowId id =
-        fs.startFlow({l}, 1000.0, 0.0,
-                     [&](const FlowRecord &) { fired = true; });
-    EXPECT_TRUE(fs.cancelFlow(id));
-    EXPECT_FALSE(fs.cancelFlow(id));
-    sim.run();
-    EXPECT_FALSE(fired);
-    EXPECT_DOUBLE_EQ(fs.bytesDelivered(), 0.0);
 }
 
 TEST(FlowSimTest, CallbackMayStartNextFlow)
@@ -294,8 +277,8 @@ constexpr Scale kGigabyteScale{
  * Paths come from a small pool, so several flows share one path and
  * distinct paths overlap; sizes come from a short list, so equal flows
  * started together finish at the same instant; scripted times sit on a
- * quarter-second grid, so arrivals tie with completions.  Some flows
- * are cancelled mid-run and some completions start a follow-on flow.
+ * quarter-second grid, so arrivals tie with completions.  Some
+ * completions start a follow-on flow.
  * Every random draw happens while building the script, so both kernels
  * replay the identical workload.
  */
@@ -360,14 +343,6 @@ differentialRun(std::uint64_t seed, const Scale &scale,
             sim.scheduleAt(scale.epoch + t, [&, path, bytes, power, copies] {
                 for (std::size_t c = 0; c < copies; ++c)
                     start(path, bytes, power);
-            });
-        } else if (kind < 15) {
-            const std::size_t which = pick(1000);
-            sim.scheduleAt(scale.epoch + t, [&, which] {
-                if (started.empty())
-                    return;
-                const FlowId id = started[which % started.size()];
-                out << "x" << id << " " << fs.cancelFlow(id) << "\n";
             });
         } else {
             const int l = static_cast<int>(pick(n_links));

@@ -358,7 +358,7 @@ TEST(DispatcherTest, AdmissionControlDefersLowPriorityWhileDegraded)
     oc.maintenance.windows.push_back({5.0, 100.0, 0.0, 1});
     FleetOps fo(cfg, 2, oc);
 
-    std::vector<core::RequestMeta> meta(8);
+    std::vector<RequestMeta> meta(8);
     for (std::size_t j = 0; j < meta.size(); ++j)
         meta[j].priority = static_cast<int>(j % 2);
     const auto r = fo.runBulkTransfer(dataset, {}, meta);

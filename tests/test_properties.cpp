@@ -171,6 +171,31 @@ TEST(ConfigIoTest, InvalidValuesRejectedByValidation)
     EXPECT_THROW(loadConfig(bad_brake), dhl::FatalError);
 }
 
+/** Each count key: a negative value dies naming the key, not wrapping
+ *  into a huge size. */
+class ConfigIoNegativeCount : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(ConfigIoNegativeCount, RejectedWithTheKeyName)
+{
+    const std::string key = GetParam();
+    const auto props = Properties::fromString(key + " = -1\n");
+    try {
+        (void)loadConfig(props);
+        ADD_FAILURE() << key << " = -1 was accepted";
+    } catch (const dhl::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(key + " must be >= 0, got -1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Keys, ConfigIoNegativeCount,
+                         ::testing::Values("ssds_per_cart",
+                                           "pcie.lanes_per_ssd",
+                                           "docking_stations",
+                                           "library_slots"));
+
 TEST(PropertiesTest, RejectsOutOfRangeIntegers)
 {
     auto props = Properties::fromString(

@@ -1,16 +1,12 @@
 /**
  * @file
- * Unit tests for SimObject and PeriodicProcess.
+ * Unit tests for SimObject.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "common/logging.hpp"
 #include "sim/sim_object.hpp"
 
-using dhl::sim::PeriodicProcess;
 using dhl::sim::SimObject;
 using dhl::sim::Simulator;
 
@@ -49,102 +45,4 @@ TEST(SimObjectTest, ScheduleForwardsToSimulator)
     sim.run();
     EXPECT_EQ(counter, 1);
     EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
-TEST(PeriodicProcessTest, TicksAtPeriod)
-{
-    Simulator sim;
-    int ticks = 0;
-    PeriodicProcess p(sim, 1.0, [&] { ++ticks; });
-    p.start();
-    sim.runUntil(5.5);
-    EXPECT_EQ(ticks, 5); // at t = 1, 2, 3, 4, 5
-    p.stop();
-}
-
-TEST(PeriodicProcessTest, CustomInitialDelay)
-{
-    Simulator sim;
-    std::vector<double> times;
-    PeriodicProcess p(sim, 2.0, [&] { times.push_back(sim.now()); });
-    p.start(0.5);
-    sim.runUntil(5.0);
-    ASSERT_GE(times.size(), 3u);
-    EXPECT_DOUBLE_EQ(times[0], 0.5);
-    EXPECT_DOUBLE_EQ(times[1], 2.5);
-    EXPECT_DOUBLE_EQ(times[2], 4.5);
-    p.stop();
-}
-
-TEST(PeriodicProcessTest, StopFromInsideTick)
-{
-    Simulator sim;
-    int ticks = 0;
-    PeriodicProcess p(sim, 1.0, [&] {
-        ++ticks;
-        if (ticks == 3)
-            p.stop();
-    });
-    p.start();
-    sim.run();
-    EXPECT_EQ(ticks, 3);
-    EXPECT_FALSE(p.running());
-}
-
-TEST(PeriodicProcessTest, StopAndRestart)
-{
-    Simulator sim;
-    int ticks = 0;
-    PeriodicProcess p(sim, 1.0, [&] { ++ticks; });
-    p.start();
-    sim.runUntil(2.5);
-    EXPECT_EQ(ticks, 2);
-    p.stop();
-    sim.runUntil(10.0);
-    EXPECT_EQ(ticks, 2);
-    p.start();
-    sim.runUntil(12.5);
-    EXPECT_EQ(ticks, 4);
-    p.stop();
-}
-
-TEST(PeriodicProcessTest, SetPeriodTakesEffectNextTick)
-{
-    Simulator sim;
-    std::vector<double> times;
-    PeriodicProcess p(sim, 1.0, [&] {
-        times.push_back(sim.now());
-        p.setPeriod(3.0);
-    });
-    p.start();
-    sim.runUntil(8.0);
-    ASSERT_GE(times.size(), 3u);
-    EXPECT_DOUBLE_EQ(times[0], 1.0);
-    EXPECT_DOUBLE_EQ(times[1], 4.0);
-    EXPECT_DOUBLE_EQ(times[2], 7.0);
-    p.stop();
-}
-
-TEST(PeriodicProcessTest, RejectsBadParameters)
-{
-    Simulator sim;
-    EXPECT_THROW(PeriodicProcess(sim, 0.0, [] {}), dhl::FatalError);
-    EXPECT_THROW(PeriodicProcess(sim, -1.0, [] {}), dhl::FatalError);
-    EXPECT_THROW(PeriodicProcess(sim, 1.0, nullptr), dhl::FatalError);
-    PeriodicProcess p(sim, 1.0, [] {});
-    EXPECT_THROW(p.start(-1.0), dhl::FatalError);
-    EXPECT_THROW(p.setPeriod(0.0), dhl::FatalError);
-}
-
-TEST(PeriodicProcessTest, DestructorCancelsCleanly)
-{
-    Simulator sim;
-    int ticks = 0;
-    {
-        PeriodicProcess p(sim, 1.0, [&] { ++ticks; });
-        p.start();
-        sim.runUntil(1.5);
-    }
-    sim.run(); // the cancelled tick must not fire
-    EXPECT_EQ(ticks, 1);
 }

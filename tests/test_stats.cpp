@@ -69,33 +69,6 @@ TEST(Accumulator, EmptyAndSingle)
     EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
 }
 
-TEST(HistogramTest, BinningAndFlows)
-{
-    Histogram h("h", "samples", 0.0, 10.0, 5);
-    h.sample(-1.0); // underflow
-    h.sample(0.0);  // bin 0
-    h.sample(1.99); // bin 0
-    h.sample(2.0);  // bin 1
-    h.sample(9.99); // bin 4
-    h.sample(10.0); // overflow
-    h.sample(25.0); // overflow
-    EXPECT_EQ(h.totalSamples(), 7u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(2), 0u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-}
-
-TEST(HistogramTest, RejectsBadRanges)
-{
-    EXPECT_THROW(Histogram("h", "d", 0.0, 10.0, 0), dhl::FatalError);
-    EXPECT_THROW(Histogram("h", "d", 5.0, 5.0, 3), dhl::FatalError);
-    EXPECT_THROW(Histogram("h", "d", 7.0, 5.0, 3), dhl::FatalError);
-}
-
 TEST(FormulaTest, LazyEvaluation)
 {
     double num = 10.0;
@@ -298,19 +271,17 @@ TEST(QuantileSketchTest, RejectsBadInput)
     EXPECT_THROW(sk.sample(std::nan("")), dhl::FatalError);
 }
 
-TEST(StatGroupTest, AccumulatorAndHistogramRegistration)
+TEST(StatGroupTest, AccumulatorAndFormulaRegistration)
 {
     StatGroup root("r");
     auto &a = root.addAccumulator("acc", "d");
-    auto &h = root.addHistogram("hist", "d", 0.0, 1.0, 4);
     auto &f = root.addFormula("f", "d", [] { return 7.0; });
     a.sample(1.0);
-    h.sample(0.5);
     EXPECT_DOUBLE_EQ(f.value(), 7.0);
     std::ostringstream os;
     root.dump(os);
     EXPECT_NE(os.str().find("acc.mean"), std::string::npos);
-    EXPECT_NE(os.str().find("hist.samples"), std::string::npos);
+    EXPECT_NE(os.str().find("r.f "), std::string::npos);
 }
 
 TEST(JainFairnessTest, KnownValues)

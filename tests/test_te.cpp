@@ -42,14 +42,6 @@ baseTeConfig()
     return tc;
 }
 
-core::RequestMeta
-prio(int p)
-{
-    core::RequestMeta m;
-    m.priority = p;
-    return m;
-}
-
 } // namespace
 
 TEST(DemandEstimatorTest, ProjectsMultiplierTimesWindowMax)
@@ -99,13 +91,13 @@ TEST(TeControllerTest, PureModesIgnoreContention)
     auto tc = baseTeConfig();
     tc.mode = te::TeMode::DhlOnly;
     te::TeController dhl_only(sim, tc, {{"t", 1.0}});
-    const auto d1 = dhl_only.decide(0, u::gigabytes(100), prio(0));
+    const auto d1 = dhl_only.decide(0, u::gigabytes(100), 0);
     EXPECT_EQ(d1.substrate, te::Substrate::Dhl);
     EXPECT_TRUE(d1.admit);
 
     tc.mode = te::TeMode::OpticalOnly;
     te::TeController optical_only(sim, tc, {{"t", 1.0}});
-    const auto d2 = optical_only.decide(0, u::gigabytes(100), prio(0));
+    const auto d2 = optical_only.decide(0, u::gigabytes(100), 0);
     EXPECT_EQ(d2.substrate, te::Substrate::Optical);
     EXPECT_TRUE(d2.admit);
 }
@@ -114,9 +106,9 @@ TEST(TeControllerTest, HybridSplitsBySizeThreshold)
 {
     sim::Simulator sim;
     te::TeController ctl(sim, baseTeConfig(), {{"t", 1.0}});
-    EXPECT_EQ(ctl.decide(0, u::gigabytes(2), prio(0)).substrate,
+    EXPECT_EQ(ctl.decide(0, u::gigabytes(2), 0).substrate,
               te::Substrate::Optical);
-    EXPECT_EQ(ctl.decide(0, u::gigabytes(64), prio(0)).substrate,
+    EXPECT_EQ(ctl.decide(0, u::gigabytes(64), 0).substrate,
               te::Substrate::Dhl);
 }
 
@@ -154,12 +146,12 @@ TEST(TeControllerTest, ContendedLowPriorityDowngradesHighPriorityStays)
     ASSERT_TRUE(ctl.contended(0));
     ASSERT_TRUE(ctl.downgradeOk());
 
-    const auto low = ctl.decide(0, u::gigabytes(64), prio(0));
+    const auto low = ctl.decide(0, u::gigabytes(64), 0);
     EXPECT_EQ(low.substrate, te::Substrate::Optical);
     EXPECT_TRUE(low.admit);
     EXPECT_TRUE(low.downgraded);
 
-    const auto high = ctl.decide(0, u::gigabytes(64), prio(1));
+    const auto high = ctl.decide(0, u::gigabytes(64), 1);
     EXPECT_EQ(high.substrate, te::Substrate::Dhl);
     EXPECT_TRUE(high.admit);
     EXPECT_FALSE(high.downgraded);
@@ -167,7 +159,7 @@ TEST(TeControllerTest, ContendedLowPriorityDowngradesHighPriorityStays)
 
     // With no tick pending the contention branch is disabled: the
     // drain after the horizon admits everything.
-    const auto after = ctl.decide(0, u::gigabytes(64), prio(0));
+    const auto after = ctl.decide(0, u::gigabytes(64), 0);
     EXPECT_EQ(after.substrate, te::Substrate::Dhl);
     EXPECT_TRUE(after.admit);
 }
@@ -187,7 +179,7 @@ TEST(TeControllerTest, HoldsWhenOpticalHasNoHeadroom)
     ASSERT_TRUE(ctl.contended(0));
     ASSERT_FALSE(ctl.downgradeOk());
 
-    const auto d = ctl.decide(0, u::gigabytes(64), prio(0));
+    const auto d = ctl.decide(0, u::gigabytes(64), 0);
     EXPECT_FALSE(d.admit);
     ctl.stop();
 }

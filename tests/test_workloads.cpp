@@ -13,49 +13,6 @@ using namespace dhl::workloads;
 using dhl::Rng;
 namespace u = dhl::units;
 
-TEST(PoissonBulkTest, RateAndSizesRoughlyCalibrated)
-{
-    Rng rng(1);
-    PoissonBulkGenerator gen(60.0, u::terabytes(1), 0.5);
-    const double duration = u::hours(100);
-    const auto reqs = gen.generate(duration, rng);
-    // Expect ~6000 requests at one per minute over 100 h.
-    EXPECT_NEAR(static_cast<double>(reqs.size()), duration / 60.0,
-                duration / 60.0 * 0.1);
-    for (const auto &r : reqs) {
-        ASSERT_GE(r.at, 0.0);
-        ASSERT_LT(r.at, duration);
-        ASSERT_GT(r.bytes, 0.0);
-        EXPECT_EQ(r.tag, "bulk");
-    }
-    // Median of the log-normal should be near the configured median.
-    std::vector<double> sizes;
-    for (const auto &r : reqs)
-        sizes.push_back(r.bytes);
-    std::sort(sizes.begin(), sizes.end());
-    EXPECT_NEAR(sizes[sizes.size() / 2], u::terabytes(1),
-                u::terabytes(1) * 0.1);
-}
-
-TEST(PoissonBulkTest, ZeroSigmaIsConstantSize)
-{
-    Rng rng(2);
-    PoissonBulkGenerator gen(10.0, u::gigabytes(500), 0.0);
-    const auto reqs = gen.generate(u::hours(1), rng);
-    ASSERT_FALSE(reqs.empty());
-    for (const auto &r : reqs)
-        EXPECT_DOUBLE_EQ(r.bytes, u::gigabytes(500));
-}
-
-TEST(PoissonBulkTest, ArrivalsSorted)
-{
-    Rng rng(3);
-    PoissonBulkGenerator gen(5.0, 1e9, 1.0);
-    auto reqs = gen.generate(1000.0, rng);
-    for (std::size_t i = 1; i < reqs.size(); ++i)
-        EXPECT_GE(reqs[i].at, reqs[i - 1].at);
-}
-
 TEST(PeriodicBackupTest, ExactCadenceWithoutJitter)
 {
     Rng rng(4);
@@ -117,14 +74,12 @@ TEST(ZipfDatasetTest, PopularSetsAccessedMore)
 TEST(GeneratorValidation, RejectsNonsense)
 {
     Rng rng(8);
-    EXPECT_THROW(PoissonBulkGenerator(0.0, 1e9), dhl::FatalError);
-    EXPECT_THROW(PoissonBulkGenerator(1.0, 0.0), dhl::FatalError);
     EXPECT_THROW(PeriodicBackupGenerator(0.0, 1e9), dhl::FatalError);
     EXPECT_THROW(PeriodicBackupGenerator(10.0, 1e9, 1.0),
                  dhl::FatalError);
     EXPECT_THROW(BurstSourceGenerator(0.0, 1.0, 10.0), dhl::FatalError);
     EXPECT_THROW(BurstSourceGenerator(1e9, 10.0, 5.0), dhl::FatalError);
     EXPECT_THROW(ZipfDatasetGenerator({}, 1.0), dhl::FatalError);
-    PoissonBulkGenerator ok(1.0, 1e9);
+    PeriodicBackupGenerator ok(1.0, 1e9);
     EXPECT_THROW(ok.generate(0.0, rng), dhl::FatalError);
 }

@@ -124,7 +124,7 @@ LAYER_DEPS = {
     "mlsim":     {"common", "sim", "network", "dhl", "exp"},
     "cost":      {"common", "dhl", "network"},
     "workloads": {"common", "sim", "network", "dhl"},
-    "te":        {"common", "sim", "dhl"},
+    "te":        {"common", "sim"},
     "ops":       {"common", "sim", "dhl", "faults"},
     "serve":     {"common", "sim", "network", "dhl", "faults", "exp",
                   "workloads", "ops", "te"},
