@@ -6,6 +6,7 @@
 #include "dhl/config.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
@@ -81,6 +82,13 @@ validate(const DhlConfig &cfg)
     fatal_if(cfg.docking_stations == 0,
              "need at least one docking station at the rack endpoint");
     fatal_if(cfg.library_slots == 0, "the library needs at least one slot");
+    // A station beyond the cart count can never mate, and each one is
+    // built up front, so an absurd count would exhaust memory.
+    if (cfg.docking_stations > cfg.library_slots)
+        fatal("docking_stations (" + std::to_string(cfg.docking_stations) +
+              ") exceeds library_slots (" +
+              std::to_string(cfg.library_slots) +
+              "): a station beyond the cart count can never mate");
     // The track must at least fit its two LIM sections (accelerate at
     // one end, brake at the other).
     if (qty::Metres{cfg.track_length} < 2.0 * cfg.limLength())

@@ -10,6 +10,7 @@
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace core {
@@ -391,36 +392,27 @@ DhlController::handleArrivalFailures(Cart &cart)
     }
 }
 
+template <typename IO>
 void
-DhlController::saveState(sim::SnapshotWriter &w) const
+DhlController::snapshot(IO &io)
 {
     fatal_if(!queue_.empty() || anyDocked(),
-             "controller checkpoint requires a drained boundary (no "
-             "queued or docked work)");
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "controller");
-    w.putRng("rng", rng_);
-    w.putU64("next_seq", next_seq_);
-    w.putU64("ssd_failures", ssd_failures_);
-    w.putU64("parked_launches", parked_launches_);
-    w.putU64("held_opens", held_opens_);
-    w.putU64("cart_breakdowns", cart_breakdowns_);
-    track_->saveState(w);
+             IO::loading ? "controller restore requires a freshly "
+                           "constructed system"
+                         : "controller checkpoint requires a drained "
+                           "boundary (no queued or docked work)");
+    sim::SnapshotScope scope(io, "controller");
+    io.field("rng", rng_);
+    io.field("next_seq", next_seq_);
+    io.field("ssd_failures", ssd_failures_);
+    io.field("parked_launches", parked_launches_);
+    io.field("held_opens", held_opens_);
+    io.field("cart_breakdowns", cart_breakdowns_);
+    track_->snapshot(io);
 }
 
-void
-DhlController::restoreState(sim::SnapshotReader &r)
-{
-    fatal_if(!queue_.empty() || anyDocked(),
-             "controller restore requires a freshly constructed system");
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "controller");
-    r.getRng("rng", rng_);
-    next_seq_ = r.getU64("next_seq");
-    ssd_failures_ = r.getU64("ssd_failures");
-    parked_launches_ = r.getU64("parked_launches");
-    held_opens_ = r.getU64("held_opens");
-    cart_breakdowns_ = r.getU64("cart_breakdowns");
-    track_->restoreState(r);
-}
+template void DhlController::snapshot(sim::SnapshotWriter &);
+template void DhlController::snapshot(sim::SnapshotReader &);
 
 } // namespace core
 } // namespace dhl

@@ -165,15 +165,16 @@ class DhlController : public sim::SimObject
     std::uint64_t cartBreakdowns() const { return cart_breakdowns_; }
 
     /**
-     * Checkpoint/restore at a drained boundary: no open may be queued
-     * or in flight and every cart must be stored (fatal otherwise) —
-     * the serving loop guarantees this by draining request work before
-     * snapshotting.  Captures the SSD-failure RNG position, the open
-     * sequence counter, the degraded-mode tallies, and the track's
-     * admission/energy state.
+     * Save or restore (sim/snapshot.hpp) at a drained boundary: no open
+     * may be queued or in flight and every cart must be stored (fatal
+     * otherwise) — the serving loop guarantees this by draining request
+     * work before snapshotting.  Captures the SSD-failure RNG position,
+     * the open sequence counter, the degraded-mode tallies, and the
+     * track's admission/energy state.  Cart, library and station state
+     * is not captured (see the member annotation below).
      */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     DockingStation *findFreeStation();
@@ -213,14 +214,16 @@ class DhlController : public sim::SimObject
     void traceEvent(std::string_view category, std::string_view message);
 
     // dhl-analyze: transient(cfg_, library_, stations_): rebuilt
-    // identically by the constructor from the same DhlConfig; the
-    // Library and stations snapshot themselves as separate objects
+    // identically by the constructor from the same DhlConfig.  The
+    // Library's carts (trips, wear, failed SSDs, bytes) and the
+    // stations' byte and mating counts are NOT checkpointed: a restored
+    // fleet restarts them from zero (ROADMAP item 10)
     DhlConfig cfg_;
     std::unique_ptr<Library> library_;
     std::unique_ptr<Track> track_;
     std::vector<std::unique_ptr<DockingStation>> stations_;
     // dhl-analyze: transient(trips_): no trip is in progress at a legal
-    // checkpoint boundary (saveState asserts no cart is docked)
+    // checkpoint boundary (snapshot() asserts no cart is docked)
     std::vector<Trip> trips_; ///< Index = cart id.
     std::deque<QueuedOpen> queue_; ///< Opens waiting, in arrival order.
     std::uint64_t next_seq_;

@@ -175,34 +175,5 @@ DhlSimulation::dumpStats(std::ostream &os)
         controller_->station(i).statsGroup().dump(os);
 }
 
-void
-DhlSimulation::saveState(sim::SnapshotWriter &w) const
-{
-    sim_.saveState(w);
-    trace_.saveState(w);
-    controller_->saveState(w);
-    if (fault_state_ != nullptr)
-        fault_state_->saveState(w);
-    if (injector_ != nullptr)
-        injector_->saveState(w);
-}
-
-void
-DhlSimulation::restoreState(sim::SnapshotReader &r)
-{
-    // The injector's constructor-scheduled first failures must leave
-    // the queue before the kernel clock rewinds (restore requires an
-    // empty queue, and scheduling happens at absolute restored times).
-    if (injector_ != nullptr)
-        injector_->stop();
-    sim_.restoreState(r);
-    trace_.restoreState(r);
-    controller_->restoreState(r);
-    if (fault_state_ != nullptr)
-        fault_state_->restoreState(r);
-    if (injector_ != nullptr)
-        injector_->restoreState(r);
-}
-
 } // namespace core
 } // namespace dhl

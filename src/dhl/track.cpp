@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "physics/lim.hpp"
 #include "physics/profile.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace core {
@@ -108,37 +109,29 @@ Track::launches(Direction dir) const
     return launches_dir_[static_cast<int>(dir)];
 }
 
+template <typename IO>
 void
-Track::saveState(sim::SnapshotWriter &w) const
+Track::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "track");
-    w.putDouble("drain_time", drain_time_);
-    w.putDouble("last_depart_out", last_depart_[0]);
-    w.putDouble("last_depart_in", last_depart_[1]);
-    w.putBool("has_last_direction", has_last_direction_);
-    w.putBool("last_inbound", last_direction_ == Direction::Inbound);
-    w.putDouble("total_energy", total_energy_);
-    w.putU64("launches", launches_);
-    w.putU64("launches_out", launches_dir_[0]);
-    w.putU64("launches_in", launches_dir_[1]);
+    sim::SnapshotScope scope(io, "track");
+    io.field("drain_time", drain_time_);
+    io.field("last_depart_out", last_depart_[0]);
+    io.field("last_depart_in", last_depart_[1]);
+    io.field("has_last_direction", has_last_direction_);
+    bool inbound = last_direction_ == Direction::Inbound;
+    io.field("last_inbound", inbound);
+    io.field("total_energy", total_energy_);
+    io.field("launches", launches_);
+    io.field("launches_out", launches_dir_[0]);
+    io.field("launches_in", launches_dir_[1]);
+    if constexpr (IO::loading) {
+        last_direction_ = inbound ? Direction::Inbound : Direction::Outbound;
+        stat_energy_->set(total_energy_);
+    }
 }
 
-void
-Track::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "track");
-    drain_time_ = r.getDouble("drain_time");
-    last_depart_[0] = r.getDouble("last_depart_out");
-    last_depart_[1] = r.getDouble("last_depart_in");
-    has_last_direction_ = r.getBool("has_last_direction");
-    last_direction_ = r.getBool("last_inbound") ? Direction::Inbound
-                                                : Direction::Outbound;
-    total_energy_ = r.getDouble("total_energy");
-    launches_ = r.getU64("launches");
-    launches_dir_[0] = r.getU64("launches_out");
-    launches_dir_[1] = r.getU64("launches_in");
-    stat_energy_->set(total_energy_);
-}
+template void Track::snapshot(sim::SnapshotWriter &);
+template void Track::snapshot(sim::SnapshotReader &);
 
 } // namespace core
 } // namespace dhl

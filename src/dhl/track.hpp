@@ -92,16 +92,16 @@ class Track : public sim::SimObject
     double drainTime() const { return drain_time_; }
 
     /**
-     * Checkpoint/restore: the admission state (drain time, per-
-     * direction last departures) and the energy/launch accumulators,
-     * all bit-exact — restoring the accumulators to their checkpointed
-     * values (rather than replaying deltas) is what keeps total energy
-     * byte-identical across a restore, since (x + e) - x != e in
-     * floating point.  The stats-group counters are host-side tallies
-     * and restart from the boundary.
+     * Save or restore (sim/snapshot.hpp) the admission state (drain
+     * time, per-direction last departures) and the energy/launch
+     * accumulators, all bit-exact — restoring the accumulators to
+     * their checkpointed values (rather than replaying deltas) is what
+     * keeps total energy byte-identical across a restore, since
+     * (x + e) - x != e in floating point.  The stats-group counters
+     * are host-side tallies and restart from the boundary.
      */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     // dhl-analyze: transient(cfg_, faults_): constructor wiring — a

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace faults {
@@ -210,85 +211,64 @@ FaultInjector::stop()
     }
 }
 
+template <typename IO>
 void
-FaultInjector::saveState(sim::SnapshotWriter &w) const
-{
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "injector");
-    w.putU64("units", units_.size());
-    for (std::size_t i = 0; i < units_.size(); ++i) {
-        const Unit &u = units_[i];
-        std::string key("u");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> us(w, key);
-        w.putRng("rng", u.rng);
-        w.putBool("pending", u.has_pending);
-        if (u.has_pending) {
-            w.putDouble("when", u.pending_when);
-            w.putBool("is_repair", u.pending_is_repair);
-        }
-    }
-
-    std::vector<std::uint32_t> cart_ids;
-    cart_ids.reserve(cart_rngs_.size());
-    for (const auto &[id, rng] : cart_rngs_)
-        cart_ids.push_back(id);
-    std::sort(cart_ids.begin(), cart_ids.end());
-    w.putU64("carts", cart_ids.size());
-    for (std::size_t i = 0; i < cart_ids.size(); ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-        w.putU64("id", cart_ids[i]);
-        w.putRng("rng", cart_rngs_.at(cart_ids[i]));
-    }
-    w.putU64("injected", injected_);
-}
-
-void
-FaultInjector::restoreState(sim::SnapshotReader &r)
+FaultInjector::snapshot(IO &io)
 {
     // Drop the constructor-scheduled first failures; the checkpoint
     // says what is actually pending.
-    stop();
+    if constexpr (IO::loading)
+        stop();
 
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "injector");
-    fatal_if(r.getU64("units") != units_.size(),
+    sim::SnapshotScope scope(io, "injector");
+    fatal_if(!io.match("units", units_.size()),
              "injector restore: unit count does not match the "
              "checkpoint");
     for (std::size_t i = 0; i < units_.size(); ++i) {
         Unit &u = units_[i];
-        std::string key("u");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> us(r, key);
-        r.getRng("rng", u.rng);
-        u.has_pending = r.getBool("pending");
+        sim::SnapshotScope us(io, sim::IndexedKey("u", i));
+        io.field("rng", u.rng);
+        io.field("pending", u.has_pending);
         if (!u.has_pending)
             continue;
-        u.pending_when = r.getDouble("when");
-        u.pending_is_repair = r.getBool("is_repair");
-        const std::size_t unit = i;
-        u.pending = u.pending_is_repair
-                        ? simulator().scheduleAt(
-                              u.pending_when,
-                              [this, unit] { repairUnit(unit); })
-                        : simulator().scheduleAt(
-                              u.pending_when,
-                              [this, unit] { failUnit(unit); });
+        io.field("when", u.pending_when);
+        io.field("is_repair", u.pending_is_repair);
+        if constexpr (IO::loading) {
+            const std::size_t unit = i;
+            u.pending = u.pending_is_repair
+                            ? simulator().scheduleAt(
+                                  u.pending_when,
+                                  [this, unit] { repairUnit(unit); })
+                            : simulator().scheduleAt(
+                                  u.pending_when,
+                                  [this, unit] { failUnit(unit); });
+        }
     }
 
-    cart_rngs_.clear();
-    const std::uint64_t n_carts = r.getU64("carts");
-    for (std::uint64_t i = 0; i < n_carts; ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-        const auto id = static_cast<std::uint32_t>(r.getU64("id"));
-        Rng rng; // placeholder stream; overwritten wholesale by getRng
-        r.getRng("rng", rng);
-        cart_rngs_.emplace(id, rng);
+    std::vector<std::uint32_t> cart_ids;
+    if constexpr (!IO::loading) {
+        for (const auto &[id, rng] : cart_rngs_)
+            cart_ids.push_back(id);
+        std::sort(cart_ids.begin(), cart_ids.end());
     }
-    injected_ = r.getU64("injected");
+    std::uint64_t n_carts = cart_ids.size();
+    io.field("carts", n_carts);
+    if constexpr (IO::loading)
+        cart_rngs_.clear();
+    for (std::uint64_t i = 0; i < n_carts; ++i) {
+        sim::SnapshotScope cs(io, sim::IndexedKey("cart", i));
+        if constexpr (IO::loading)
+            cart_ids.emplace_back();
+        io.field("id", cart_ids[i]);
+        // A restore inserts a placeholder stream that the read
+        // overwrites wholesale.
+        io.field("rng", cart_rngs_[cart_ids[i]]);
+    }
+    io.field("injected", injected_);
 }
+
+template void FaultInjector::snapshot(sim::SnapshotWriter &);
+template void FaultInjector::snapshot(sim::SnapshotReader &);
 
 } // namespace faults
 } // namespace dhl

@@ -135,14 +135,14 @@ class FaultInjector : public sim::SimObject
     // Checkpoint/restore.  Each unit's pending event is tracked as
     // (absolute time, fail-or-repair), so a checkpoint captures the
     // exact fault timeline position: RNG stream per unit and per cart,
-    // plus which transition fires next and when.  restoreState()
-    // cancels the constructor-scheduled failures, restores every
+    // plus which transition fires next and when (sim/snapshot.hpp).  A
+    // restore cancels the constructor-scheduled failures, restores every
     // stream, and re-schedules the saved transitions at their absolute
     // times — byte-identical continuation of the timeline.
     //------------------------------------------------------------------
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     struct Unit

@@ -325,109 +325,79 @@ FaultState::serviceDowntime(double up_to) const
     return down;
 }
 
+template <typename IO>
 void
-FaultState::saveKind(sim::SnapshotWriter &w, const char *scope,
-                     const KindState &ks)
+FaultState::snapshotKind(IO &io, const char *scope, KindState &ks)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> s(w, scope);
-    w.putU64("n", ks.down.size());
-    for (std::size_t i = 0; i < ks.down.size(); ++i) {
-        std::string key("down");
-        key += std::to_string(i);
-        w.putBool(key, ks.down[i]);
-    }
-    w.putU64("failures", ks.failures);
-    w.putU64("repairs", ks.repairs);
-}
-
-void
-FaultState::restoreKind(sim::SnapshotReader &r, const char *scope,
-                        KindState &ks)
-{
-    sim::SnapshotScope<sim::SnapshotReader> s(r, scope);
-    fatal_if(r.getU64("n") != ks.down.size(),
+    sim::SnapshotScope s(io, scope);
+    fatal_if(!io.match("n", ks.down.size()),
              "fault restore: component count does not match the "
              "checkpoint");
-    ks.down_count = 0;
+    if constexpr (IO::loading)
+        ks.down_count = 0;
     for (std::size_t i = 0; i < ks.down.size(); ++i) {
-        std::string key("down");
-        key += std::to_string(i);
-        ks.down[i] = r.getBool(key);
-        if (ks.down[i])
-            ++ks.down_count;
+        bool down = ks.down[i];
+        io.field(sim::IndexedKey("down", i), down);
+        if constexpr (IO::loading) {
+            ks.down[i] = down;
+            if (down)
+                ++ks.down_count;
+        }
     }
-    ks.failures = r.getU64("failures");
-    ks.repairs = r.getU64("repairs");
+    io.field("failures", ks.failures);
+    io.field("repairs", ks.repairs);
 }
 
+template <typename IO>
 void
-FaultState::saveState(sim::SnapshotWriter &w) const
+FaultState::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "faults");
-    saveKind(w, "lims", lims_);
-    saveKind(w, "track", track_);
-    saveKind(w, "stations", stations_);
+    sim::SnapshotScope scope(io, "faults");
+    snapshotKind(io, "lims", lims_);
+    snapshotKind(io, "track", track_);
+    snapshotKind(io, "stations", stations_);
 
     // The repair shop, sorted by cart id for a canonical document.
-    std::vector<std::pair<std::uint32_t, double>> shop(
-        cart_repair_end_.begin(), cart_repair_end_.end());
-    std::sort(shop.begin(), shop.end());
-    w.putU64("carts", shop.size());
-    for (std::size_t i = 0; i < shop.size(); ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-        w.putU64("id", shop[i].first);
-        w.putDouble("end", shop[i].second);
+    std::vector<std::pair<std::uint32_t, double>> shop;
+    if constexpr (!IO::loading) {
+        shop.assign(cart_repair_end_.begin(), cart_repair_end_.end());
+        std::sort(shop.begin(), shop.end());
     }
-    w.putU64("cart_repairs", cart_repairs_);
-    w.putU64("cart_failures_seen", cart_failures_seen_);
-    w.putU64("launch_inhibits", launch_inhibits_);
-
-    w.putBool("service_up", service_up_);
-    w.putU64("edges", transitions_.size());
-    for (std::size_t i = 0; i < transitions_.size(); ++i) {
-        std::string key("edge");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> es(w, key);
-        w.putDouble("when", transitions_[i].first);
-        w.putBool("up", transitions_[i].second);
-    }
-}
-
-void
-FaultState::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "faults");
-    restoreKind(r, "lims", lims_);
-    restoreKind(r, "track", track_);
-    restoreKind(r, "stations", stations_);
-
-    cart_repair_end_.clear();
-    const std::uint64_t n_carts = r.getU64("carts");
+    std::uint64_t n_carts = shop.size();
+    io.field("carts", n_carts);
     for (std::uint64_t i = 0; i < n_carts; ++i) {
-        std::string key("cart");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-        const auto id = static_cast<std::uint32_t>(r.getU64("id"));
-        cart_repair_end_.emplace(id, r.getDouble("end"));
+        sim::SnapshotScope cs(io, sim::IndexedKey("cart", i));
+        if constexpr (IO::loading)
+            shop.emplace_back();
+        io.field("id", shop[i].first);
+        io.field("end", shop[i].second);
     }
-    cart_repairs_ = r.getU64("cart_repairs");
-    cart_failures_seen_ = r.getU64("cart_failures_seen");
-    launch_inhibits_ = r.getU64("launch_inhibits");
+    io.field("cart_repairs", cart_repairs_);
+    io.field("cart_failures_seen", cart_failures_seen_);
+    io.field("launch_inhibits", launch_inhibits_);
 
-    service_up_ = r.getBool("service_up");
-    transitions_.clear();
-    // Not reserved: a corrupt count must end at a missing key.
-    const std::uint64_t n_edges = r.getU64("edges");
+    io.field("service_up", service_up_);
+    std::uint64_t n_edges = transitions_.size();
+    io.field("edges", n_edges);
+    if constexpr (IO::loading)
+        transitions_.clear();
     for (std::uint64_t i = 0; i < n_edges; ++i) {
-        std::string key("edge");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> es(r, key);
-        const double when = r.getDouble("when");
-        transitions_.emplace_back(when, r.getBool("up"));
+        sim::SnapshotScope es(io, sim::IndexedKey("edge", i));
+        if constexpr (IO::loading)
+            transitions_.emplace_back();
+        io.field("when", transitions_[i].first);
+        io.field("up", transitions_[i].second);
+    }
+
+    if constexpr (IO::loading) {
+        cart_repair_end_.clear();
+        for (const auto &[id, end] : shop)
+            cart_repair_end_.emplace(id, end);
     }
 }
+
+template void FaultState::snapshot(sim::SnapshotWriter &);
+template void FaultState::snapshot(sim::SnapshotReader &);
 
 double
 FaultState::observedAvailability(double horizon) const

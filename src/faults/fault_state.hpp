@@ -212,19 +212,20 @@ class FaultState
     //------------------------------------------------------------------
 
     /**
-     * Serialise the full registry: per-component up/down plus
-     * fail/repair tallies, the cart repair shop, launch inhibits, and
-     * the complete service edge log — the log in full so
+     * Save or restore (sim/snapshot.hpp) the full registry:
+     * per-component up/down plus fail/repair tallies, the cart repair
+     * shop, launch inhibits, and the complete service edge log — the
+     * log in full so
      * serviceDowntime(t) answers identically for *any* t after a
      * restore, which per-stage availability accounting depends on.
      * Listeners, the breakdown roller, and the retry policy are
-     * configuration re-established by the restoring harness.
-     * restoreState() expects the same components registered; inhibits
-     * are restored as a count, so ops processes must re-schedule their
+     * configuration re-established by the restoring harness.  A
+     * restore expects the same components registered; inhibits are
+     * restored as a count, so ops processes must re-schedule their
      * releases without re-pushing.
      */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     struct KindState
@@ -237,10 +238,8 @@ class FaultState
 
     KindState &kindState(Component kind);
     const KindState &kindState(Component kind) const;
-    static void saveKind(sim::SnapshotWriter &w, const char *scope,
-                         const KindState &ks);
-    static void restoreKind(sim::SnapshotReader &r, const char *scope,
-                            KindState &ks);
+    template <typename IO>
+    static void snapshotKind(IO &io, const char *scope, KindState &ks);
     void noteServiceEdge();
     void notifyRepair();
     void notifyOutage();

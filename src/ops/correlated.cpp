@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace ops {
@@ -152,61 +153,42 @@ CorrelatedFaultModel::stop()
     }
 }
 
+template <typename IO>
 void
-CorrelatedFaultModel::saveState(sim::SnapshotWriter &w) const
+CorrelatedFaultModel::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "plants");
-    w.putU64("domains", plants_.size());
-    for (std::size_t d = 0; d < plants_.size(); ++d) {
-        const Plant &p = plants_[d];
-        std::string key("d");
-        key += std::to_string(d);
-        sim::SnapshotScope<sim::SnapshotWriter> ds(w, key);
-        w.putRng("rng", p.rng);
-        w.putBool("down", p.down);
-        w.putBool("pending", p.has_pending);
-        if (p.has_pending) {
-            w.putDouble("when", p.pending_when);
-            w.putBool("is_restore", p.pending_is_restore);
-        }
-    }
-    w.putU64("outages", outages_);
-}
+    if constexpr (IO::loading)
+        stop();
 
-void
-CorrelatedFaultModel::restoreState(sim::SnapshotReader &r)
-{
-    for (auto &p : plants_) {
-        simulator().cancel(p.pending);
-        p.has_pending = false;
-    }
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "plants");
-    fatal_if(r.getU64("domains") != plants_.size(),
+    sim::SnapshotScope scope(io, "plants");
+    fatal_if(!io.match("domains", plants_.size()),
              "plant restore: domain count does not match the checkpoint");
     for (std::size_t d = 0; d < plants_.size(); ++d) {
         Plant &p = plants_[d];
-        std::string key("d");
-        key += std::to_string(d);
-        sim::SnapshotScope<sim::SnapshotReader> ds(r, key);
-        r.getRng("rng", p.rng);
-        p.down = r.getBool("down");
-        p.has_pending = r.getBool("pending");
+        sim::SnapshotScope ds(io, sim::IndexedKey("d", d));
+        io.field("rng", p.rng);
+        io.field("down", p.down);
+        io.field("pending", p.has_pending);
         if (!p.has_pending)
             continue;
-        p.pending_when = r.getDouble("when");
-        p.pending_is_restore = r.getBool("is_restore");
-        const std::size_t dom = d;
-        p.pending = p.pending_is_restore
-                        ? simulator().scheduleAt(
-                              p.pending_when,
-                              [this, dom] { finishOutage(dom); })
-                        : simulator().scheduleAt(
-                              p.pending_when,
-                              [this, dom] { beginOutage(dom); });
+        io.field("when", p.pending_when);
+        io.field("is_restore", p.pending_is_restore);
+        if constexpr (IO::loading) {
+            const std::size_t dom = d;
+            p.pending = p.pending_is_restore
+                            ? simulator().scheduleAt(
+                                  p.pending_when,
+                                  [this, dom] { finishOutage(dom); })
+                            : simulator().scheduleAt(
+                                  p.pending_when,
+                                  [this, dom] { beginOutage(dom); });
+        }
     }
-    outages_ = r.getU64("outages");
+    io.field("outages", outages_);
 }
+
+template void CorrelatedFaultModel::snapshot(sim::SnapshotWriter &);
+template void CorrelatedFaultModel::snapshot(sim::SnapshotReader &);
 
 } // namespace ops
 } // namespace dhl

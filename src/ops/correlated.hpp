@@ -97,13 +97,14 @@ class CorrelatedFaultModel : public sim::SimObject
     //------------------------------------------------------------------
     // Checkpoint/restore.  Mirrors the FaultInjector: per-domain RNG
     // stream plus the next transition (outage begin or plant restore)
-    // as an absolute time.  restoreState() cancels the constructor
-    // schedule and re-arms the saved transitions; member-track inhibits
-    // are not re-pushed (the restored FaultStates carry the count).
+    // as an absolute time (sim/snapshot.hpp).  A restore cancels the
+    // constructor schedule and re-arms the saved transitions;
+    // member-track inhibits are not re-pushed (the restored
+    // FaultStates carry the count).
     //------------------------------------------------------------------
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     struct Plant

@@ -6,6 +6,7 @@
 #include "ops/maintenance.hpp"
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace ops {
@@ -136,64 +137,48 @@ MaintenanceScheduler::cancelPending()
     }
 }
 
+template <typename IO>
 void
-MaintenanceScheduler::saveState(sim::SnapshotWriter &w) const
+MaintenanceScheduler::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "maintenance");
-    w.putU64("windows", cfg_.windows.size());
-    for (std::size_t i = 0; i < cfg_.windows.size(); ++i) {
-        std::string key("w");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> ws(w, key);
-        w.putBool("open", open_[i]);
-        w.putU64("count", started_by_window_[i]);
-        const Pending &p = pending_[i];
-        w.putBool("pending", p.active);
-        if (p.active) {
-            w.putDouble("when", p.when);
-            w.putBool("is_end", p.is_end);
-            w.putDouble("occurrence", p.occurrence);
-        }
-    }
-    w.putU64("started", started_);
-    w.putU64("completed", completed_);
-}
+    if constexpr (IO::loading)
+        cancelPending();
 
-void
-MaintenanceScheduler::restoreState(sim::SnapshotReader &r)
-{
-    cancelPending();
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "maintenance");
-    fatal_if(r.getU64("windows") != cfg_.windows.size(),
+    sim::SnapshotScope scope(io, "maintenance");
+    fatal_if(!io.match("windows", cfg_.windows.size()),
              "maintenance restore: window count does not match the "
              "checkpoint");
     for (std::size_t i = 0; i < cfg_.windows.size(); ++i) {
-        std::string key("w");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ws(r, key);
-        open_[i] = r.getBool("open");
-        started_by_window_[i] = r.getU64("count");
+        sim::SnapshotScope ws(io, sim::IndexedKey("w", i));
+        bool open = open_[i];
+        io.field("open", open);
+        io.field("count", started_by_window_[i]);
         Pending &p = pending_[i];
-        p.active = r.getBool("pending");
+        io.field("pending", p.active);
+        if constexpr (IO::loading)
+            open_[i] = open;
         if (!p.active)
             continue;
-        p.when = r.getDouble("when");
-        p.is_end = r.getBool("is_end");
-        p.occurrence = r.getDouble("occurrence");
-        const std::size_t w_idx = i;
-        const double start = p.occurrence;
-        p.handle = p.is_end
-                       ? simulator().scheduleAt(
-                             p.when,
-                             [this, w_idx, start] { end(w_idx, start); })
-                       : simulator().scheduleAt(
-                             p.when,
-                             [this, w_idx, start] { begin(w_idx, start); });
+        io.field("when", p.when);
+        io.field("is_end", p.is_end);
+        io.field("occurrence", p.occurrence);
+        if constexpr (IO::loading) {
+            const std::size_t w_idx = i;
+            const double start = p.occurrence;
+            if (p.is_end)
+                p.handle = simulator().scheduleAt(
+                    p.when, [this, w_idx, start] { end(w_idx, start); });
+            else
+                p.handle = simulator().scheduleAt(
+                    p.when, [this, w_idx, start] { begin(w_idx, start); });
+        }
     }
-    started_ = r.getU64("started");
-    completed_ = r.getU64("completed");
+    io.field("started", started_);
+    io.field("completed", completed_);
 }
+
+template void MaintenanceScheduler::snapshot(sim::SnapshotWriter &);
+template void MaintenanceScheduler::snapshot(sim::SnapshotReader &);
 
 } // namespace ops
 } // namespace dhl

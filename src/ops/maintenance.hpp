@@ -88,16 +88,17 @@ class MaintenanceScheduler : public sim::SimObject
     void stop() { cancelPending(); }
 
     //------------------------------------------------------------------
-    // Checkpoint/restore.  Each window's next transition (begin or
-    // end) is tracked as an absolute time; restoreState() cancels the
-    // constructor-scheduled plan, restores the open flags and tallies,
-    // and re-schedules the saved transitions.  Launch inhibits are NOT
-    // re-pushed — the restored FaultState already counts them; the
-    // re-scheduled end event pops what the original begin pushed.
+    // Checkpoint/restore (sim/snapshot.hpp).  Each window's next
+    // transition (begin or end) is tracked as an absolute time; a
+    // restore cancels the constructor-scheduled plan, restores the
+    // open flags and tallies, and re-schedules the saved transitions.
+    // Launch inhibits are NOT re-pushed — the restored FaultState
+    // already counts them; the re-scheduled end event pops what the
+    // original begin pushed.
     //------------------------------------------------------------------
 
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     /** The window's next scheduled transition. */

@@ -528,121 +528,187 @@ ServingSim::finishRequest(std::size_t slot)
 // Checkpoint/restore
 //===========================================================================
 
+namespace {
+
+/** One SloAccumulator's tallies and its exact latency samples. */
+template <typename IO>
 void
-ServingSim::saveFingerprint(sim::SnapshotWriter &w) const
+snapshotSlo(IO &io, stats::SloAccumulator &s)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "config");
-    w.putU64("tracks", cfg_.tracks);
-    w.putU64("seed", cfg_.seed);
-    w.putDouble("epoch", cfg_.epoch);
-    w.putU64("carts_per_track", cfg_.carts_per_track);
-    w.putU64("max_pending", cfg_.max_pending);
-    w.putString("policy", ops::to_string(cfg_.policy));
-    w.putI64("min_priority_degraded", cfg_.min_priority_degraded);
-    w.putBool("faults", cfg_.faults.enabled);
-    w.putU64("maintenance_windows", cfg_.maintenance.windows.size());
-    w.putBool("domains", cfg_.domains.enabled);
-    // Every fleet runs one event loop.  The key stays so checkpoints
-    // keep their bytes; checkFingerprint() accepts only the value 1.
-    w.putU64("des_shards", 1);
-    w.putBool("te", cfg_.te.enabled);
-    if (cfg_.te.enabled) {
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, "te");
-        w.putString("mode", te::to_string(cfg_.te.mode));
-        w.putDouble("period", cfg_.te.control_period);
-        w.putDouble("small_bytes", cfg_.te.small_bytes);
-        w.putDouble("optical_capacity", cfg_.te.optical_capacity);
-        w.putDouble("dhl_capacity", cfg_.te.dhl_capacity);
-        w.putString("route", cfg_.te.route);
-        w.putDouble("headroom", cfg_.te.headroom);
-        w.putDouble("multiplier", cfg_.te.usage_multiplier);
-        w.putU64("history", cfg_.te.history);
-        w.putI64("floor", cfg_.te.min_priority_contended);
+    // Read through a const view: non-const shed() records a shed.
+    const stats::SloAccumulator &saved = s;
+    std::uint64_t offered = saved.offered();
+    std::uint64_t deferred = saved.deferred();
+    std::uint64_t shed = saved.shed();
+    double bytes = saved.bytesDelivered();
+    std::uint64_t samples = saved.latencies().size();
+    io.field("offered", offered);
+    io.field("deferred", deferred);
+    io.field("shed", shed);
+    io.field("bytes", bytes);
+    io.field("samples", samples);
+    // Not reserved: a corrupt count must end at a missing key.
+    std::vector<double> latencies;
+    for (std::uint64_t j = 0; j < samples; ++j) {
+        double latency = IO::loading ? 0.0 : saved.latencies()[j];
+        io.field(sim::IndexedKey("l", j), latency);
+        if constexpr (IO::loading)
+            latencies.push_back(latency);
     }
-    w.putU64("stages", cfg_.stages.size());
+    if constexpr (IO::loading)
+        s.restore(offered, deferred, shed, bytes, std::move(latencies));
+}
+
+} // namespace
+
+template <typename IO>
+void
+ServingSim::fingerprint(IO &io) const
+{
+    sim::SnapshotScope scope(io, "config");
+    fatal_if(!(io.match("tracks", cfg_.tracks) &&
+               io.match("seed", cfg_.seed) &&
+               io.match("epoch", cfg_.epoch) &&
+               io.match("carts_per_track", cfg_.carts_per_track) &&
+               io.match("max_pending", cfg_.max_pending) &&
+               io.match("policy", ops::to_string(cfg_.policy)) &&
+               io.match("min_priority_degraded",
+                        cfg_.min_priority_degraded) &&
+               io.match("faults", cfg_.faults.enabled) &&
+               io.match("maintenance_windows",
+                        cfg_.maintenance.windows.size()) &&
+               io.match("domains", cfg_.domains.enabled) &&
+               // Every fleet runs one event loop.  The key stays so
+               // checkpoints keep their bytes; only the value 1 passes.
+               io.match("des_shards", std::uint64_t{1}) &&
+               io.match("te", cfg_.te.enabled)),
+             "serving checkpoint belongs to a different configuration");
+    if (cfg_.te.enabled) {
+        sim::SnapshotScope ts(io, "te");
+        fatal_if(
+            !(io.match("mode", te::to_string(cfg_.te.mode)) &&
+              io.match("period", cfg_.te.control_period) &&
+              io.match("small_bytes", cfg_.te.small_bytes) &&
+              io.match("optical_capacity", cfg_.te.optical_capacity) &&
+              io.match("dhl_capacity", cfg_.te.dhl_capacity) &&
+              io.match("route", cfg_.te.route) &&
+              io.match("headroom", cfg_.te.headroom) &&
+              io.match("multiplier", cfg_.te.usage_multiplier) &&
+              io.match("history", cfg_.te.history) &&
+              io.match("floor", cfg_.te.min_priority_contended)),
+            "serving checkpoint TE configuration does not match");
+    }
+    fatal_if(!io.match("stages", cfg_.stages.size()),
+             "serving checkpoint belongs to a different configuration");
     for (std::size_t i = 0; i < cfg_.stages.size(); ++i) {
         const workloads::StageSpec &s = cfg_.stages[i];
-        std::string key("stage");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotWriter> ss(w, key);
-        w.putString("name", s.name);
-        w.putDouble("duration", s.duration);
-        w.putDouble("start_rate", s.start_rate);
-        w.putDouble("end_rate", s.end_rate);
-        w.putU64("classes", s.mix.size());
+        sim::SnapshotScope ss(io, sim::IndexedKey("stage", i));
+        fatal_if(!(io.match("name", s.name) &&
+                   io.match("duration", s.duration) &&
+                   io.match("start_rate", s.start_rate) &&
+                   io.match("end_rate", s.end_rate) &&
+                   io.match("classes", s.mix.size())),
+                 "serving checkpoint stage profile does not match");
         for (std::size_t c = 0; c < s.mix.size(); ++c) {
             const workloads::RequestClass &rc = s.mix[c];
-            std::string ck("class");
-            ck += std::to_string(c);
-            sim::SnapshotScope<sim::SnapshotWriter> cs(w, ck);
-            w.putString("tag", rc.tag);
-            w.putDouble("weight", rc.weight);
-            w.putDouble("median_bytes", rc.median_bytes);
-            w.putDouble("sigma", rc.sigma);
-            w.putI64("priority", rc.priority);
+            sim::SnapshotScope cs(io, sim::IndexedKey("class", c));
+            fatal_if(!(io.match("tag", rc.tag) &&
+                       io.match("weight", rc.weight) &&
+                       io.match("median_bytes", rc.median_bytes) &&
+                       io.match("sigma", rc.sigma) &&
+                       io.match("priority", rc.priority)),
+                     "serving checkpoint traffic mix does not match");
         }
     }
 }
 
+template <typename IO>
 void
-ServingSim::checkFingerprint(sim::SnapshotReader &r) const
+ServingSim::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "config");
-    fatal_if(r.getU64("tracks") != cfg_.tracks ||
-                 r.getU64("seed") != cfg_.seed ||
-                 r.getDouble("epoch") != cfg_.epoch ||
-                 r.getU64("carts_per_track") != cfg_.carts_per_track ||
-                 r.getU64("max_pending") != cfg_.max_pending ||
-                 r.getString("policy") != ops::to_string(cfg_.policy) ||
-                 r.getI64("min_priority_degraded") !=
-                     cfg_.min_priority_degraded ||
-                 r.getBool("faults") != cfg_.faults.enabled ||
-                 r.getU64("maintenance_windows") !=
-                     cfg_.maintenance.windows.size() ||
-                 r.getBool("domains") != cfg_.domains.enabled ||
-                 r.getU64("des_shards") != 1 ||
-                 r.getBool("te") != cfg_.te.enabled ||
-                 r.getU64("stages") != cfg_.stages.size(),
-             "serving checkpoint belongs to a different configuration");
-    if (cfg_.te.enabled) {
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, "te");
-        fatal_if(r.getString("mode") != te::to_string(cfg_.te.mode) ||
-                     r.getDouble("period") != cfg_.te.control_period ||
-                     r.getDouble("small_bytes") != cfg_.te.small_bytes ||
-                     r.getDouble("optical_capacity") !=
-                         cfg_.te.optical_capacity ||
-                     r.getDouble("dhl_capacity") != cfg_.te.dhl_capacity ||
-                     r.getString("route") != cfg_.te.route ||
-                     r.getDouble("headroom") != cfg_.te.headroom ||
-                     r.getDouble("multiplier") !=
-                         cfg_.te.usage_multiplier ||
-                     r.getU64("history") != cfg_.te.history ||
-                     r.getI64("floor") != cfg_.te.min_priority_contended,
-                 "serving checkpoint TE configuration does not match");
+    fingerprint(io);
+
+    if constexpr (IO::loading) {
+        // Empty the event queue: every constructor-scheduled event
+        // belongs to a stoppable process, and the kernel's restore
+        // requires a drained queue before it rewinds the clock.
+        for (TrackSystem &ts : tracks_)
+            if (ts.injector)
+                ts.injector->stop();
+        if (maintenance_)
+            maintenance_->stop();
+        if (plants_)
+            plants_->stop();
+        if (te_)
+            te_->stop();
+        fatal_if(sim_.pendingEvents() != 0,
+                 "serving restore found unexpected pending events");
     }
-    for (std::size_t i = 0; i < cfg_.stages.size(); ++i) {
-        const workloads::StageSpec &s = cfg_.stages[i];
-        std::string key("stage");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        fatal_if(r.getString("name") != s.name ||
-                     r.getDouble("duration") != s.duration ||
-                     r.getDouble("start_rate") != s.start_rate ||
-                     r.getDouble("end_rate") != s.end_rate ||
-                     r.getU64("classes") != s.mix.size(),
-                 "serving checkpoint stage profile does not match");
-        for (std::size_t c = 0; c < s.mix.size(); ++c) {
-            const workloads::RequestClass &rc = s.mix[c];
-            std::string ck("class");
-            ck += std::to_string(c);
-            sim::SnapshotScope<sim::SnapshotReader> cs(r, ck);
-            fatal_if(r.getString("tag") != rc.tag ||
-                         r.getDouble("weight") != rc.weight ||
-                         r.getDouble("median_bytes") != rc.median_bytes ||
-                         r.getDouble("sigma") != rc.sigma ||
-                         r.getI64("priority") != rc.priority,
-                     "serving checkpoint traffic mix does not match");
+
+    {
+        sim::SnapshotScope scope(io, "serve");
+        io.field("epochs", epochs_);
+        io.field("boundary", boundary_);
+        io.field("rr_next", rr_next_);
+        io.field("served", served_);
+        std::uint64_t queued = queue_.size();
+        io.field("queued", queued);
+        // Not reserved: a corrupt count must end at a missing key.
+        if constexpr (IO::loading)
+            queue_.clear();
+        for (std::uint64_t i = 0; i < queued; ++i) {
+            sim::SnapshotScope qs(io, sim::IndexedKey("q", i));
+            if constexpr (IO::loading)
+                queue_.emplace_back();
+            workloads::ArrivalEvent &ev = queue_[i].ev;
+            io.field("at", ev.at);
+            io.field("bytes", ev.bytes);
+            io.field("tag", ev.tag);
+            io.field("stage", ev.stage);
+            io.field("priority", ev.priority);
         }
+        for (std::size_t i = 0; i < slo_.size(); ++i) {
+            sim::SnapshotScope ss(io, sim::IndexedKey("s", i));
+            snapshotSlo(io, slo_[i]);
+        }
+    }
+
+    sim_.snapshot(io);
+    trace_.snapshot(io);
+    arrivals_->snapshot(io);
+    for (std::size_t t = 0; t < tracks_.size(); ++t) {
+        TrackSystem &track = tracks_[t];
+        sim::SnapshotScope ts(io, sim::IndexedKey("t", t));
+        track.controller->snapshot(io);
+        track.state->snapshot(io);
+        if (track.injector)
+            track.injector->snapshot(io);
+        // Pool *order* matters: which cart serves a trip decides which
+        // per-cart breakdown stream the trip consumes, so a restored
+        // fleet must hand out carts in the identical sequence.
+        fatal_if(!io.match("pool", track.pool.size()),
+                 "serving restore: cart pool size does not match");
+        for (std::size_t i = 0; i < track.pool.size(); ++i)
+            io.field(sim::IndexedKey("p", i), track.pool[i]);
+    }
+    if (maintenance_)
+        maintenance_->snapshot(io);
+    if (plants_)
+        plants_->snapshot(io);
+    if (te_) {
+        // The drained boundary has zero active flows, so the FlowSim
+        // itself holds no dynamic state worth keeping; the serve layer
+        // checkpoints its own optical accumulators instead.
+        sim::SnapshotScope ts(io, "te");
+        io.field("optical_energy", optical_energy_);
+        io.field("optical_served", optical_served_);
+        io.field("downgrades", te_downgrades_);
+        for (std::size_t i = 0; i < class_slo_.size(); ++i) {
+            sim::SnapshotScope cs(io, sim::IndexedKey("c", i));
+            snapshotSlo(io, class_slo_[i]);
+        }
+        sim::SnapshotScope ctl(io, "ctl");
+        te_->snapshot(io);
     }
 }
 
@@ -652,96 +718,9 @@ ServingSim::checkpoint(std::ostream &os) const
     fatal_if(in_flight_ != 0,
              "serving checkpoint requires a drained epoch boundary");
     sim::SnapshotWriter w(os);
-    saveFingerprint(w);
-
-    {
-        sim::SnapshotScope<sim::SnapshotWriter> scope(w, "serve");
-        w.putU64("epochs", epochs_);
-        w.putDouble("boundary", boundary_);
-        w.putU64("rr_next", rr_next_);
-        w.putU64("served", served_);
-        w.putU64("queued", queue_.size());
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            const workloads::ArrivalEvent &ev = queue_[i].ev;
-            std::string key("q");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> qs(w, key);
-            w.putDouble("at", ev.at);
-            w.putDouble("bytes", ev.bytes);
-            w.putString("tag", ev.tag);
-            w.putI64("stage", ev.stage);
-            w.putI64("priority", ev.priority);
-        }
-        for (std::size_t i = 0; i < slo_.size(); ++i) {
-            const stats::SloAccumulator &s = slo_[i];
-            std::string key("s");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> ss(w, key);
-            w.putU64("offered", s.offered());
-            w.putU64("deferred", s.deferred());
-            w.putU64("shed", s.shed());
-            w.putDouble("bytes", s.bytesDelivered());
-            w.putU64("samples", s.latencies().size());
-            for (std::size_t j = 0; j < s.latencies().size(); ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                w.putDouble(lk, s.latencies()[j]);
-            }
-        }
-    }
-
-    sim_.saveState(w);
-    trace_.saveState(w);
-    arrivals_->saveState(w);
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-        std::string key("t");
-        key += std::to_string(t);
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, key);
-        tracks_[t].controller->saveState(w);
-        tracks_[t].state->saveState(w);
-        if (tracks_[t].injector)
-            tracks_[t].injector->saveState(w);
-        // Pool *order* matters: which cart serves a trip decides which
-        // per-cart breakdown stream the trip consumes, so a restored
-        // fleet must hand out carts in the identical sequence.
-        w.putU64("pool", tracks_[t].pool.size());
-        for (std::size_t i = 0; i < tracks_[t].pool.size(); ++i) {
-            std::string pk("p");
-            pk += std::to_string(i);
-            w.putU64(pk, tracks_[t].pool[i]);
-        }
-    }
-    if (maintenance_)
-        maintenance_->saveState(w);
-    if (plants_)
-        plants_->saveState(w);
-    if (te_) {
-        // The drained boundary has zero active flows, so the FlowSim
-        // itself holds no dynamic state worth keeping; the serve layer
-        // checkpoints its own optical accumulators instead.
-        sim::SnapshotScope<sim::SnapshotWriter> ts(w, "te");
-        w.putDouble("optical_energy", optical_energy_);
-        w.putU64("optical_served", optical_served_);
-        w.putU64("downgrades", te_downgrades_);
-        for (std::size_t i = 0; i < class_slo_.size(); ++i) {
-            const stats::SloAccumulator &s = class_slo_[i];
-            std::string key("c");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotWriter> cs(w, key);
-            w.putU64("offered", s.offered());
-            w.putU64("deferred", s.deferred());
-            w.putU64("shed", s.shed());
-            w.putDouble("bytes", s.bytesDelivered());
-            w.putU64("samples", s.latencies().size());
-            for (std::size_t j = 0; j < s.latencies().size(); ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                w.putDouble(lk, s.latencies()[j]);
-            }
-        }
-        sim::SnapshotScope<sim::SnapshotWriter> ctl(w, "ctl");
-        te_->saveState(w);
-    }
+    // snapshot() is one body for both directions; with a writer it
+    // only reads.
+    const_cast<ServingSim *>(this)->snapshot(w);
 }
 
 void
@@ -750,108 +729,7 @@ ServingSim::restore(std::istream &is)
     fatal_if(epochs_ != 0 || sim_.now() != 0.0,
              "serving restore requires a freshly constructed fleet");
     sim::SnapshotReader r(is);
-    checkFingerprint(r);
-
-    // Empty the event queue: every constructor-scheduled event belongs
-    // to a stoppable process, and Simulator::restoreState requires a
-    // drained kernel before it rewinds the clock.
-    for (TrackSystem &ts : tracks_)
-        if (ts.injector)
-            ts.injector->stop();
-    if (maintenance_)
-        maintenance_->stop();
-    if (plants_)
-        plants_->stop();
-    if (te_)
-        te_->stop();
-    fatal_if(sim_.pendingEvents() != 0,
-             "serving restore found unexpected pending events");
-
-    sim_.restoreState(r);
-    trace_.restoreState(r);
-    arrivals_->restoreState(r);
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-        std::string key("t");
-        key += std::to_string(t);
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, key);
-        tracks_[t].controller->restoreState(r);
-        tracks_[t].state->restoreState(r);
-        if (tracks_[t].injector)
-            tracks_[t].injector->restoreState(r);
-        fatal_if(r.getU64("pool") != tracks_[t].pool.size(),
-                 "serving restore: cart pool size does not match");
-        for (std::size_t i = 0; i < tracks_[t].pool.size(); ++i) {
-            std::string pk("p");
-            pk += std::to_string(i);
-            tracks_[t].pool[i] =
-                static_cast<core::CartId>(r.getU64(pk));
-        }
-    }
-    if (maintenance_)
-        maintenance_->restoreState(r);
-    if (plants_)
-        plants_->restoreState(r);
-    if (te_) {
-        sim::SnapshotScope<sim::SnapshotReader> ts(r, "te");
-        optical_energy_ = r.getDouble("optical_energy");
-        optical_served_ = r.getU64("optical_served");
-        te_downgrades_ = r.getU64("downgrades");
-        for (std::size_t i = 0; i < class_slo_.size(); ++i) {
-            std::string key("c");
-            key += std::to_string(i);
-            sim::SnapshotScope<sim::SnapshotReader> cs(r, key);
-            const std::uint64_t samples = r.getU64("samples");
-            // Not reserved: a corrupt count must end at a missing key.
-            std::vector<double> latencies;
-            for (std::uint64_t j = 0; j < samples; ++j) {
-                std::string lk("l");
-                lk += std::to_string(j);
-                latencies.push_back(r.getDouble(lk));
-            }
-            class_slo_[i].restore(r.getU64("offered"),
-                                  r.getU64("deferred"), r.getU64("shed"),
-                                  r.getDouble("bytes"),
-                                  std::move(latencies));
-        }
-        sim::SnapshotScope<sim::SnapshotReader> ctl(r, "ctl");
-        te_->restoreState(r);
-    }
-
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "serve");
-    epochs_ = r.getU64("epochs");
-    boundary_ = r.getDouble("boundary");
-    rr_next_ = r.getU64("rr_next");
-    served_ = r.getU64("served");
-    queue_.clear();
-    const std::uint64_t queued = r.getU64("queued");
-    for (std::uint64_t i = 0; i < queued; ++i) {
-        std::string key("q");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> qs(r, key);
-        workloads::ArrivalEvent ev;
-        ev.at = r.getDouble("at");
-        ev.bytes = r.getDouble("bytes");
-        ev.tag = r.getString("tag");
-        ev.stage = static_cast<int>(r.getI64("stage"));
-        ev.priority = static_cast<int>(r.getI64("priority"));
-        queue_.push_back(Queued{ev});
-    }
-    for (std::size_t i = 0; i < slo_.size(); ++i) {
-        std::string key("s");
-        key += std::to_string(i);
-        sim::SnapshotScope<sim::SnapshotReader> ss(r, key);
-        const std::uint64_t samples = r.getU64("samples");
-        // Not reserved: a corrupt count must end at a missing key.
-        std::vector<double> latencies;
-        for (std::uint64_t j = 0; j < samples; ++j) {
-            std::string lk("l");
-            lk += std::to_string(j);
-            latencies.push_back(r.getDouble(lk));
-        }
-        slo_[i].restore(r.getU64("offered"), r.getU64("deferred"),
-                        r.getU64("shed"), r.getDouble("bytes"),
-                        std::move(latencies));
-    }
+    snapshot(r);
 }
 
 //===========================================================================

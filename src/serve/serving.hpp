@@ -15,7 +15,7 @@
  *               requests (admission paused, backlog preserved)
  *
  * The epoch boundary is *drained*: no request is mid-trip, so the only
- * pending events belong to Snapshotable processes (fault injectors,
+ * pending events belong to checkpointed processes (fault injectors,
  * maintenance windows, plant outages) that record their own absolute
  * event times.  That is what makes the checkpoint exact: restore() on
  * a freshly built ServingSim rewinds the kernel clock, re-arms those
@@ -268,8 +268,13 @@ class ServingSim
     void runTrip(std::size_t slot);
     void finishTrip(std::size_t slot);
     void finishRequest(std::size_t slot);
-    void saveFingerprint(sim::SnapshotWriter &w) const;
-    void checkFingerprint(sim::SnapshotReader &r) const;
+    /** Write the config fingerprint, or check it on restore (fatal
+     *  on a mismatch, one message per section). */
+    template <typename IO>
+    void fingerprint(IO &io) const;
+    /** The checkpoint body (sim/snapshot.hpp), both directions. */
+    template <typename IO>
+    void snapshot(IO &io);
 
     ServeConfig cfg_;
     sim::Simulator sim_;

@@ -14,7 +14,6 @@
 
 #include "common/stats.hpp"
 #include "sim/simulator.hpp"
-#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace sim {
@@ -22,13 +21,11 @@ namespace sim {
 /**
  * A named entity living inside a Simulator.
  *
- * Every SimObject is Snapshotable; the default implementation captures
- * nothing, so objects with no dynamic state (pure queries, closed-form
- * models) participate in a checkpoint for free.  Objects that schedule
- * events or hold RNG streams override saveState()/restoreState() per
- * the contract in sim/snapshot.hpp.
+ * Checkpointing is not part of the base: an object that is saved
+ * declares its own snapshot(IO &) body per the protocol in
+ * sim/snapshot.hpp.
  */
-class SimObject : public Snapshotable
+class SimObject
 {
   public:
     /**
@@ -50,10 +47,6 @@ class SimObject : public Snapshotable
     /** Statistics group owned by this object. */
     stats::StatGroup &statsGroup() { return stats_; }
     const stats::StatGroup &statsGroup() const { return stats_; }
-
-    /** Snapshotable default: stateless object, nothing to capture. */
-    void saveState(SnapshotWriter &) const override {}
-    void restoreState(SnapshotReader &) override {}
 
   protected:
     /** Convenience forwarding to the simulator. */

@@ -234,27 +234,25 @@ Simulator::runEpoch(Time until)
     return EpochResult{end, executed_ - before, size_ == 0};
 }
 
+template <typename IO>
 void
-Simulator::saveState(SnapshotWriter &w) const
+Simulator::snapshot(IO &io)
 {
-    SnapshotScope<SnapshotWriter> scope(w, "kernel");
-    w.putDouble("now", now_);
-    w.putU64("executed", executed_);
-}
-
-void
-Simulator::restoreState(SnapshotReader &r)
-{
-    fatal_if(size_ != 0,
+    fatal_if(IO::loading && size_ != 0,
              "simulator restore requires an empty event queue (cancel "
              "constructor-scheduled events first)");
-    SnapshotScope<SnapshotReader> scope(r, "kernel");
-    now_ = r.getDouble("now");
-    executed_ = r.getU64("executed");
-    // The stat reports the run's tally, not this process's share.
-    stat_executed_->reset();
-    stat_executed_->increment(executed_);
+    SnapshotScope scope(io, "kernel");
+    io.field("now", now_);
+    io.field("executed", executed_);
+    if constexpr (IO::loading) {
+        // The stat reports the run's tally, not this process's share.
+        stat_executed_->reset();
+        stat_executed_->increment(executed_);
+    }
 }
+
+template void Simulator::snapshot(SnapshotWriter &);
+template void Simulator::snapshot(SnapshotReader &);
 
 std::uint64_t
 Simulator::step(std::uint64_t max_events)

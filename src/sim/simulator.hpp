@@ -213,22 +213,19 @@ class Simulator
     stats::StatGroup &statsGroup() { return stats_; }
 
     /**
-     * Checkpoint the kernel clock (sim/snapshot.hpp).  Only `now` and
-     * the executed-event count are captured: pending events belong to
-     * the Snapshotable objects that scheduled them and are re-created
-     * on restore at their saved absolute times.  The schedule/cancel
-     * statistics counters are host-side tallies, not simulated state,
-     * and restart from the boundary; the executed count is restored.
+     * Save or restore the kernel clock (sim/snapshot.hpp).  Only `now`
+     * and the executed-event count are captured: pending events belong
+     * to the checkpointed objects that scheduled them and are
+     * re-created on restore at their saved absolute times.  The
+     * schedule/cancel statistics counters are host-side tallies, not
+     * simulated state, and restart from the boundary; the executed
+     * count is restored.  A restore must run on an *empty* queue
+     * (fatal otherwise), before any object re-schedules — the restored
+     * `now` is what makes their absolute-time scheduleAt() calls land
+     * correctly.
      */
-    void saveState(SnapshotWriter &w) const;
-
-    /**
-     * Restore the kernel clock.  Must be called on an *empty* queue
-     * (fatal otherwise), before any Snapshotable re-schedules — the
-     * restored `now` is what makes their absolute-time scheduleAt()
-     * calls land correctly.
-     */
-    void restoreState(SnapshotReader &r);
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     /**
@@ -322,7 +319,7 @@ class Simulator
     Time now_;
     // dhl-analyze: transient(next_seq_): FIFO tie-break is relative
     // order only; a restored run re-counts from zero identically
-    // dhl-analyze: transient(size_, stopped_): restoreState requires a
+    // dhl-analyze: transient(size_, stopped_): a restore requires a
     // drained (empty, not-stopped) queue and asserts it
     std::uint64_t next_seq_;
     std::uint64_t executed_;
@@ -331,8 +328,8 @@ class Simulator
 
     // dhl-analyze: transient(heap_, lane_, lane_head_, slot_gen_,
     // action_chunks_, free_slots_): the queue is empty at a legal
-    // checkpoint boundary; pending events belong to the Snapshotables
-    // that re-create them
+    // checkpoint boundary; pending events belong to the checkpointed
+    // objects that re-create them
     std::vector<HeapEntry> heap_;
     /** The in-order lane: entries [lane_head_, end) in (when, seq)
      *  order.  Emptied (capacity kept) whenever the head reaches the
@@ -348,7 +345,7 @@ class Simulator
 
     // dhl-analyze: transient(stats_, stat_scheduled_, stat_executed_,
     // stat_cancelled_): host-side tallies, restart from the boundary
-    // (restoreState re-seeds stat_executed_ from executed_)
+    // (a restore re-seeds stat_executed_ from executed_)
     stats::StatGroup stats_;
     stats::Counter *stat_scheduled_;
     stats::Counter *stat_executed_;

@@ -155,6 +155,21 @@ SnapshotWriter::putRng(std::string_view key, const Rng &rng)
 }
 
 //===========================================================================
+// IndexedKey
+//===========================================================================
+
+IndexedKey::IndexedKey(std::string_view prefix, std::uint64_t index)
+{
+    // Leave room for the 20 digits of the largest index.
+    panic_if(prefix.size() > sizeof buf_ - 20,
+             "snapshot key prefix too long");
+    std::copy(prefix.begin(), prefix.end(), buf_);
+    const auto [end, ec] =
+        std::to_chars(buf_ + prefix.size(), buf_ + sizeof buf_, index);
+    len_ = static_cast<std::size_t>(end - buf_);
+}
+
+//===========================================================================
 // SnapshotReader
 //===========================================================================
 

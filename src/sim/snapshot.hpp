@@ -1,7 +1,7 @@
 /**
  * @file
  * Checkpoint/restore support for the DES: a line-oriented snapshot
- * format plus the Snapshotable interface simulation objects implement.
+ * format plus the one-body protocol simulation objects implement.
  *
  * A snapshot is a flat text document of `key = value` lines.  Writers
  * push hierarchical scopes ("track0", "faults") so composed objects
@@ -13,9 +13,25 @@
  *
  * The snapshot contract (DESIGN.md §11): state is captured only at a
  * *drained epoch boundary* — no in-flight request work — where every
- * pending event belongs to a Snapshotable process that records its
+ * pending event belongs to a checkpointed process that records its
  * pending absolute event times and re-schedules them on restore.  The
  * event queue itself (arbitrary closures) is never serialised.
+ *
+ * Each checkpointed class has one member
+ *
+ *   template <typename IO> void snapshot(IO &io);
+ *
+ * instantiated for SnapshotWriter (save) and SnapshotReader (restore).
+ * Its body names every key once, as io.field(key, member), so the two
+ * directions share one key list, scope nesting and key order.  Work
+ * that only a restore does sits under `if constexpr (IO::loading)`:
+ * cancelling constructor-scheduled events and re-arming the saved
+ * ones, growing containers one element per key read (an untrusted
+ * count must end at a missing key, not at a huge reservation) and
+ * resetting stats.  Counts checked against the constructed object go
+ * through io.match(), which the writer answers with true.  With a
+ * writer the body only reads; with a reader it runs on a *freshly
+ * constructed* object (same configuration, same seeds).
  */
 
 #ifndef DHL_SIM_SNAPSHOT_HPP
@@ -26,6 +42,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +74,9 @@ class SnapshotWriter
     SnapshotWriter(const SnapshotWriter &) = delete;
     SnapshotWriter &operator=(const SnapshotWriter &) = delete;
 
+    /** A snapshot body run with a writer saves. */
+    static constexpr bool loading = false;
+
     /** Enter a nested scope: keys gain a "scope." prefix. */
     void push(std::string_view scope);
 
@@ -74,6 +94,35 @@ class SnapshotWriter
 
     /** Full RNG stream position (state words + Box-Muller spare). */
     void putRng(std::string_view key, const Rng &rng);
+
+    /**
+     * Write @p value with the put* call its type selects: bool, double,
+     * Rng, signed or unsigned integer, else a string.
+     */
+    template <typename T>
+    void field(std::string_view key, const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            putBool(key, value);
+        else if constexpr (std::is_same_v<T, double>)
+            putDouble(key, value);
+        else if constexpr (std::is_same_v<T, Rng>)
+            putRng(key, value);
+        else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>)
+            putI64(key, value);
+        else if constexpr (std::is_integral_v<T>)
+            putU64(key, value);
+        else
+            putString(key, value);
+    }
+
+    /** Write @p value; the save side of a check always passes. */
+    template <typename T>
+    bool match(std::string_view key, const T &value)
+    {
+        field(key, value);
+        return true;
+    }
 
   private:
     /** Append `prefix + key + " = " + value + "\n"`; flush when full. */
@@ -103,6 +152,9 @@ class SnapshotReader
     SnapshotReader(const SnapshotReader &) = delete;
     SnapshotReader &operator=(const SnapshotReader &) = delete;
 
+    /** A snapshot body run with a reader restores. */
+    static constexpr bool loading = true;
+
     void push(std::string_view scope);
     void pop();
 
@@ -116,6 +168,38 @@ class SnapshotReader
     bool getBool(std::string_view key) const;
     double getDouble(std::string_view key) const;
     void getRng(std::string_view key, Rng &rng) const;
+
+    /** Read @p key into @p value, decoded as SnapshotWriter::field
+     *  encodes its type. */
+    template <typename T>
+    void field(std::string_view key, T &value) const
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            value = getBool(key);
+        else if constexpr (std::is_same_v<T, double>)
+            value = getDouble(key);
+        else if constexpr (std::is_same_v<T, Rng>)
+            getRng(key, value);
+        else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>)
+            value = static_cast<T>(getI64(key));
+        else if constexpr (std::is_integral_v<T>)
+            value = static_cast<T>(getU64(key));
+        else
+            value = getString(key);
+    }
+
+    /** Read @p key and report whether it equals @p expected. */
+    template <typename T>
+    bool match(std::string_view key, const T &expected) const
+    {
+        if constexpr (std::is_convertible_v<const T &, std::string_view>) {
+            return getString(key) == std::string_view(expected);
+        } else {
+            T got{};
+            field(key, got);
+            return got == expected;
+        }
+    }
 
   private:
     /** The value of the scoped key, or nullptr if it is absent. */
@@ -149,22 +233,19 @@ class SnapshotScope
 };
 
 /**
- * Implemented by every object that participates in checkpoint/restore.
- *
- * Contract: saveState() is called at a drained epoch boundary and must
- * be read-only.  restoreState() is called on a *freshly constructed*
- * object (same configuration, same seeds) whose constructor-scheduled
- * events have been cancelled; it rebuilds dynamic state, restores RNG
- * stream positions, and re-schedules pending events at their saved
- * absolute times.
+ * A key or scope name made of a prefix and a decimal index ("l17",
+ * "cart3"), built without allocating.
  */
-class Snapshotable
+class IndexedKey
 {
   public:
-    virtual ~Snapshotable() = default;
+    IndexedKey(std::string_view prefix, std::uint64_t index);
 
-    virtual void saveState(SnapshotWriter &w) const = 0;
-    virtual void restoreState(SnapshotReader &r) = 0;
+    operator std::string_view() const { return {buf_, len_}; }
+
+  private:
+    char buf_[32];
+    std::size_t len_;
 };
 
 } // namespace sim

@@ -48,45 +48,33 @@ TraceRecorder::setCapacity(std::size_t max_records)
     }
 }
 
+template <typename IO>
 void
-TraceRecorder::saveState(SnapshotWriter &w) const
+TraceRecorder::snapshot(IO &io)
 {
-    SnapshotScope<SnapshotWriter> scope(w, "trace");
-    w.putU64("capacity", capacity_);
-    w.putU64("emitted", emitted_);
-    w.putU64("dropped", dropped_);
-    w.putU64("records", records_.size());
-    std::size_t i = 0;
-    for (const auto &rec : records_) {
-        std::string key("r");
-        key += std::to_string(i++);
-        SnapshotScope<SnapshotWriter> rs(w, key);
-        w.putDouble("when", rec.when);
-        w.putString("category", rec.category);
-        w.putString("object", rec.object);
-        w.putString("message", rec.message);
+    SnapshotScope scope(io, "trace");
+    fatal_if(!io.match("capacity", capacity_),
+             "trace restore: capacity does not match the checkpoint");
+    io.field("emitted", emitted_);
+    io.field("dropped", dropped_);
+    std::uint64_t n = records_.size();
+    io.field("records", n);
+    if constexpr (IO::loading)
+        records_.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        SnapshotScope rs(io, IndexedKey("r", i));
+        if constexpr (IO::loading)
+            records_.emplace_back();
+        TraceRecord &rec = records_[i];
+        io.field("when", rec.when);
+        io.field("category", rec.category);
+        io.field("object", rec.object);
+        io.field("message", rec.message);
     }
 }
 
-void
-TraceRecorder::restoreState(SnapshotReader &r)
-{
-    SnapshotScope<SnapshotReader> scope(r, "trace");
-    fatal_if(r.getU64("capacity") != capacity_,
-             "trace restore: capacity does not match the checkpoint");
-    emitted_ = r.getU64("emitted");
-    dropped_ = r.getU64("dropped");
-    records_.clear();
-    const std::uint64_t n = r.getU64("records");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string key("r");
-        key += std::to_string(i);
-        SnapshotScope<SnapshotReader> rs(r, key);
-        records_.push_back(TraceRecord{
-            r.getDouble("when"), r.getString("category"),
-            r.getString("object"), r.getString("message")});
-    }
-}
+template void TraceRecorder::snapshot(SnapshotWriter &);
+template void TraceRecorder::snapshot(SnapshotReader &);
 
 std::vector<TraceRecord>
 TraceRecorder::filter(std::string_view category) const

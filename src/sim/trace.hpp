@@ -96,12 +96,13 @@ class TraceRecorder
     void dumpCsv(std::ostream &os) const;
 
     /**
-     * Checkpoint the retained records and counters (sim/snapshot.hpp).
-     * The capacity and enabled flag are configuration, not state, and
-     * must match on the restoring side (fatal on a capacity mismatch).
+     * Save or restore the retained records and counters
+     * (sim/snapshot.hpp).  The capacity and enabled flag are
+     * configuration, not state, and must match on the restoring side
+     * (fatal on a capacity mismatch).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     // dhl-analyze: transient(sim_): constructor wiring

@@ -1,6 +1,7 @@
 #include "te/controller.hpp"
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace te {
@@ -235,52 +236,44 @@ bool TeController::contended(std::size_t tenant) const
     return contended_[tenant];
 }
 
-void TeController::saveState(sim::SnapshotWriter &w) const
+template <typename IO>
+void TeController::snapshot(IO &io)
 {
-    w.putU64("ticks", ticks_);
-    w.putBool("tick_pending", tick_pending_);
-    w.putDouble("tick_when", tick_when_);
-    w.putBool("downgrade_ok", downgrade_ok_);
+    fatal_if(IO::loading && tick_pending_, "te: stop() before restore");
+    io.field("ticks", ticks_);
+    // The pending tick is re-armed through armTick, not assigned.
+    bool tick_pending = tick_pending_;
+    double tick_when = tick_when_;
+    io.field("tick_pending", tick_pending);
+    io.field("tick_when", tick_when);
+    io.field("downgrade_ok", downgrade_ok_);
     for (std::size_t s = 0; s < pending_bytes_.size(); ++s)
-        w.putDouble("p" + std::to_string(s), pending_bytes_[s]);
+        io.field(sim::IndexedKey("p", s), pending_bytes_[s]);
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        sim::SnapshotScope scope(w, "t" + std::to_string(t));
-        w.putDouble("dd", demand_dhl_[t]);
-        w.putDouble("do", demand_optical_[t]);
-        w.putDouble("ad", alloc_dhl_[t]);
-        w.putDouble("ao", alloc_optical_[t]);
-        w.putBool("contended", contended_[t]);
+        sim::SnapshotScope scope(io, sim::IndexedKey("t", t));
+        io.field("dd", demand_dhl_[t]);
+        io.field("do", demand_optical_[t]);
+        io.field("ad", alloc_dhl_[t]);
+        io.field("ao", alloc_optical_[t]);
+        bool contended = contended_[t];
+        io.field("contended", contended);
+        if constexpr (IO::loading)
+            contended_[t] = contended;
     }
     {
-        sim::SnapshotScope scope(w, "estimator");
-        estimator_.saveState(w);
+        sim::SnapshotScope scope(io, "estimator");
+        estimator_.snapshot(io);
+    }
+    if constexpr (IO::loading) {
+        stat_ticks_.reset();
+        stat_ticks_.increment(ticks_);
+        if (tick_pending)
+            armTick(tick_when);
     }
 }
 
-void TeController::restoreState(sim::SnapshotReader &r)
-{
-    fatal_if(tick_pending_, "te: stop() before restoreState()");
-    ticks_ = r.getU64("ticks");
-    stat_ticks_.reset();
-    stat_ticks_.increment(ticks_);
-    downgrade_ok_ = r.getBool("downgrade_ok");
-    for (std::size_t s = 0; s < pending_bytes_.size(); ++s)
-        pending_bytes_[s] = r.getDouble("p" + std::to_string(s));
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        sim::SnapshotScope scope(r, "t" + std::to_string(t));
-        demand_dhl_[t] = r.getDouble("dd");
-        demand_optical_[t] = r.getDouble("do");
-        alloc_dhl_[t] = r.getDouble("ad");
-        alloc_optical_[t] = r.getDouble("ao");
-        contended_[t] = r.getBool("contended");
-    }
-    {
-        sim::SnapshotScope scope(r, "estimator");
-        estimator_.restoreState(r);
-    }
-    if (r.getBool("tick_pending"))
-        armTick(r.getDouble("tick_when"));
-}
+template void TeController::snapshot(sim::SnapshotWriter &);
+template void TeController::snapshot(sim::SnapshotReader &);
 
 } // namespace te
 } // namespace dhl

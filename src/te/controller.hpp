@@ -138,7 +138,7 @@ struct TeDecision
 /**
  * The periodic TE control loop as a SimObject.  Construct, then
  * start(); the owner must stop() before checkpoint-restore re-arming
- * (restoreState re-schedules the saved pending tick).
+ * (a restore re-schedules the saved pending tick).
  */
 class TeController : public sim::SimObject
 {
@@ -186,9 +186,9 @@ class TeController : public sim::SimObject
     bool contended(std::size_t tenant) const;
     bool downgradeOk() const { return downgrade_ok_; }
 
-    /** Snapshot support (drained-boundary contract). */
-    void saveState(sim::SnapshotWriter &w) const override;
-    void restoreState(sim::SnapshotReader &r) override;
+    /** Save or restore at a drained boundary (sim/snapshot.hpp). */
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     void armTick(double when);

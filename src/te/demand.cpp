@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace te {
@@ -37,29 +38,25 @@ double DemandEstimator::estimate(std::size_t series) const
     return cfg_.multiplier * *std::max_element(ring.begin(), ring.end());
 }
 
-void DemandEstimator::saveState(sim::SnapshotWriter &w) const
+template <typename IO>
+void DemandEstimator::snapshot(IO &io)
 {
     for (std::size_t s = 0; s < history_.size(); ++s) {
-        sim::SnapshotScope scope(w, "d" + std::to_string(s));
-        w.putU64("n", history_[s].size());
-        w.putU64("next", next_[s]);
-        for (std::size_t i = 0; i < history_[s].size(); ++i)
-            w.putDouble("h" + std::to_string(i), history_[s][i]);
+        sim::SnapshotScope scope(io, sim::IndexedKey("d", s));
+        std::uint64_t n = history_[s].size();
+        io.field("n", n);
+        fatal_if(IO::loading && n > cfg_.history,
+                 "te: snapshot history exceeds window");
+        if constexpr (IO::loading)
+            history_[s].assign(n, 0.0);
+        io.field("next", next_[s]);
+        for (std::size_t i = 0; i < n; ++i)
+            io.field(sim::IndexedKey("h", i), history_[s][i]);
     }
 }
 
-void DemandEstimator::restoreState(sim::SnapshotReader &r)
-{
-    for (std::size_t s = 0; s < history_.size(); ++s) {
-        sim::SnapshotScope scope(r, "d" + std::to_string(s));
-        const std::uint64_t n = r.getU64("n");
-        fatal_if(n > cfg_.history, "te: snapshot history exceeds window");
-        history_[s].assign(n, 0.0);
-        next_[s] = r.getU64("next");
-        for (std::size_t i = 0; i < n; ++i)
-            history_[s][i] = r.getDouble("h" + std::to_string(i));
-    }
-}
+template void DemandEstimator::snapshot(sim::SnapshotWriter &);
+template void DemandEstimator::snapshot(sim::SnapshotReader &);
 
 } // namespace te
 } // namespace dhl

@@ -21,8 +21,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/snapshot.hpp"
-
 namespace dhl {
 namespace te {
 
@@ -53,9 +51,9 @@ class DemandEstimator
      *  window; 0 while the window is empty. */
     double estimate(std::size_t series) const;
 
-    /** Snapshot support (exact: doubles as bit patterns). */
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    /** Save or restore (sim/snapshot.hpp; doubles as bit patterns). */
+    template <typename IO>
+    void snapshot(IO &io);
 
   private:
     // dhl-analyze: transient(cfg_): constructor input; restore

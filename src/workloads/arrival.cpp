@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace workloads {
@@ -128,28 +129,22 @@ StagedArrivalProcess::take(double until)
     return out;
 }
 
+template <typename IO>
 void
-StagedArrivalProcess::saveState(sim::SnapshotWriter &w) const
+StagedArrivalProcess::snapshot(IO &io)
 {
-    sim::SnapshotScope<sim::SnapshotWriter> scope(w, "arrivals");
-    w.putU64("stage", stage_);
-    w.putDouble("cursor", cursor_);
-    w.putU64("emitted", emitted_);
-    w.putRng("rng", rng_);
-}
-
-void
-StagedArrivalProcess::restoreState(sim::SnapshotReader &r)
-{
-    sim::SnapshotScope<sim::SnapshotReader> scope(r, "arrivals");
-    stage_ = r.getU64("stage");
-    fatal_if(stage_ > stages_.size(),
+    sim::SnapshotScope scope(io, "arrivals");
+    io.field("stage", stage_);
+    fatal_if(IO::loading && stage_ > stages_.size(),
              "arrival restore: stage index beyond the profile (the "
              "checkpoint was taken against a different profile)");
-    cursor_ = r.getDouble("cursor");
-    emitted_ = r.getU64("emitted");
-    r.getRng("rng", rng_);
+    io.field("cursor", cursor_);
+    io.field("emitted", emitted_);
+    io.field("rng", rng_);
 }
+
+template void StagedArrivalProcess::snapshot(sim::SnapshotWriter &);
+template void StagedArrivalProcess::snapshot(sim::SnapshotReader &);
 
 //===========================================================================
 // parseStageSpec

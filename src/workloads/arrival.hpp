@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "sim/snapshot.hpp"
 
 namespace dhl {
 namespace workloads {
@@ -101,8 +100,9 @@ class StagedArrivalProcess
     /** True once no future arrival can ever be produced. */
     bool exhausted() const { return stage_ >= stages_.size(); }
 
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    /** Save or restore the cursor and RNG position (sim/snapshot.hpp). */
+    template <typename IO>
+    void snapshot(IO &io);
 
     std::size_t stageCount() const { return stages_.size(); }
     const StageSpec &stage(std::size_t i) const { return stages_.at(i); }

@@ -146,11 +146,11 @@ TEST(StagedArrival, SnapshotContinuesByteForByteOnSameGrid)
     std::stringstream doc;
     {
         sim::SnapshotWriter w(doc);
-        first.saveState(w);
+        first.snapshot(w);
     }
     StagedArrivalProcess second(rampHoldDrain(), 1); // wrong seed on purpose
     sim::SnapshotReader r(doc);
-    second.restoreState(r);
+    second.snapshot(r);
     EXPECT_EQ(second.cursor(), 800.0);
     for (double t = 1000.0; t <= second.totalDuration() + 1e-9; t += 200.0)
         for (ArrivalEvent &ev : second.take(t))

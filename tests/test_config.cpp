@@ -70,6 +70,13 @@ TEST(DhlConfigTest, ValidationCatchesNonsense)
     cfg.library_slots = 0;
     EXPECT_THROW(validate(cfg), dhl::FatalError);
 
+    // One station per slot is the most that can ever mate.
+    cfg = defaultConfig();
+    cfg.docking_stations = cfg.library_slots;
+    EXPECT_NO_THROW(validate(cfg));
+    cfg.docking_stations = cfg.library_slots + 1;
+    EXPECT_THROW(validate(cfg), dhl::FatalError);
+
     // Track shorter than its two LIM sections (40 m at 200 m/s).
     cfg = defaultConfig();
     cfg.track_length = 30.0;

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -90,6 +92,18 @@ digest(serve::ServingSim &sim)
        << sim.now() << "|" << sim.epochsCompleted() << "\n";
     sim.trace().dump(os);
     return os.str();
+}
+
+/** @p doc with the value of its line for @p key replaced. */
+std::string
+withValue(const std::string &doc, const std::string &key,
+          const std::string &value)
+{
+    const std::string needle = "\n" + key + " = ";
+    const std::size_t at = doc.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t start = at + needle.size();
+    return doc.substr(0, start) + value + doc.substr(doc.find('\n', start));
 }
 
 } // namespace
@@ -268,15 +282,6 @@ TEST(ServingTest, RestoreRejectsCorruptCounts)
     donor.checkpoint(ck);
     const std::string doc = ck.str();
 
-    auto withValue = [&doc](const std::string &key,
-                            const std::string &value) {
-        const std::string needle = "\n" + key + " = ";
-        const std::size_t at = doc.find(needle);
-        EXPECT_NE(at, std::string::npos) << key;
-        const std::size_t start = at + needle.size();
-        return doc.substr(0, start) + value +
-               doc.substr(doc.find('\n', start));
-    };
 
     {
         std::istringstream intact(doc);
@@ -289,9 +294,140 @@ TEST(ServingTest, RestoreRejectsCorruptCounts)
         {"serve.queued", "18446744073709551615"},
     };
     for (const auto &[key, value] : corrupt) {
-        std::istringstream in(withValue(key, value));
+        std::istringstream in(withValue(doc, key, value));
         serve::ServingSim fresh(smallConfig());
         EXPECT_THROW(fresh.restore(in), FatalError) << key << " = " << value;
+    }
+}
+
+namespace {
+
+/** The degraded fleet with TE on too: every checkpointed subsystem. */
+serve::ServeConfig
+fullConfig()
+{
+    serve::ServeConfig cfg = degradedConfig();
+    cfg.te.enabled = true;
+    cfg.te.small_bytes = u::gigabytes(20); // urgent requests go optical
+    return cfg;
+}
+
+/** A checkpoint of fullConfig() after three epochs, trace on. */
+std::string
+fullCheckpoint()
+{
+    serve::ServingSim donor(fullConfig());
+    donor.trace().enable();
+    donor.run(3);
+    EXPECT_FALSE(donor.done());
+    std::ostringstream ck;
+    donor.checkpoint(ck);
+    return ck.str();
+}
+
+/** The FatalError message restoring @p doc into a fresh fullConfig()
+ *  fleet raises, or "" if the restore succeeds. */
+std::string
+restoreError(const std::string &doc)
+{
+    std::istringstream in(doc);
+    serve::ServingSim fresh(fullConfig());
+    try {
+        fresh.restore(in);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(ServingTest, RestoreReadsEveryCheckpointLine)
+{
+    // Every line a checkpoint writes must be one restore() needs: with
+    // faults, plants, maintenance, TE and the trace all on, dropping any
+    // single line fails the restore.  One line per key shape is dropped
+    // (digit runs folded, so l0 ... lN count once).
+    const std::string doc = fullCheckpoint();
+    EXPECT_EQ(restoreError(doc), "");
+
+    std::set<std::string> shapes;
+    for (std::size_t start = doc.find('\n') + 1; start < doc.size();) {
+        const std::size_t end = doc.find('\n', start);
+        const std::string key =
+            doc.substr(start, doc.find(" = ", start) - start);
+        std::string shape;
+        for (char c : key) {
+            if (!std::isdigit(static_cast<unsigned char>(c)))
+                shape += c;
+            else if (shape.empty() || shape.back() != '#')
+                shape += '#';
+        }
+        if (shapes.insert(shape).second) {
+            EXPECT_NE(restoreError(doc.substr(0, start) +
+                                   doc.substr(end + 1)),
+                      "")
+                << key;
+        }
+        start = end + 1;
+    }
+
+    // The document covers every checkpointed subsystem.
+    for (const char *shape :
+         {"config.te.floor", "serve.s#.l#", "kernel.now", "trace.r#.message",
+          "arrivals.rng.s#", "t#.controller.track.launches",
+          "t#.faults.edge#.up", "t#.injector.u#.when", "t#.p#",
+          "maintenance.w#.count", "plants.d#.down", "te.c#.l#",
+          "te.ctl.estimator.d#.h#"})
+        EXPECT_EQ(shapes.count(shape), 1u) << shape;
+}
+
+TEST(ServingTest, RestoreNamesEachMismatch)
+{
+    // Each section of the fingerprint and each count checked against
+    // the constructed fleet fails with its own message.
+    const std::string doc = fullCheckpoint();
+    const std::string other_config =
+        "serving checkpoint belongs to a different configuration";
+    const std::pair<const char *, std::string> cases[] = {
+        {"config.tracks", other_config},
+        {"config.stages", other_config},
+        {"config.te.period",
+         "serving checkpoint TE configuration does not match"},
+        {"config.stage1.end_rate",
+         "serving checkpoint stage profile does not match"},
+        {"config.stage0.class1.priority",
+         "serving checkpoint traffic mix does not match"},
+        {"trace.capacity",
+         "trace restore: capacity does not match the checkpoint"},
+        {"arrivals.stage",
+         "arrival restore: stage index beyond the profile (the "
+         "checkpoint was taken against a different profile)"},
+        {"t0.faults.lims.n",
+         "fault restore: component count does not match the checkpoint"},
+        {"t1.injector.units",
+         "injector restore: unit count does not match the checkpoint"},
+        {"t0.pool", "serving restore: cart pool size does not match"},
+        {"maintenance.windows",
+         "maintenance restore: window count does not match the "
+         "checkpoint"},
+        {"plants.domains",
+         "plant restore: domain count does not match the checkpoint"},
+        {"te.ctl.estimator.d0.n", "te: snapshot history exceeds window"},
+    };
+    for (const auto &[key, message] : cases)
+        EXPECT_EQ(restoreError(withValue(doc, key, "99")), message) << key;
+
+    // The restore target must be freshly constructed.
+    serve::ServingSim stepped(fullConfig());
+    stepped.run(1);
+    std::istringstream in(doc);
+    try {
+        stepped.restore(in);
+        ADD_FAILURE() << "restored into a stepped fleet";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "serving restore requires a freshly constructed fleet");
     }
 }
 

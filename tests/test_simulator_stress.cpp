@@ -469,7 +469,7 @@ runLaneScript(std::uint64_t seed, LaneSide &d)
             std::ostringstream os;
             {
                 dhl::sim::SnapshotWriter w(os);
-                d.sim.saveState(w);
+                d.sim.snapshot(w);
             }
             snapshot = os.str();
         } else if (!snapshot.empty()) {
@@ -478,7 +478,7 @@ runLaneScript(std::uint64_t seed, LaneSide &d)
             d.cancelAll();
             std::istringstream is(snapshot);
             dhl::sim::SnapshotReader r(is);
-            d.sim.restoreState(r);
+            d.sim.snapshot(r);
             d.lane_tail = d.sim.now();
         }
     }

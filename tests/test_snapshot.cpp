@@ -177,12 +177,12 @@ TEST(SnapshotTest, SimulatorKernelRoundTrip)
     std::stringstream doc;
     {
         SnapshotWriter w(doc);
-        sim.saveState(w);
+        sim.snapshot(w);
     }
 
     Simulator copy;
     SnapshotReader r(doc);
-    copy.restoreState(r);
+    copy.snapshot(r);
     EXPECT_EQ(copy.now(), sim.now());
 
     // Restored clock gates future scheduling exactly like the original.
@@ -202,13 +202,20 @@ TEST(SnapshotTest, SimulatorRefusesRestoreWithPendingEvents)
     std::stringstream doc;
     {
         SnapshotWriter w(doc);
-        sim.saveState(w);
+        sim.snapshot(w);
     }
 
     Simulator busy;
     busy.schedule(5.0, [] {});
     SnapshotReader r(doc);
-    EXPECT_THROW(busy.restoreState(r), FatalError);
+    try {
+        busy.snapshot(r);
+        ADD_FAILURE() << "restored onto a non-empty queue";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "simulator restore requires an empty event "
+                               "queue (cancel constructor-scheduled events "
+                               "first)");
+    }
 }
 
 TEST(SnapshotTest, RunEpochStopsAtBoundary)

@@ -74,12 +74,12 @@ TEST(DemandEstimatorTest, SnapshotRoundTrips)
     std::stringstream buf;
     {
         sim::SnapshotWriter w(buf);
-        est.saveState(w);
+        est.snapshot(w);
     }
     te::DemandEstimator fresh({4, 1.25}, 2);
     {
         sim::SnapshotReader r(buf);
-        fresh.restoreState(r);
+        fresh.snapshot(r);
     }
     EXPECT_DOUBLE_EQ(fresh.estimate(0), est.estimate(0));
     EXPECT_DOUBLE_EQ(fresh.estimate(1), est.estimate(1));
@@ -197,13 +197,13 @@ TEST(TeControllerTest, SnapshotRoundTripPreservesDecisions)
     std::stringstream buf;
     {
         sim::SnapshotWriter w(buf);
-        ctl.saveState(w);
+        ctl.snapshot(w);
     }
     sim::Simulator sim2;
     te::TeController fresh(sim2, tc, {{"t", 1.0}});
     {
         sim::SnapshotReader r(buf);
-        fresh.restoreState(r);
+        fresh.snapshot(r);
     }
     EXPECT_EQ(fresh.ticks(), ctl.ticks());
     EXPECT_DOUBLE_EQ(fresh.demand(0, te::Substrate::Dhl),
@@ -212,6 +212,14 @@ TEST(TeControllerTest, SnapshotRoundTripPreservesDecisions)
                      ctl.allocation(0, te::Substrate::Dhl));
     EXPECT_EQ(fresh.contended(0), ctl.contended(0));
     EXPECT_EQ(fresh.downgradeOk(), ctl.downgradeOk());
+
+    // A restore needs the pending tick stopped first.
+    sim::Simulator sim3;
+    te::TeController running(sim3, tc, {{"t", 1.0}});
+    running.start();
+    std::istringstream again(buf.str());
+    sim::SnapshotReader r(again);
+    EXPECT_THROW(running.snapshot(r), FatalError);
 }
 
 //===========================================================================

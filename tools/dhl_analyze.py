@@ -6,8 +6,8 @@ Pure Python (no clang dependency) so it runs identically on developer
 machines and in CI.  It parses the *include graph* plus a lightweight
 C++ class-member/statement model of src/ and enforces the
 whole-program invariants the byte-identity CI jobs can only catch after
-the fact (A1-A8), plus the single-file textual invariants the type
-system and compiler cannot (A9-A12):
+the fact (A1-A8; A3 is retired, see below), plus the single-file
+textual invariants the type system and compiler cannot (A9-A12):
 
   A1  layer-dag            One declarative adjacency table (LAYER_DEPS)
                            covers every directory under src/: each
@@ -23,22 +23,23 @@ system and compiler cannot (A9-A12):
                            growing a new subsystem forces a conscious
                            DAG decision.  --dot exports the graph.
   A2  snapshot-coverage    Every class that implements the snapshot
-                           protocol (saveState/restoreState taking
-                           SnapshotWriter/SnapshotReader, or
+                           protocol (one snapshot(IO &) body serving
+                           both directions, any member function taking
+                           a SnapshotWriter/SnapshotReader, or
                            checkpoint/restore constructing them) must
                            account for each non-static data member: the
-                           member is referenced on *both* the save and
-                           the restore side, or it carries an explicit
-                           in-source allowlist comment
+                           member is referenced in the class's snapshot
+                           bodies, or it carries an explicit in-source
+                           allowlist comment
                              // dhl-analyze: transient(<m1>, <m2>): why
                            inside the class body.  Adding a field to
                            ServingSim without serialising it fails CI
                            instead of silently diverging a checkpoint.
-  A3  snapshot-keys        The literal `put*` keys written by a class's
-                           save side must equal the literal `get*`/
-                           `has` keys read by its restore side —
-                           a write-only or read-only key is a drifting
-                           document schema.
+  (A3 snapshot-keys, "put keys == get keys", is retired: a class
+   writes its key list once, in the one body both directions run, so
+   the two lists cannot differ.  tests/test_serving.cpp checks the
+   shipped checkpoint document at run time instead: dropping any one
+   line must make restore() fail.)
   A4  snapshot-transient   A transient(...) annotation naming a member
                            the class does not declare is stale and must
                            be removed (it would mask a future field).
@@ -257,8 +258,7 @@ class ClassModel(object):
         self.span = (start, end)        # offsets into the file text
         self.members = []               # (name, type_text, line)
         self.transients = {}            # member name -> line
-        self.save_bodies = []           # masked body text of save side
-        self.restore_bodies = []
+        self.snapshot_bodies = []       # masked snapshot body texts
 
 
 def extract_classes(rel_path, text, masked):
@@ -417,27 +417,15 @@ def collect_inline_bodies(masked, cls):
     return defs
 
 
-def side_of(params, body):
-    """'save', 'restore', or None for one method definition."""
-    if "SnapshotWriter" in params or WRITER_CTOR_RE.search(body):
-        return "save"
-    if "SnapshotReader" in params or READER_CTOR_RE.search(body):
-        return "restore"
-    return None
+SNAPSHOT_PARAM_RE = re.compile(r"\b(?:IO|SnapshotWriter|SnapshotReader)\s*&")
 
 
-# ---------------------------------------------------------------------------
-# Snapshot key extraction (A3).
-# ---------------------------------------------------------------------------
-
-# Keys must be extracted from *unmasked* method bodies (string literals
-# carry the key names), so the key pass re-runs the body extraction on
-# raw text.  put/get with a non-literal first argument (a composed
-# key such as "lat" + to_string(i)) is outside the literal check.
-PUT_KEY_RE = re.compile(
-    r"\.\s*put(?:String|U64|I64|Bool|Double|Rng)\s*\(\s*\"([^\"]+)\"")
-GET_KEY_RE = re.compile(
-    r"\.\s*(?:get(?:String|U64|I64|Bool|Double|Rng)|has)\s*\(\s*\"([^\"]+)\"")
+def is_snapshot_body(params, body):
+    """True for a method that takes the snapshot IO (the template
+    parameter IO, a SnapshotWriter or a SnapshotReader) or constructs a
+    writer or reader."""
+    return bool(SNAPSHOT_PARAM_RE.search(params) or
+                WRITER_CTOR_RE.search(body) or READER_CTOR_RE.search(body))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +444,7 @@ ITER_FOR_RE = re.compile(
 
 ACCUM_RE = re.compile(r"(?:\+=|-=|\*=|/=)")
 SCHED_RE = re.compile(r"\.\s*schedule\w*\s*\(")
-SNAPWRITE_RE = re.compile(r"\.\s*put[A-Z]\w*\s*\(")
+SNAPWRITE_RE = re.compile(r"\.\s*(?:put[A-Z]\w*|field|match)\s*\(")
 
 RNG_LITERAL_RE = re.compile(r"\bRng\s+[A-Za-z_]\w*\s*[({]\s*(?:0x[0-9a-fA-F]+|\d)"
                             r"|\bRng\s*[({]\s*(?:0x[0-9a-fA-F]+|\d)")
@@ -699,145 +687,50 @@ def build_class_registry(files):
             continue
         for cls_name, _method, params, body in collect_method_bodies(
                 fm.masked):
-            side = side_of(params, body)
-            if side is None:
+            if not is_snapshot_body(params, body):
                 continue
             for cls in by_name.get(cls_name, ()):
-                (cls.save_bodies if side == "save"
-                 else cls.restore_bodies).append(body)
+                cls.snapshot_bodies.append(body)
     for fm in files:
         if src_dir_of(fm.posix) is None:
             continue
         for cls in fm.classes:
             for _name, _method, params, body in collect_inline_bodies(
                     fm.masked, cls):
-                side = side_of(params, body)
-                if side is None:
-                    continue
-                (cls.save_bodies if side == "save"
-                 else cls.restore_bodies).append(body)
+                if is_snapshot_body(params, body):
+                    cls.snapshot_bodies.append(body)
     return all_classes
 
 
-def _raw_side_bodies(files, cls_names):
-    """Unmasked save/restore bodies per class name (for key literals)."""
-    save, restore = {}, {}
-    for fm in files:
-        if src_dir_of(fm.posix) is None:
-            continue
-        for cls_name, _method, params, body in collect_method_bodies(
-                fm.masked):
-            if cls_name not in cls_names:
-                continue
-            side = side_of(params, body)
-            if side is None:
-                continue
-            # Re-extract the same span from the raw text: find the body
-            # by position.  Cheaper: regex the raw text once per class.
-            (save if side == "save" else restore).setdefault(
-                cls_name, []).append(body)
-    return save, restore
-
-
 def check_snapshots(files):
-    """A2/A3/A4 over every snapshot-protocol class in src/."""
+    """A2/A4 over every snapshot-protocol class in src/."""
     findings = []
     classes = build_class_registry(files)
     for cls in classes:
         if src_dir_of(cls.rel_path.replace(os.sep, "/")) is None:
             continue
-        if not cls.save_bodies or not cls.restore_bodies:
+        if not cls.snapshot_bodies:
             continue
-        save_text = "\n".join(cls.save_bodies)
-        restore_text = "\n".join(cls.restore_bodies)
+        body_text = "\n".join(cls.snapshot_bodies)
 
         member_names = {name for name, _t, _l in cls.members}
         for name, _type_text, line in cls.members:
             if name in cls.transients:
                 continue
-            in_save = re.search(r"\b%s\b" % re.escape(name), save_text)
-            in_restore = re.search(r"\b%s\b" % re.escape(name),
-                                   restore_text)
-            if in_save and in_restore:
+            if re.search(r"\b%s\b" % re.escape(name), body_text):
                 continue
-            missing = ("save and restore sides"
-                       if not in_save and not in_restore
-                       else ("save side" if not in_save
-                             else "restore side"))
             findings.append(
                 (cls.rel_path, line, "snapshot-coverage",
-                 "%s::%s is not referenced on the %s of the snapshot "
-                 "protocol; serialise it or annotate it "
+                 "%s::%s is not referenced in the snapshot body; "
+                 "serialise it or annotate it "
                  "'// dhl-analyze: transient(%s): <why>'"
-                 % (cls.name, name, missing, name)))
+                 % (cls.name, name, name)))
         for name, line in sorted(cls.transients.items()):
             if name not in member_names:
                 findings.append(
                     (cls.rel_path, line, "snapshot-transient",
                      "stale transient annotation: %s::%s is not a "
                      "data member" % (cls.name, name)))
-    return findings
-
-
-def check_snapshot_keys(files):
-    """A3: literal put keys == literal get/has keys, per class.  Key
-    literals live in string literals, which the masked text blanks, so
-    this pass re-walks the raw text using the masked text's method
-    spans."""
-    findings = []
-    # Build (class -> side -> raw bodies) by re-running the method scan
-    # on masked text but slicing bodies out of the *raw* text.
-    sides = {}
-    lines = {}
-    for fm in files:
-        if src_dir_of(fm.posix) is None:
-            continue
-        for m in METHOD_DEF_RE.finditer(fm.masked):
-            params, body, found = _param_and_body(fm.masked, m.end() - 1)
-            if not found:
-                continue
-            side = side_of(params, body)
-            if side is None:
-                continue
-            # Locate the same body span in the raw text.
-            open_idx = fm.masked.find("{", m.end() - 1)
-            # _param_and_body already proved the brace exists and
-            # matches; recompute its span for the raw slice.
-            depth = 0
-            i = fm.masked.find("(", m.end() - 1)
-            while True:
-                if fm.masked[i] == "(":
-                    depth += 1
-                elif fm.masked[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            open_idx = fm.masked.find("{", i)
-            close = match_brace(fm.masked, open_idx)
-            raw_body = fm.text[open_idx + 1:close]
-            entry = sides.setdefault(m.group(1), {"save": set(),
-                                                  "restore": set()})
-            if side == "save":
-                entry["save"].update(PUT_KEY_RE.findall(raw_body))
-            else:
-                entry["restore"].update(GET_KEY_RE.findall(raw_body))
-            lines.setdefault(m.group(1), (fm.rel_path,
-                                          line_of(fm.masked, m.start())))
-    for cls_name, entry in sorted(sides.items()):
-        if not entry["save"] or not entry["restore"]:
-            continue
-        rel, line = lines[cls_name]
-        for key in sorted(entry["save"] - entry["restore"]):
-            findings.append(
-                (rel, line, "snapshot-keys",
-                 "%s writes snapshot key %r that its restore side never "
-                 "reads" % (cls_name, key)))
-        for key in sorted(entry["restore"] - entry["save"]):
-            findings.append(
-                (rel, line, "snapshot-keys",
-                 "%s reads snapshot key %r that its save side never "
-                 "writes" % (cls_name, key)))
     return findings
 
 
@@ -982,7 +875,6 @@ def analyze_files(files):
     findings = []
     findings.extend(check_layers(files))
     findings.extend(check_snapshots(files))
-    findings.extend(check_snapshot_keys(files))
     findings.extend(check_hazards(files))
     findings.extend(check_textual(files))
     findings.sort(key=lambda f: (f[0], f[1], f[2]))
@@ -1071,8 +963,8 @@ SNAPSHOT_OK_FIXTURE = {
 #define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <typename IO>
+    void snapshot(IO &io);
   private:
     double position_;
     std::uint64_t trips_ = 0;
@@ -1083,14 +975,15 @@ class Gadget {
 #endif
 """,
     "src/sim/gadget.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-    w.putU64("trips", trips_);
+template <typename IO>
+void Gadget::snapshot(IO &io) {
+    io.field("position", position_);
+    io.field("trips", trips_);
+    if constexpr (IO::loading)
+        recompute();
 }
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
-}
+template void Gadget::snapshot(sim::SnapshotWriter &);
+template void Gadget::snapshot(sim::SnapshotReader &);
 """,
 }
 
@@ -1100,8 +993,8 @@ SNAPSHOT_BAD_FIXTURE = {
 #define DHL_SIM_GADGET_HPP
 class Gadget {
   public:
-    void saveState(sim::SnapshotWriter &w) const;
-    void restoreState(sim::SnapshotReader &r);
+    template <typename IO>
+    void snapshot(IO &io);
   private:
     double position_;
     std::uint64_t trips_ = 0;
@@ -1110,17 +1003,7 @@ class Gadget {
 };
 #endif
 """,
-    "src/sim/gadget.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-    w.putU64("trips", trips_);
-    w.putU64("write_only", trips_);
-}
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
-}
-""",
+    "src/sim/gadget.cpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.cpp"],
 }
 
 HAZARD_OK_FIXTURE = {
@@ -1343,43 +1226,47 @@ def self_test():
         f = analyze_tree(os.path.join(tmp, "dag_unknown"))
         check("dag unknown dir", _rules(f) == ["layer-unknown"])
 
-        # A2/A3/A4 snapshot coverage.
+        # A2/A4 snapshot coverage over the one snapshot body.
         _write_tree(os.path.join(tmp, "snap_ok"), SNAPSHOT_OK_FIXTURE)
         f = analyze_tree(os.path.join(tmp, "snap_ok"))
-        check("snapshot ok clean", f == [])
+        check("snapshot ok clean (transient members pass)", f == [])
 
         _write_tree(os.path.join(tmp, "snap_bad"), SNAPSHOT_BAD_FIXTURE)
         f = analyze_tree(os.path.join(tmp, "snap_bad"))
         check("snapshot bad fires",
-              _rules(f) == ["snapshot-coverage", "snapshot-keys",
-                            "snapshot-transient"])
-        check("snapshot bad member",
-              any("forgotten_field_" in m for _p, _l, _r, m in f))
-        check("snapshot bad key",
-              any("write_only" in m for _p, _l, _r, m in f))
+              _rules(f) == ["snapshot-coverage", "snapshot-transient"])
+        check("snapshot bad member is the only coverage finding",
+              [m for _p, _l, r, m in f if r == "snapshot-coverage"]
+              and all("forgotten_field_" in m
+                      for _p, _l, r, m in f if r == "snapshot-coverage"))
         check("snapshot bad stale",
-              any("ghost_" in m for _p, _l, _r, m in f))
+              any(r == "snapshot-transient" and "ghost_" in m
+                  for _p, _l, r, m in f))
 
-        # A2: a member restored but never saved is one-sided.
-        _write_tree(os.path.join(tmp, "snap_oneside"), {
+        # A2: a member touched only under the loading branch still
+        # counts (restore-only work lives in the same body), and a
+        # class with no snapshot body is not checked at all.
+        _write_tree(os.path.join(tmp, "snap_loading"), {
             "src/sim/gadget.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
             "src/sim/gadget.cpp": """\
-void Gadget::saveState(sim::SnapshotWriter &w) const {
-    w.putDouble("position", position_);
-}
-void Gadget::restoreState(sim::SnapshotReader &r) {
-    position_ = r.getDouble("position");
-    trips_ = r.getU64("trips");
+template <typename IO>
+void Gadget::snapshot(IO &io) {
+    io.field("position", position_);
+    if constexpr (IO::loading)
+        trips_ = 0;
 }
 """,
+            "src/sim/plain.hpp": """\
+#ifndef DHL_SIM_PLAIN_HPP
+#define DHL_SIM_PLAIN_HPP
+class Plain {
+    double never_saved_;
+};
+#endif
+""",
         })
-        f = analyze_tree(os.path.join(tmp, "snap_oneside"))
-        check("snapshot one-sided member",
-              any(r == "snapshot-coverage" and "save side" in m
-                  for _p, _l, r, m in f))
-        check("snapshot one-sided key",
-              any(r == "snapshot-keys" and "trips" in m
-                  for _p, _l, r, m in f))
+        f = analyze_tree(os.path.join(tmp, "snap_loading"))
+        check("snapshot loading-branch member counts", f == [])
 
         # A2: checkpoint/restore via *constructed* writer/reader (the
         # ServingSim shape) is detected too.
@@ -1392,26 +1279,32 @@ class Mini {
     void checkpoint(std::ostream &os) const;
     void restore(std::istream &is);
   private:
+    template <typename IO>
+    void snapshot(IO &io);
     std::uint64_t epochs_ = 0;
     double hidden_;
 };
 #endif
 """,
             "src/serve/m.cpp": """\
+template <typename IO>
+void Mini::snapshot(IO &io) {
+    io.field("epochs", epochs_);
+}
 void Mini::checkpoint(std::ostream &os) const {
     sim::SnapshotWriter w(os);
-    w.putU64("epochs", epochs_);
+    const_cast<Mini *>(this)->snapshot(w);
 }
 void Mini::restore(std::istream &is) {
     sim::SnapshotReader r(is);
-    epochs_ = r.getU64("epochs");
+    snapshot(r);
 }
 """,
         })
         f = analyze_tree(os.path.join(tmp, "snap_ctor"))
         check("snapshot ctor-detected",
-              any(r == "snapshot-coverage" and "hidden_" in m
-                  for _p, _l, r, m in f))
+              [(r, "hidden_" in m) for _p, _l, r, m in f]
+              == [("snapshot-coverage", True)])
 
         # A5/A6/A7 hazards.
         _write_tree(os.path.join(tmp, "haz_ok"), HAZARD_OK_FIXTURE)
@@ -1461,6 +1354,21 @@ void dump(F &f, sim::SnapshotWriter &w) {
         check("hazard iterator loop",
               _rules(f) == ["unordered-iteration"])
 
+        # A5: a snapshot body's io.field() in hash order is caught too.
+        _write_tree(os.path.join(tmp, "haz_field"), {
+            "src/faults/g.cpp": """\
+struct G { std::unordered_map<int, double> ends_; };
+template <typename IO>
+void dumpAll(G &g, IO &io) {
+    for (auto &[id, end] : g.ends_)
+        io.field("end", end);
+}
+""",
+        })
+        f = analyze_tree(os.path.join(tmp, "haz_field"))
+        check("hazard field in hash order",
+              _rules(f) == ["unordered-iteration"])
+
         # A6 stays quiet on derived seeds and on the front-end.
         _write_tree(os.path.join(tmp, "haz_front"), {
             "bench/b.cpp": "Rng rng(42);\n",
@@ -1503,20 +1411,16 @@ void dump(F &f, sim::SnapshotWriter &w) {
 def dump_model(files):
     classes = build_class_registry(files)
     for cls in classes:
-        if not cls.save_bodies or not cls.restore_bodies:
+        if not cls.snapshot_bodies:
             continue
         print("%s (%s:%d)" % (cls.name, cls.rel_path, cls.line))
-        save_text = "\n".join(cls.save_bodies)
-        restore_text = "\n".join(cls.restore_bodies)
+        body_text = "\n".join(cls.snapshot_bodies)
         for name, type_text, line in cls.members:
             tag = "covered"
             if name in cls.transients:
                 tag = "transient"
-            elif not re.search(r"\b%s\b" % re.escape(name), save_text):
-                tag = "MISSING(save)"
-            elif not re.search(r"\b%s\b" % re.escape(name),
-                               restore_text):
-                tag = "MISSING(restore)"
+            elif not re.search(r"\b%s\b" % re.escape(name), body_text):
+                tag = "MISSING"
             print("  %-28s %-16s %s" % (name, tag, type_text[:60]))
 
 
