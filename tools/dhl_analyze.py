@@ -28,9 +28,12 @@ textual invariants the type system and compiler cannot (A9-A12):
                            a SnapshotWriter/SnapshotReader, or
                            checkpoint/restore constructing them) must
                            account for each non-static data member: the
-                           member is referenced in the class's snapshot
-                           bodies, or it carries an explicit in-source
-                           allowlist comment
+                           member is referenced on both sides of the
+                           class's snapshot bodies (the save side blanks
+                           the branches only a restore runs, `if
+                           constexpr (IO::loading)`, and the restore
+                           side those only a save runs), or it carries
+                           an explicit in-source allowlist comment
                              // dhl-analyze: transient(<m1>, <m2>): why
                            inside the class body.  Adding a field to
                            ServingSim without serialising it fails CI
@@ -258,7 +261,7 @@ class ClassModel(object):
         self.span = (start, end)        # offsets into the file text
         self.members = []               # (name, type_text, line)
         self.transients = {}            # member name -> line
-        self.snapshot_bodies = []       # masked snapshot body texts
+        self.snapshot_bodies = []       # (save view, restore view)
 
 
 def extract_classes(rel_path, text, masked):
@@ -426,6 +429,87 @@ def is_snapshot_body(params, body):
     writer or reader."""
     return bool(SNAPSHOT_PARAM_RE.search(params) or
                 WRITER_CTOR_RE.search(body) or READER_CTOR_RE.search(body))
+
+
+LOADING_IF_RE = re.compile(r"\bif\s+constexpr\s*\(\s*(!?)\s*IO\s*::\s*loading\s*\)")
+BRANCHING_RE = re.compile(r"(if(?:\s+constexpr)?|for|while)\s*\(")
+ELSE_RE = re.compile(r"\s*else\b")
+
+
+def _close_paren(text, open_idx):
+    """Index of the ')' matching text[open_idx] == '('; -1 if
+    unbalanced."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def _statement_end(text, i):
+    """Offset just past the statement that starts at @p i: a braced
+    block, an if/for/while with its body (and else), or everything up
+    to the ';' outside any bracket."""
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if i < len(text) and text[i] == "{":
+        close = match_brace(text, i)
+        return len(text) if close < 0 else close + 1
+    m = BRANCHING_RE.match(text, i)
+    if m:
+        close = _close_paren(text, m.end() - 1)
+        if close < 0:
+            return len(text)
+        end = _statement_end(text, close + 1)
+        e = ELSE_RE.match(text, end) if m.group(1).startswith("if") else None
+        return _statement_end(text, e.end()) if e else end
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] in "([{":
+            depth += 1
+        elif text[j] in ")]}":
+            depth -= 1
+        elif text[j] == ";" and depth == 0:
+            return j + 1
+    return len(text)
+
+
+def _blank(chars, span):
+    if span:
+        for k in range(*span):
+            if chars[k] != "\n":
+                chars[k] = " "
+
+
+def snapshot_views(params, body):
+    """(save view, restore view) of one snapshot body.  A body taking
+    the template IO runs in both directions: its save view blanks the
+    branches only a restore runs (`if constexpr (IO::loading)` and the
+    else of `if constexpr (!IO::loading)`), its restore view the
+    branches only a save runs.  A body taking or constructing only a
+    reader is all restore side; any other (a writer) is all save side.
+    Expression tests such as `fatal_if(IO::loading && ...)` are checks,
+    not transfers, and count for both sides."""
+    if re.search(r"\bIO\s*&", params):
+        save, restore = list(body), list(body)
+        for m in LOADING_IF_RE.finditer(body):
+            then_end = _statement_end(body, m.end())
+            branches = [(m.end(), then_end), None]
+            e = ELSE_RE.match(body, then_end)
+            if e:
+                branches[1] = (e.end(), _statement_end(body, e.end()))
+            if m.group(1):                  # !IO::loading
+                branches.reverse()
+            _blank(save, branches[0])
+            _blank(restore, branches[1])
+        return "".join(save), "".join(restore)
+    if "SnapshotReader" in params or READER_CTOR_RE.search(body):
+        return "", body
+    return body, ""
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +774,7 @@ def build_class_registry(files):
             if not is_snapshot_body(params, body):
                 continue
             for cls in by_name.get(cls_name, ()):
-                cls.snapshot_bodies.append(body)
+                cls.snapshot_bodies.append(snapshot_views(params, body))
     for fm in files:
         if src_dir_of(fm.posix) is None:
             continue
@@ -698,8 +782,20 @@ def build_class_registry(files):
             for _name, _method, params, body in collect_inline_bodies(
                     fm.masked, cls):
                 if is_snapshot_body(params, body):
-                    cls.snapshot_bodies.append(body)
+                    cls.snapshot_bodies.append(snapshot_views(params, body))
     return all_classes
+
+
+def _missing_side(name, save_text, restore_text):
+    """None when @p name appears in both views, else the side(s) it is
+    missing from."""
+    in_save = re.search(r"\b%s\b" % re.escape(name), save_text)
+    in_restore = re.search(r"\b%s\b" % re.escape(name), restore_text)
+    if in_save and in_restore:
+        return None
+    if not in_save and not in_restore:
+        return "save and restore sides"
+    return "save side" if not in_save else "restore side"
 
 
 def check_snapshots(files):
@@ -709,22 +805,24 @@ def check_snapshots(files):
     for cls in classes:
         if src_dir_of(cls.rel_path.replace(os.sep, "/")) is None:
             continue
-        if not cls.snapshot_bodies:
-            continue
-        body_text = "\n".join(cls.snapshot_bodies)
+        save_text = "\n".join(v[0] for v in cls.snapshot_bodies)
+        restore_text = "\n".join(v[1] for v in cls.snapshot_bodies)
+        if not save_text.strip() or not restore_text.strip():
+            continue                    # a one-way helper, no protocol
 
         member_names = {name for name, _t, _l in cls.members}
         for name, _type_text, line in cls.members:
             if name in cls.transients:
                 continue
-            if re.search(r"\b%s\b" % re.escape(name), body_text):
+            missing = _missing_side(name, save_text, restore_text)
+            if missing is None:
                 continue
             findings.append(
                 (cls.rel_path, line, "snapshot-coverage",
-                 "%s::%s is not referenced in the snapshot body; "
-                 "serialise it or annotate it "
+                 "%s::%s is not referenced on the %s of the snapshot "
+                 "body; serialise it or annotate it "
                  "'// dhl-analyze: transient(%s): <why>'"
-                 % (cls.name, name, name)))
+                 % (cls.name, name, missing, name)))
         for name, line in sorted(cls.transients.items()):
             if name not in member_names:
                 findings.append(
@@ -1243,10 +1341,10 @@ def self_test():
               any(r == "snapshot-transient" and "ghost_" in m
                   for _p, _l, r, m in f))
 
-        # A2: a member touched only under the loading branch still
-        # counts (restore-only work lives in the same body), and a
-        # class with no snapshot body is not checked at all.
-        _write_tree(os.path.join(tmp, "snap_loading"), {
+        # A2 stays two-sided inside the one body: a member touched only
+        # under the loading branch is restored but never saved (and a
+        # class with no snapshot body is not checked at all).
+        _write_tree(os.path.join(tmp, "snap_oneside"), {
             "src/sim/gadget.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
             "src/sim/gadget.cpp": """\
 template <typename IO>
@@ -1265,8 +1363,43 @@ class Plain {
 #endif
 """,
         })
-        f = analyze_tree(os.path.join(tmp, "snap_loading"))
-        check("snapshot loading-branch member counts", f == [])
+        f = analyze_tree(os.path.join(tmp, "snap_oneside"))
+        check("snapshot one-sided member",
+              [(r, "trips_" in m and "save side" in m)
+               for _p, _l, r, m in f] == [("snapshot-coverage", True)])
+
+        # A2: a member read only by the save branch (here the else of
+        # the loading test, after an unbraced then-statement whose
+        # lambda holds its own ';') is saved but never restored; one
+        # read in each branch (the FaultState::cart_repair_end_ shape)
+        # covers both sides.
+        _write_tree(os.path.join(tmp, "snap_branches"), {
+            "src/sim/gadget.hpp": SNAPSHOT_OK_FIXTURE["src/sim/gadget.hpp"],
+            "src/sim/gadget.cpp": """\
+template <typename IO>
+void Gadget::snapshot(IO &io) {
+    double pos = 0.0;
+    if constexpr (!IO::loading) {
+        pos = position_;
+    }
+    io.field("position", pos);
+    if constexpr (IO::loading) {
+        position_ = pos;
+        recompute();
+    }
+    std::uint64_t t = 0;
+    if constexpr (IO::loading)
+        schedule([this] { recompute(); });
+    else
+        t = trips_;
+    io.field("trips", t);
+}
+""",
+        })
+        f = analyze_tree(os.path.join(tmp, "snap_branches"))
+        check("snapshot save-only member",
+              [(r, "trips_" in m and "restore side" in m)
+               for _p, _l, r, m in f] == [("snapshot-coverage", True)])
 
         # A2: checkpoint/restore via *constructed* writer/reader (the
         # ServingSim shape) is detected too.
@@ -1411,15 +1544,16 @@ void dumpAll(G &g, IO &io) {
 def dump_model(files):
     classes = build_class_registry(files)
     for cls in classes:
-        if not cls.snapshot_bodies:
+        save_text = "\n".join(v[0] for v in cls.snapshot_bodies)
+        restore_text = "\n".join(v[1] for v in cls.snapshot_bodies)
+        if not save_text.strip() or not restore_text.strip():
             continue
         print("%s (%s:%d)" % (cls.name, cls.rel_path, cls.line))
-        body_text = "\n".join(cls.snapshot_bodies)
         for name, type_text, line in cls.members:
             tag = "covered"
             if name in cls.transients:
                 tag = "transient"
-            elif not re.search(r"\b%s\b" % re.escape(name), body_text):
+            elif _missing_side(name, save_text, restore_text):
                 tag = "MISSING"
             print("  %-28s %-16s %s" % (name, tag, type_text[:60]))
 
