@@ -4,7 +4,7 @@
  * substrates: DES event throughput, flow-sim reallocation cost (a
  * synthetic churn and a serving-shaped shared uplink), the
  * closed-form model evaluation rate (how fast the design space can be
- * swept), and a whole capacity plan.
+ * swept), a whole capacity plan and its bootstrap counts.
  */
 
 #include <benchmark/benchmark.h>
@@ -295,6 +295,43 @@ BM_CapacityPlan(benchmark::State &state)
         static_cast<std::int64_t>(first.reports.size() * first.scenarios));
 }
 BENCHMARK(BM_CapacityPlan)->Unit(benchmark::kMillisecond);
+
+/** The planner's bootstrap for one lattice point: 100 resamples of
+ *  16384 Bernoulli draws at about the heavy tier's attainment. */
+static void
+BM_BootstrapCounts(benchmark::State &state)
+{
+    constexpr std::size_t kScenarios = 16384;
+    constexpr std::size_t kResamples = 100;
+    const double p = 0.91;
+    std::vector<std::uint64_t> hits(kResamples);
+
+    // Identity gate: the counts must be those of the uniform() < p loop.
+    Rng fast(17);
+    Rng slow(17);
+    fast.countBelow(kScenarios, p, hits);
+    for (std::size_t b = 0; b < kResamples; ++b) {
+        std::uint64_t want = 0;
+        for (std::size_t i = 0; i < kScenarios; ++i)
+            want += slow.uniform() < p ? 1 : 0;
+        if (hits[b] != want) {
+            state.SkipWithError("countBelow != uniform() < p");
+            return;
+        }
+    }
+
+    Rng rng(18);
+    for (auto _ : state) {
+        rng.countBelow(kScenarios, p, hits);
+        benchmark::DoNotOptimize(hits.data());
+        benchmark::ClobberMemory();
+    }
+    // Items are draws.
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(kScenarios * kResamples));
+}
+BENCHMARK(BM_BootstrapCounts)->Unit(benchmark::kMillisecond);
 
 static void
 BM_DesBulkTransfer(benchmark::State &state)

@@ -16,6 +16,20 @@ using namespace dhl;
 using namespace dhl::cost;
 namespace u = dhl::units;
 
+namespace {
+
+/** A dollar cell.  Appended, not `"$" + cell(...)`: GCC 12 at -O3
+ *  reports a false -Wrestrict overlap inside that operator+. */
+std::string
+dollars(double value, int significant_digits)
+{
+    std::string s = "$";
+    s += cell(value, significant_digits);
+    return s;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -46,12 +60,11 @@ main(int argc, char **argv)
             const auto cmp =
                 model.compare(cfg, network::findRoute(route), duty);
             table.addRow(
-                {cfg.label(), route, "$" + cell(cmp.dhl.capex, 5),
-                 "$" + cell(cmp.dhl.opex_per_year, 4),
-                 "$" + cell(cmp.dhl.total, 5),
-                 "$" + cell(cmp.network.capex, 5),
-                 "$" + cell(cmp.network.opex_per_year, 4),
-                 "$" + cell(cmp.network.total, 5),
+                {cfg.label(), route, dollars(cmp.dhl.capex, 5),
+                 dollars(cmp.dhl.opex_per_year, 4),
+                 dollars(cmp.dhl.total, 5), dollars(cmp.network.capex, 5),
+                 dollars(cmp.network.opex_per_year, 4),
+                 dollars(cmp.network.total, 5),
                  cmp.payback_days == 0.0
                      ? "immediate"
                      : cell(cmp.payback_days, 4) + " days"});

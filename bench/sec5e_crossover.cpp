@@ -67,8 +67,12 @@ main(int argc, char **argv)
 
     exp::Experiment frontier("sec5e_crossover");
     for (const double length : lengths) {
+        // Appended, not "L" + cell(...): GCC 12 at -O3 reports a false
+        // -Wrestrict overlap inside that operator+.
+        std::string name = "L";
+        name += cell(length, 5);
         frontier.add(
-            "L" + cell(length, 5),
+            name,
             [length, speeds](exp::ScenarioContext &) -> exp::ScenarioRows {
                 exp::ScenarioRows rows;
                 for (const auto &p : crossoverSweep({length}, speeds)) {

@@ -73,7 +73,9 @@ ArgParser::parse(int argc, const char *const *argv, std::ostream &out)
             if (opt.is_switch) {
                 if (has_inline)
                     fatal("switch --" + name + " takes no value");
-                opt.value = "1";
+                // Move-assigned: GCC 12 at -O3 reports a false
+                // -Wrestrict overlap inside `= "1"`.
+                opt.value = std::string("1");
             } else if (has_inline) {
                 opt.value = inline_value;
             } else {

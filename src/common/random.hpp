@@ -13,7 +13,9 @@
 #ifndef DHL_COMMON_RANDOM_HPP
 #define DHL_COMMON_RANDOM_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dhl {
@@ -53,20 +55,32 @@ class Rng
     double uniform();
 
     /**
-     * Advance the stream by exactly @p n draws and return how many of
-     * the uniform() values they would have produced are < @p p, without
-     * forming any double.  uniform() is k * 2^-53 with k = next() >> 11
-     * < 2^53; both the conversion of k and the scaling by 2^-53 are
-     * exact, so uniform() < p holds iff k < p * 2^53, and p * 2^53 =
-     * ldexp(p, 53) is exact too.  For an integer k, k < x iff
-     * k < ceil(x), so each draw is one integer compare against
-     * ceil(ldexp(p, 53)).  p <= 0 and NaN count 0 and p >= 1 counts
-     * @p n, as the double compare would; every case still consumes the
-     * @p n draws, and no NaN or out-of-range value is converted to an
-     * integer.  The result and the stream position afterwards equal
-     * those of the loop `hits += uniform() < p` over @p n draws.
+     * Advance the stream by exactly @p n draws, as n calls to next()
+     * would, in O(log n) time (jump-ahead; common/random_lanes.hpp).
+     * The Box-Muller spare is left as it is.
      */
-    std::uint64_t countBelow(std::size_t n, double p);
+    void discard(std::uint64_t n);
+
+    /**
+     * Advance the stream by exactly n * hits.size() draws and count, in
+     * each consecutive block of @p n draws, how many of the uniform()
+     * values they would have produced are < @p p, without forming any
+     * double.  uniform() is k * 2^-53 with k = next() >> 11 < 2^53;
+     * both the conversion of k and the scaling by 2^-53 are exact, so
+     * uniform() < p holds iff k < p * 2^53, and p * 2^53 = ldexp(p, 53)
+     * is exact too.  For an integer k, k < x iff k < ceil(x), so each
+     * draw is one integer compare against ceil(ldexp(p, 53)).  p <= 0
+     * and NaN count 0 and p >= 1 counts @p n, as the double compare
+     * would; every case still consumes the draws, and no NaN or
+     * out-of-range value is converted to an integer.  The counts and
+     * the stream position afterwards equal those of the loop
+     * `hits[b] += uniform() < p` over the blocks in order.
+     *
+     * The draws run on independent vector lanes, each started at its
+     * exact serial position by discard-style jumps, so the result does
+     * not depend on the lane count or the ISA that ran it.
+     */
+    void countBelow(std::size_t n, double p, std::span<std::uint64_t> hits);
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);

@@ -110,13 +110,13 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioBatch &stream,
     // Percentile bootstrap on the attainment: the per-scenario SLO
     // outcome is Bernoulli, so a resample of the dataset reduces to a
     // Binomial(n, attainment) draw — O(bootstrap) memory, counts only.
-    // countBelow counts the uniform() < attainment draws on raw bits.
+    // countBelow counts the uniform() < attainment draws of every
+    // resample in one call, on raw bits.
+    std::vector<std::uint64_t> hits(cfg.bootstrap);
+    bootstrap_rng.countBelow(cfg.scenarios, r.attainment, hits);
     std::vector<double> resampled(cfg.bootstrap);
-    for (std::size_t b = 0; b < cfg.bootstrap; ++b) {
-        const std::uint64_t hits =
-            bootstrap_rng.countBelow(cfg.scenarios, r.attainment);
-        resampled[b] = static_cast<double>(hits) / n;
-    }
+    for (std::size_t b = 0; b < cfg.bootstrap; ++b)
+        resampled[b] = static_cast<double>(hits[b]) / n;
     r.attainment_lo = stats::percentile(resampled, 2.5);
     r.attainment_hi = stats::percentile(resampled, 97.5);
     return r;

@@ -65,10 +65,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(tableViRows()),
     [](const ::testing::TestParamInfo<TableVirow> &info) {
         const auto &c = info.param.config;
-        return "v" + std::to_string(static_cast<int>(c.max_speed)) + "_L" +
-               std::to_string(static_cast<int>(c.track_length)) + "_n" +
-               std::to_string(c.ssds_per_cart) + "_row" +
-               std::to_string(info.index);
+        std::string name = "v";
+        name += std::to_string(static_cast<int>(c.max_speed));
+        name += "_L";
+        name += std::to_string(static_cast<int>(c.track_length));
+        name += "_n";
+        name += std::to_string(c.ssds_per_cart);
+        name += "_row";
+        name += std::to_string(info.index);
+        return name;
     });
 
 TEST(DesVsAnalyticalTrapezoid, ExactKinematicsAlsoAgree)

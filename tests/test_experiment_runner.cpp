@@ -101,7 +101,7 @@ TEST(ExperimentRunnerTest, OutcomesKeepDeclarationOrder)
 {
     Experiment e("ordered");
     for (int i = 0; i < 20; ++i) {
-        e.add("s" + std::to_string(i),
+        e.add(std::string("s").append(std::to_string(i)),
               [i](ScenarioContext &ctx) -> ScenarioRows {
                   EXPECT_EQ(ctx.index, static_cast<std::size_t>(i));
                   return {{std::to_string(i)}};
@@ -112,7 +112,7 @@ TEST(ExperimentRunnerTest, OutcomesKeepDeclarationOrder)
     ASSERT_EQ(result.scenarios.size(), 20u);
     for (int i = 0; i < 20; ++i) {
         EXPECT_EQ(result.scenarios[static_cast<std::size_t>(i)].name,
-                  "s" + std::to_string(i));
+                  std::string("s").append(std::to_string(i)));
         EXPECT_EQ(result.scenarios[static_cast<std::size_t>(i)].rows,
                   ScenarioRows{{std::to_string(i)}});
     }

@@ -8,36 +8,129 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/random.hpp"
+#include "common/random_lanes.hpp"
 
 using dhl::Rng;
 using dhl::ZipfTable;
 
 namespace {
 
+/** Every word of two stream positions, spare included. */
+void
+expectSameState(const Rng &a, const Rng &b)
+{
+    const dhl::RngState x = a.saveState();
+    const dhl::RngState y = b.saveState();
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(x.state[w], y.state[w]) << "word " << w;
+    EXPECT_EQ(x.has_spare, y.has_spare);
+    EXPECT_EQ(x.spare, y.spare);
+}
+
 /**
- * countBelow(n, p) from @p start against the loop it replaces,
- * `uniform() < p` over n draws, run on a second copy: the counts and
- * the stream positions afterwards must be equal.
+ * countBelow(n, p, hits) over @p blocks blocks from @p start against the
+ * loop it replaces, `hits[b] += uniform() < p` over n draws per block,
+ * run on a second copy: the counts and the stream positions afterwards
+ * must be equal.
  */
 void
-expectCountBelowMatches(const Rng &start, std::size_t n, double p)
+expectCountBelowMatches(const Rng &start, std::size_t n, double p,
+                        std::size_t blocks = 1)
 {
     Rng fast = start;
     Rng slow = start;
-    std::uint64_t want = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        want += slow.uniform() < p ? 1 : 0;
-    EXPECT_EQ(fast.countBelow(n, p), want)
-        << "n=" << n << " p=" << std::hexfloat << p;
+    std::vector<std::uint64_t> want(blocks, 0);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t i = 0; i < n; ++i)
+            want[b] += slow.uniform() < p ? 1 : 0;
+    }
+    // Stale values must be overwritten, not added to.
+    std::vector<std::uint64_t> got(blocks, 7);
+    fast.countBelow(n, p, got);
+    EXPECT_EQ(got, want) << "n=" << n << " blocks=" << blocks
+                         << " p=" << std::hexfloat << p;
+    expectSameState(fast, slow);
+}
 
-    const dhl::RngState a = fast.saveState();
-    const dhl::RngState b = slow.saveState();
+/** The published xoshiro256 jump() (2^128 draws) and long_jump()
+ *  (2^192 draws) polynomials. */
+constexpr dhl::detail::Gf2Poly kJump = {
+    0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa,
+    0x39abdc4529b1661c};
+constexpr dhl::detail::Gf2Poly kLongJump = {
+    0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241,
+    0x39109bb02acbe635};
+
+/** x^(2^k) mod P, by k squarings of x. */
+dhl::detail::Gf2Poly
+xPowTwoTo(int k)
+{
+    dhl::detail::Gf2Poly r{2, 0, 0, 0};
+    for (int i = 0; i < k; ++i)
+        r = dhl::detail::squareMod(r);
+    return r;
+}
+
+/** The published jump loop: sum the states T^i s over the set bits of
+ *  @p words, stepping with Rng::next(). */
+void
+referenceJump(Rng &rng, const dhl::detail::Gf2Poly &words)
+{
+    dhl::RngState acc = rng.saveState();
+    std::uint64_t sum[4] = {0, 0, 0, 0};
+    for (std::uint64_t word : words) {
+        for (int b = 0; b < 64; ++b) {
+            if (word & (std::uint64_t{1} << b)) {
+                const dhl::RngState now = rng.saveState();
+                for (int w = 0; w < 4; ++w)
+                    sum[w] ^= now.state[w];
+            }
+            rng.next();
+        }
+    }
     for (int w = 0; w < 4; ++w)
-        EXPECT_EQ(a.state[w], b.state[w]) << "p=" << std::hexfloat << p;
-    EXPECT_EQ(a.has_spare, b.has_spare);
+        acc.state[w] = sum[w];
+    rng.restoreState(acc);
+}
+
+/**
+ * countBelowLanes<Vec> run directly: per-block counts, the draws it
+ * covers and the stream position after them must match next().
+ */
+template <typename Vec>
+void
+expectLanesMatchSerial()
+{
+    constexpr std::size_t kLanes = sizeof(Vec) / sizeof(std::uint64_t);
+    Rng pick(41);
+    for (std::size_t n : {1u, 2u, 3u, 7u, 240u, 1000u}) {
+        for (std::size_t blocks : {1u, 2u, 3u, 5u, 13u}) {
+            const std::size_t total = n * blocks;
+            const std::uint64_t bound = pick.next() >> 11;
+            Rng serial(pick.next());
+            const dhl::RngState start = serial.saveState();
+            std::uint64_t s[4] = {start.state[0], start.state[1],
+                                  start.state[2], start.state[3]};
+
+            std::vector<std::uint64_t> got(blocks, 0);
+            const std::size_t done = dhl::detail::countBelowLanes<Vec>(
+                s, bound, n, total, got.data());
+            EXPECT_EQ(done, total - total % kLanes);
+
+            std::vector<std::uint64_t> want(blocks, 0);
+            for (std::size_t i = 0; i < done; ++i)
+                want[i / n] += (serial.next() >> 11) < bound ? 1 : 0;
+            EXPECT_EQ(got, want)
+                << kLanes << " lanes, n=" << n << " blocks=" << blocks;
+            const dhl::RngState end = serial.saveState();
+            for (int w = 0; w < 4; ++w)
+                EXPECT_EQ(s[w], end.state[w]) << kLanes << " lanes, n=" << n;
+        }
+    }
 }
 
 } // namespace
@@ -150,9 +243,21 @@ TEST(Rng, CountBelowOutOfRangeAndNaN)
         expectCountBelowMatches(r, 257, p);
     }
     Rng a = r;
-    EXPECT_EQ(a.countBelow(100, nan), 0u);
-    EXPECT_EQ(a.countBelow(100, 1.0), 100u);
-    EXPECT_EQ(a.countBelow(100, -0.5), 0u);
+    std::uint64_t hits[2] = {9, 9};
+    a.countBelow(100, nan, hits);
+    EXPECT_EQ(hits[0], 0u);
+    EXPECT_EQ(hits[1], 0u);
+    a.countBelow(100, 1.0, hits);
+    EXPECT_EQ(hits[0], 100u);
+    EXPECT_EQ(hits[1], 100u);
+    a.countBelow(100, -0.5, hits);
+    EXPECT_EQ(hits[0], 0u);
+    EXPECT_EQ(hits[1], 0u);
+
+    // A draw count past SIZE_MAX is refused before any draw.
+    Rng b = r;
+    EXPECT_THROW(b.countBelow(SIZE_MAX, 0.5, hits), dhl::FatalError);
+    expectSameState(b, r);
 }
 
 TEST(Rng, CountBelowIsExactAtDrawBoundaries)
@@ -194,6 +299,75 @@ TEST(Rng, CountBelowMatchesUniformCompareForRandomThresholds)
         expectCountBelowMatches(r, 64, p);
         r.next();
     }
+}
+
+TEST(Rng, CountBelowBlocksMatchUniformLoop)
+{
+    // Block counts that are and are not multiples of the lane count,
+    // and block lengths shorter and longer than a lane's range.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::uint64_t seed : {31u, 32u, 33u}) {
+        const Rng r(seed);
+        for (std::size_t n : {0u, 1u, 3u, 5u, 240u, 16384u}) {
+            for (std::size_t blocks : {0u, 1u, 3u, 5u, 50u, 100u}) {
+                for (double p : {nan, -0.5, 0.0, 0x1.0p-53, 0.37,
+                                 1.0 - 0x1.0p-53, 1.0})
+                    expectCountBelowMatches(r, n, p, blocks);
+            }
+        }
+    }
+}
+
+TEST(Rng, LaneTemplateMatchesSerialCountAtThisIsa)
+{
+    // The lane template compiled here, at the tests' own ISA, is the
+    // algorithm the portable version runs; the 8-lane instance checks
+    // the AVX-512 split on hosts without AVX-512.
+    expectLanesMatchSerial<dhl::detail::U64x4>();
+    expectLanesMatchSerial<dhl::detail::U64x8>();
+}
+
+TEST(Rng, DiscardEqualsRepeatedNext)
+{
+    Rng base(51);
+    base.normal(); // leaves a Box-Muller spare, which discard keeps
+    for (std::uint64_t n :
+         {0u, 1u, 63u, 64u, 65u, 16384u, 409600u, 1638400u}) {
+        Rng jumped = base;
+        Rng stepped = base;
+        jumped.discard(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        expectSameState(jumped, stepped);
+        EXPECT_EQ(jumped.next(), stepped.next()) << "n=" << n;
+    }
+}
+
+TEST(Rng, JumpPolynomialsMatchPublishedJumps)
+{
+    EXPECT_EQ(xPowTwoTo(128), kJump);
+    EXPECT_EQ(xPowTwoTo(192), kLongJump);
+
+    // Applying them moves a stream where the published loop does.
+    for (const auto &words : {kJump, kLongJump}) {
+        Rng published(61);
+        Rng mine(61);
+        referenceJump(published, words);
+        dhl::RngState st = mine.saveState();
+        dhl::detail::applyJump(st.state, words);
+        mine.restoreState(st);
+        expectSameState(mine, published);
+    }
+
+    // x^(2^64) composes from two discards of 2^63 draws.
+    Rng halves(62);
+    Rng whole(62);
+    halves.discard(std::uint64_t{1} << 63);
+    halves.discard(std::uint64_t{1} << 63);
+    dhl::RngState st = whole.saveState();
+    dhl::detail::applyJump(st.state, xPowTwoTo(64));
+    whole.restoreState(st);
+    expectSameState(halves, whole);
 }
 
 TEST(Zipf, RankZeroMostPopular)

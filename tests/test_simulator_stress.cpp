@@ -43,7 +43,10 @@ std::atomic<std::int64_t> g_allocs{0};
 
 } // namespace
 
-void *
+// None of the replacements is inlined: GCC 12 otherwise pairs the
+// inlined std::malloc() or std::free() with the other side's operator
+// and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     ++g_allocs;
@@ -52,13 +55,13 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);

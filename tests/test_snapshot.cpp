@@ -86,12 +86,12 @@ TEST(SnapshotTest, DoublesAreBitExact)
     {
         SnapshotWriter w(doc);
         for (std::size_t i = 0; i < std::size(values); ++i)
-            w.putDouble("v" + std::to_string(i), values[i]);
+            w.putDouble(IndexedKey("v", i), values[i]);
         w.putDouble("nan", std::nan(""));
     }
     SnapshotReader r(doc);
     for (std::size_t i = 0; i < std::size(values); ++i) {
-        const double got = r.getDouble("v" + std::to_string(i));
+        const double got = r.getDouble(IndexedKey("v", i));
         EXPECT_EQ(std::memcmp(&got, &values[i], sizeof got), 0)
             << "value " << i;
     }

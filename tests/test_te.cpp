@@ -299,8 +299,9 @@ TEST(TeServingTest, HybridServesSmallOpticallyAndConserves)
     EXPECT_GT(offered, 0u);
     // Small requests (2 GB <= 8 GB) always ride optical in hybrid.
     for (const exp::ClassSlo &row : sim.teTable()) {
-        if (row.name == "small" && row.substrate == std::string("dhl"))
+        if (row.name == "small" && row.substrate == std::string("dhl")) {
             EXPECT_EQ(row.offered, 0u);
+        }
     }
 }
 

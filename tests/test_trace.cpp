@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/logging.hpp"
 #include "sim/trace.hpp"
@@ -43,7 +44,7 @@ TEST(TraceTest, CapacityEvictsOldest)
     TraceRecorder trace(sim, 3);
     trace.enable();
     for (int i = 0; i < 5; ++i)
-        trace.record("c", "o", "m" + std::to_string(i));
+        trace.record("c", "o", std::string("m").append(std::to_string(i)));
     EXPECT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace.totalEmitted(), 5u);
     EXPECT_EQ(trace.dropped(), 2u);
@@ -118,7 +119,7 @@ TEST(TraceTest, SetCapacityShrinkEvictsOldest)
     TraceRecorder trace(sim, 8);
     trace.enable();
     for (int i = 0; i < 6; ++i)
-        trace.record("api", "dhl", "r" + std::to_string(i));
+        trace.record("api", "dhl", std::string("r").append(std::to_string(i)));
     ASSERT_EQ(trace.size(), 6u);
 
     // Rotation mode for soak runs: shrink to the newest three.
