@@ -1,10 +1,11 @@
 /**
  * @file
  * Experiment E13 — google-benchmark microbenchmarks of the simulation
- * substrates: DES event throughput, flow-sim reallocation cost (a
- * synthetic churn and a serving-shaped shared uplink), the
- * closed-form model evaluation rate (how fast the design space can be
- * swept), a whole capacity plan and its bootstrap counts.
+ * substrates: DES event throughput (also on a serve-shaped delay mix),
+ * flow-sim reallocation cost (a synthetic churn and a serving-shaped
+ * shared uplink), the closed-form model evaluation rate (how fast the
+ * design space can be swept), a whole capacity plan and its bootstrap
+ * counts.
  */
 
 #include <benchmark/benchmark.h>
@@ -73,6 +74,70 @@ BM_KernelCascade(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_KernelCascade)->Arg(1 << 12)->Arg(1 << 16);
+
+/**
+ * Delays in the shape of a serve soak's: 98 % of them one of 8 fixed
+ * step times (half of all delays the 3 s dock time, a fifth 0 s), the
+ * rest one-off uniform values.  Drawn once, outside the timed loop.
+ */
+static std::vector<double>
+fixedDelayMix(std::size_t n)
+{
+    static constexpr double kSteps[8] = {3.0,  0.0,  0.5,  1.25,
+                                         7.5, 15.0, 42.0, 90.0};
+    Rng rng(deriveSeed(13, 1));
+    std::vector<double> delays(n);
+    for (double &d : delays) {
+        const double u = rng.uniform();
+        if (u < 0.50)
+            d = kSteps[0];
+        else if (u < 0.70)
+            d = kSteps[1];
+        else if (u < 0.98)
+            d = kSteps[2 + rng.uniformInt(0, 5)];
+        else
+            d = rng.uniform(0.0, 100.0);
+    }
+    return delays;
+}
+
+/** Runs one fixedDelayMix() sequence on a fresh kernel. */
+struct DelayMixRun
+{
+    explicit DelayMixRun(const std::vector<double> &d) : delays(d) {}
+
+    /** Schedule the next delay of the sequence, if any is left. */
+    void
+    again()
+    {
+        if (next < delays.size())
+            sim.schedule(delays[next++], [this] { again(); });
+    }
+
+    sim::Simulator sim;
+    const std::vector<double> &delays;
+    std::size_t next = 0;
+};
+
+static void
+BM_KernelFixedDelayMix(benchmark::State &state)
+{
+    // 130 events stay pending, the serve soak's average queue length:
+    // each fired event schedules the next delay of the mix.
+    constexpr std::size_t kPending = 130;
+    constexpr std::size_t kEvents = 1 << 16;
+    const std::vector<double> delays = fixedDelayMix(kEvents);
+    for (auto _ : state) {
+        DelayMixRun run(delays);
+        for (std::size_t i = 0; i < kPending; ++i)
+            run.again();
+        run.sim.run();
+        benchmark::DoNotOptimize(run.sim.now());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_KernelFixedDelayMix);
 
 //===========================================================================
 // Flow simulator

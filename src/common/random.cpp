@@ -227,8 +227,11 @@ Rng::countBelow(std::size_t n, double p, std::span<std::uint64_t> hits)
              "countBelow: n * blocks overflows a draw count");
     std::fill(hits.begin(), hits.end(), 0);
     const std::size_t total = n * hits.size();
-    for (std::size_t i = laneCount(state_, bound, n, total, hits.data());
-         i < total; ++i)
+    const std::size_t laned =
+        total < detail::kLaneMinDraws
+            ? 0
+            : laneCount(state_, bound, n, total, hits.data());
+    for (std::size_t i = laned; i < total; ++i)
         hits[i / n] += (next() >> 11) < bound ? 1 : 0;
 }
 

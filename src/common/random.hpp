@@ -78,7 +78,9 @@ class Rng
      *
      * The draws run on independent vector lanes, each started at its
      * exact serial position by discard-style jumps, so the result does
-     * not depend on the lane count or the ISA that ran it.
+     * not depend on the lane count or the ISA that ran it.  A call of
+     * fewer than detail::kLaneMinDraws draws in all runs the serial
+     * loop, which is faster than the lanes' jump set-up there.
      */
     void countBelow(std::size_t n, double p, std::span<std::uint64_t> hits);
 

@@ -33,15 +33,21 @@ dumpLine(std::ostream &os, const std::string &prefix,
 double
 percentile(std::vector<double> values, double p)
 {
-    fatal_if(values.empty(), "percentile of an empty sample");
-    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
     std::sort(values.begin(), values.end());
+    return sortedPercentile(values, p);
+}
+
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    fatal_if(sorted.empty(), "percentile of an empty sample");
+    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
     const double rank = p / 100.0 *
-                        static_cast<double>(values.size() - 1);
+                        static_cast<double>(sorted.size() - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
+    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 //===========================================================================
@@ -190,12 +196,18 @@ SloAccumulator::complete(double latency, double bytes)
     latencies_.push_back(latency);
 }
 
-double
-SloAccumulator::latencyPercentile(double p) const
+std::vector<double>
+SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
 {
+    std::vector<double> out(ps.size(), 0.0);
     if (latencies_.empty())
-        return 0.0;
-    return percentile(latencies_, p);
+        return out;
+    std::vector<double> sorted = latencies_;
+    std::sort(sorted.begin(), sorted.end());
+    std::size_t i = 0;
+    for (const double p : ps)
+        out[i++] = sortedPercentile(sorted, p);
+    return out;
 }
 
 void

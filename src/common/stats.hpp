@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -158,6 +159,13 @@ class Accumulator : public StatBase
 double percentile(std::vector<double> values, double p);
 
 /**
+ * percentile() of @p sorted, which is already in ascending order: the
+ * same rank, interpolation and fatal() checks, without the copy and
+ * sort, so several percentiles of one sample share one sort.
+ */
+double sortedPercentile(const std::vector<double> &sorted, double p);
+
+/**
  * Streaming quantile estimator with O(1) memory in the sample count:
  * a fixed-bin CDF sketch over a configured value range, fronted by an
  * exact buffer for small samples (the capacity-planning subsystem
@@ -280,8 +288,13 @@ class SloAccumulator
     std::uint64_t shed() const { return shed_; }
     double bytesDelivered() const { return bytes_; }
 
-    /** Completion-latency percentile; 0 when nothing completed. */
-    double latencyPercentile(double p) const;
+    /**
+     * Completion-latency percentiles at each of @p ps, read from one
+     * sorted copy of the samples (bit-identical to percentile() of the
+     * samples at each p); all 0 when nothing completed.
+     */
+    std::vector<double>
+    latencyPercentiles(std::initializer_list<double> ps) const;
 
     /** The raw completion-latency samples, in completion order. */
     const std::vector<double> &latencies() const { return latencies_; }

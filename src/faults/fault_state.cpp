@@ -218,22 +218,6 @@ FaultState::up(Component kind, std::uint32_t index) const
     return !ks.down[index];
 }
 
-bool
-FaultState::launchOk() const
-{
-    return lims_.down_count == 0 && track_.down_count == 0 &&
-           launch_inhibits_ == 0;
-}
-
-bool
-FaultState::serviceUp() const
-{
-    if (!launchOk())
-        return false;
-    return stations_.down.empty() ||
-           stations_.down_count < stations_.down.size();
-}
-
 std::size_t
 FaultState::stationsUp() const
 {

@@ -132,12 +132,25 @@ class FaultState
 
     /** Both LIMs and the track are up and no launch inhibit
      *  (maintenance window, common-cause outage) is active, so carts
-     *  may launch. */
-    bool launchOk() const;
+     *  may launch.  Inline: the serve admission path asks every track
+     *  on every arrival. */
+    bool
+    launchOk() const
+    {
+        return lims_.down_count == 0 && track_.down_count == 0 &&
+               launch_inhibits_ == 0;
+    }
 
     /** launchOk() and at least one docking station is up (no stations
      *  registered counts as up). */
-    bool serviceUp() const;
+    bool
+    serviceUp() const
+    {
+        if (!launchOk())
+            return false;
+        return stations_.down.empty() ||
+               stations_.down_count < stations_.down.size();
+    }
 
     std::size_t stationsUp() const;
 

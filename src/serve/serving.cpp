@@ -547,16 +547,13 @@ snapshotSlo(IO &io, stats::SloAccumulator &s)
     io.field("shed", shed);
     io.field("bytes", bytes);
     io.field("samples", samples);
-    // Not reserved: a corrupt count must end at a missing key.
-    std::vector<double> latencies;
-    for (std::uint64_t j = 0; j < samples; ++j) {
-        double latency = IO::loading ? 0.0 : saved.latencies()[j];
-        io.field(sim::IndexedKey("l", j), latency);
-        if constexpr (IO::loading)
-            latencies.push_back(latency);
-    }
-    if constexpr (IO::loading)
+    if constexpr (IO::loading) {
+        std::vector<double> latencies;
+        io.series("l", samples, latencies);
         s.restore(offered, deferred, shed, bytes, std::move(latencies));
+    } else {
+        io.series("l", samples, saved.latencies());
+    }
 }
 
 } // namespace
@@ -778,9 +775,10 @@ ServingSim::sloTable() const
         row.served = s.served();
         row.deferred = s.deferred();
         row.shed = s.shed();
-        row.p50 = s.latencyPercentile(50.0);
-        row.p99 = s.latencyPercentile(99.0);
-        row.p999 = s.latencyPercentile(99.9);
+        const std::vector<double> q = s.latencyPercentiles({50.0, 99.0, 99.9});
+        row.p50 = q[0];
+        row.p99 = q[1];
+        row.p999 = q[2];
         row.availability = stageAvailability(i);
         row.goodput = row.duration > 0.0
                           ? s.bytesDelivered() / row.duration
@@ -828,8 +826,9 @@ ServingSim::teTable() const
             row.served = acc.served();
             row.deferred = acc.deferred();
             row.shed = acc.shed();
-            row.p50 = acc.latencyPercentile(50.0);
-            row.p99 = acc.latencyPercentile(99.0);
+            const std::vector<double> q = acc.latencyPercentiles({50.0, 99.0});
+            row.p50 = q[0];
+            row.p99 = q[1];
             row.goodput =
                 duration > 0.0 ? acc.bytesDelivered() / duration : 0.0;
             table.push_back(std::move(row));

@@ -2,14 +2,17 @@
  * @file
  * Implementation of the discrete-event simulation kernel.
  *
- * The event queue is a binary min-heap of 24-byte POD keys plus an
- * in-order lane of the same keys; actions are kept out of both in a
- * slot registry so sift operations are plain memmoves.  Cancellation
- * bumps the slot's generation (O(1)) and the orphaned entry is
- * discarded when it reaches the front of its queue.  A slot is returned
- * to the free list only when its queue entry surfaces, so a slot index
- * in the heap or lane always refers to the occupancy that pushed it — a
- * generation mismatch therefore uniquely identifies a cancelled event.
+ * The event queue is a binary min-heap of 24-byte POD keys plus FIFO
+ * lanes of the same keys (the in-order lane and the delay lanes, see
+ * simulator.hpp); actions are kept out of all of them in a slot
+ * registry so sift operations are plain memmoves.  Cancellation bumps
+ * the slot's generation (O(1)) and the orphaned entry is discarded when
+ * it is the earliest entry of the whole queue (every lane is sorted,
+ * cancelled entries included, so it is then its lane's head).  A slot
+ * is returned to the free list only when its queue entry surfaces, so
+ * a slot index in the heap or a lane always refers to the occupancy
+ * that pushed it — a generation mismatch therefore uniquely identifies
+ * a cancelled event.
  */
 
 #include "sim/simulator.hpp"
@@ -99,26 +102,82 @@ Simulator::scheduleImpl(Time when, Action &&action)
     return EventHandle(e.slot, e.gen);
 }
 
+// Inlined into its one caller, the schedule(delay) path.
+[[gnu::always_inline]] inline Simulator::Lane *
+Simulator::delayLane(std::uint64_t key)
+{
+    // Two slots per delay from a fixed mix of its bits (delays differ
+    // mostly in their top bits), so two busy delays rarely contend.
+    static_assert(kDelayLanes == 16, "each slot index takes 4 bits");
+    const std::uint64_t h =
+        (key ^ (key >> 32) ^ 0x5851f42d4c957f2du) * 0x9e3779b97f4a7c15u;
+    Lane &first = delay_lanes_[h >> 60];
+    Lane &second = delay_lanes_[(h >> 56) & 15];
+    if (first.key == key)
+        return &first;
+    if (second.key == key)
+        return &second;
+    // No lane yet: an idle candidate slot (nothing queued) is re-keyed
+    // on the delay's second sighting in a row there.
+    Lane *idle = first.pos == kUnlisted    ? &first
+                 : second.pos == kUnlisted ? &second
+                                           : nullptr;
+    if (idle == nullptr)
+        return nullptr;
+    if (idle->seen != key) {
+        idle->seen = key;
+        return nullptr;
+    }
+    idle->key = key;
+    return idle;
+}
+
+// Inlined into both lane push paths; the erase stays a call.
+[[gnu::always_inline]] inline void
+Simulator::pushLane(Lane &lane, const HeapEntry &e)
+{
+    if (lane.pos == kUnlisted) {
+        lane.pos = n_active_;
+        active_[n_active_++] = &lane;
+    }
+    lane.entries.push_back(e);
+    // A lane that never drains keeps its fired prefix; drop it once it
+    // is most of the vector.
+    if (lane.head >= 1024 && 2 * lane.head >= lane.entries.size()) {
+        lane.entries.erase(
+            lane.entries.begin(),
+            lane.entries.begin() + static_cast<std::ptrdiff_t>(lane.head));
+        lane.head = 0;
+    }
+}
+
+EventHandle
+Simulator::scheduleDelayImpl(Time delay, Action &&action)
+{
+    const Time when = delayToWhen(delay);
+    Lane *lane = delayLane(std::bit_cast<std::uint64_t>(delay));
+    if (lane == nullptr)
+        return scheduleImpl(when, std::move(action));
+    const HeapEntry e = makeEntry(when, std::move(action));
+    pushLane(*lane, e);
+    return EventHandle(e.slot, e.gen);
+}
+
 EventHandle
 Simulator::scheduleLaneImpl(Time when, Action &&action)
 {
+    Lane &lane = order_lane_;
     // Cancelled entries at the tail no longer bound the order.
-    while (lane_.size() > lane_head_ && !live(lane_.back())) {
-        free_slots_.push_back(lane_.back().slot);
-        lane_.pop_back();
+    while (lane.entries.size() > lane.head && !live(lane.entries.back())) {
+        free_slots_.push_back(lane.entries.back().slot);
+        lane.entries.pop_back();
     }
-    fatal_if(lane_.size() > lane_head_ &&
-                 when + 0.0 < std::bit_cast<Time>(lane_.back().when_bits),
+    fatal_if(lane.entries.size() > lane.head &&
+                 when + 0.0 <
+                     std::bit_cast<Time>(lane.entries.back().when_bits),
              "in-order event scheduled before an earlier in-order event");
-    // A lane that never drains keeps its fired prefix; drop it once it
-    // is most of the vector.
-    if (lane_head_ >= 1024 && 2 * lane_head_ >= lane_.size()) {
-        lane_.erase(lane_.begin(),
-                    lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
-        lane_head_ = 0;
-    }
     const HeapEntry e = makeEntry(when, std::move(action));
-    lane_.push_back(e);
+    pushLane(lane, e);
     return EventHandle(e.slot, e.gen);
 }
 
@@ -129,7 +188,7 @@ Simulator::cancel(EventHandle handle)
         return false;
     if (slot_gen_[handle.slot_] != handle.gen_)
         return false; // already fired or already cancelled
-    ++slot_gen_[handle.slot_];     // invalidates handle and heap entry
+    ++slot_gen_[handle.slot_];     // invalidates handle and queue entry
     slotAction(handle.slot_) = nullptr; // release captures eagerly
     --size_;
     stat_cancelled_->increment();
@@ -139,37 +198,55 @@ Simulator::cancel(EventHandle handle)
 const Simulator::HeapEntry *
 Simulator::peekNext()
 {
-    // Cancelled occupants: reclaim each slot once its (unique) queue
-    // entry surfaces, then drop the entry.
-    while (!heap_.empty() && !live(heap_.front())) {
-        free_slots_.push_back(heap_.front().slot);
-        std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-        heap_.pop_back();
+    for (;;) {
+        const HeapEntry *best = heap_.empty() ? nullptr : heap_.data();
+        next_lane_ = nullptr;
+        for (std::size_t i = 0; i < n_active_; ++i) {
+            Lane &lane = *active_[i];
+            const HeapEntry *head = &lane.entries[lane.head];
+            if (best == nullptr || HeapCompare{}(*best, *head)) {
+                best = head;
+                next_lane_ = &lane;
+            }
+        }
+        if (best == nullptr || live(*best))
+            return best;
+        // A cancelled occupant: reclaim its slot now that its (unique)
+        // queue entry surfaced, drop the entry and look again.
+        free_slots_.push_back(best->slot);
+        if (next_lane_ == nullptr) {
+            std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
+            heap_.pop_back();
+        } else {
+            popLane(*next_lane_);
+        }
     }
-    while (lane_head_ < lane_.size() && !live(lane_[lane_head_])) {
-        free_slots_.push_back(lane_[lane_head_].slot);
-        ++lane_head_;
-    }
-    if (lane_head_ == lane_.size()) {
-        lane_.clear();
-        lane_head_ = 0;
-        return heap_.empty() ? nullptr : &heap_.front();
-    }
-    const HeapEntry *lane = &lane_[lane_head_];
-    if (heap_.empty() || HeapCompare{}(heap_.front(), *lane))
-        return lane;
-    return &heap_.front();
+}
+
+void
+Simulator::popLane(Lane &lane)
+{
+    if (++lane.head < lane.entries.size())
+        return;
+    // Drained: restart at the front (capacity kept), so a lane that
+    // refills as it drains stays in a few cache lines, and unlist it.
+    lane.entries.clear();
+    lane.head = 0;
+    Lane *moved = active_[--n_active_];
+    active_[lane.pos] = moved;
+    moved->pos = lane.pos;
+    lane.pos = kUnlisted;
 }
 
 void
 Simulator::fire(const HeapEntry *top)
 {
     const HeapEntry e = *top;
-    if (top == heap_.data()) {
+    if (next_lane_ == nullptr) {
         std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
         heap_.pop_back();
     } else {
-        ++lane_head_;
+        popLane(*next_lane_);
     }
     ++slot_gen_[e.slot]; // late cancel() on this handle returns false
 
@@ -234,6 +311,23 @@ Simulator::runEpoch(Time until)
     return EpochResult{end, executed_ - before, size_ == 0};
 }
 
+void
+Simulator::reclaimCancelled()
+{
+    for (const HeapEntry &e : heap_)
+        free_slots_.push_back(e.slot);
+    heap_.clear();
+    for (std::size_t i = 0; i < n_active_; ++i) {
+        Lane &lane = *active_[i];
+        for (std::size_t j = lane.head; j < lane.entries.size(); ++j)
+            free_slots_.push_back(lane.entries[j].slot);
+        lane.entries.clear();
+        lane.head = 0;
+        lane.pos = kUnlisted;
+    }
+    n_active_ = 0;
+}
+
 template <typename IO>
 void
 Simulator::snapshot(IO &io)
@@ -241,6 +335,8 @@ Simulator::snapshot(IO &io)
     fatal_if(IO::loading && size_ != 0,
              "simulator restore requires an empty event queue (cancel "
              "constructor-scheduled events first)");
+    if constexpr (IO::loading)
+        reclaimCancelled();
     SnapshotScope scope(io, "kernel");
     io.field("now", now_);
     io.field("executed", executed_);

@@ -116,6 +116,16 @@ class SnapshotWriter
             putString(key, value);
     }
 
+    /**
+     * Write the @p count doubles of @p values as the keys `<key>0`,
+     * `<key>1`, ... in that order, with the bytes putDouble() would
+     * write for each, formatted straight into the buffer.  @p count
+     * must equal values.size(); the reader takes it as the length to
+     * read.
+     */
+    void series(std::string_view key, std::uint64_t count,
+                const std::vector<double> &values);
+
     /** Write @p value; the save side of a check always passes. */
     template <typename T>
     bool match(std::string_view key, const T &value)
@@ -187,6 +197,14 @@ class SnapshotReader
         else
             value = getString(key);
     }
+
+    /**
+     * Append the @p count doubles SnapshotWriter::series wrote under
+     * @p key to @p values, one key lookup each.  Nothing is reserved,
+     * so a corrupt count ends at the first missing key.
+     */
+    void series(std::string_view key, std::uint64_t count,
+                std::vector<double> &values) const;
 
     /** Read @p key and report whether it equals @p expected. */
     template <typename T>

@@ -318,6 +318,26 @@ TEST(Rng, CountBelowBlocksMatchUniformLoop)
     }
 }
 
+TEST(Rng, CountBelowMatchesAtTheLaneCutoff)
+{
+    // Runs one draw short of the lane cutoff, at it and one past it,
+    // as one block and as blocks that straddle lane boundaries.
+    const std::size_t cut = dhl::detail::kLaneMinDraws;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Rng r(34);
+    for (std::size_t total : {cut - 1, cut, cut + 1}) {
+        for (double p : {nan, 0.0, 0x1.0p-53, 0.37, 1.0}) {
+            expectCountBelowMatches(r, total, p);
+            expectCountBelowMatches(r, 1, p, total);
+        }
+    }
+    for (double p : {0.0, 0.37, 1.0}) {
+        expectCountBelowMatches(r, 7, p, (cut - 1) / 7); // below
+        expectCountBelowMatches(r, 64, p, cut / 64);     // at
+        expectCountBelowMatches(r, 3, p, cut / 3 + 1);   // just above
+    }
+}
+
 TEST(Rng, LaneTemplateMatchesSerialCountAtThisIsa)
 {
     // The lane template compiled here, at the tests' own ISA, is the

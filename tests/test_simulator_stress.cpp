@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -87,7 +88,13 @@ class ReferenceQueue
     std::uint64_t
     schedule(double now, double delay, int token)
     {
-        events_.push_back(Event{now + delay, next_seq_, token});
+        return scheduleAt(now + delay, token);
+    }
+
+    std::uint64_t
+    scheduleAt(double when, int token)
+    {
+        events_.push_back(Event{when, next_seq_, token});
         return next_seq_++;
     }
 
@@ -556,4 +563,207 @@ TEST(SimulatorLane, ThrowingActionStillFreesItsSlot)
     sim.scheduleInOrder(3.0, [&] { ++fired; });
     sim.run();
     EXPECT_EQ(fired, 2);
+}
+
+//----------------------------------------------------------------------
+// Delay lanes: schedule(delay) against the reference queue
+//----------------------------------------------------------------------
+
+namespace {
+
+/**
+ * One seeded script of schedule / scheduleInOrder / cancel / runUntil /
+ * step operations and snapshot hops, run on the kernel and on the
+ * reference queue in lockstep.  The delays mix many more recurring
+ * values than the kernel has lanes, 0.0 and -0.0, and one-off random
+ * values, so events move between the heap and the lanes as slots are
+ * keyed, collide and re-keyed.  Cancels aim at the oldest and the
+ * newest pending event of one delay: its lane's head and tail.  A hop
+ * cancels everything, then restores an earlier clock onto the emptied
+ * queue, leaving cancelled entries later than the clock in the lanes.
+ */
+void
+runDelayLaneScript(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Simulator sim;
+    ReferenceQueue ref;
+    std::vector<Fired> fired_sim;
+    std::vector<Fired> fired_ref;
+
+    struct Pending
+    {
+        EventHandle handle;
+        std::uint64_t ref_seq;
+        int token;
+        int delay_id; // index into the recurring delays, -1 if none
+    };
+    std::vector<Pending> pending; // schedule order; fired ones linger
+    std::vector<char> done;       // per token: fired or cancelled
+    double order_tail = 0.0;      // bound for the next in-order time
+    std::string saved;            // clock snapshot for a later hop
+
+    constexpr int kRecurring = 40;
+    const auto recurring = [](int id) {
+        return static_cast<double>(id) * 0.125;
+    };
+
+    const auto schedule = [&](double delay, int delay_id) {
+        const int token = static_cast<int>(done.size());
+        done.push_back(0);
+        const EventHandle h = sim.schedule(delay, [&, token] {
+            fired_sim.push_back(Fired{sim.now(), token});
+            done[static_cast<std::size_t>(token)] = 1;
+        });
+        pending.push_back(
+            Pending{h, ref.schedule(sim.now(), delay, token), token,
+                    delay_id});
+    };
+    const auto scheduleInOrder = [&](double when) {
+        const int token = static_cast<int>(done.size());
+        done.push_back(0);
+        order_tail = when;
+        const EventHandle h = sim.scheduleInOrder(when, [&, token] {
+            fired_sim.push_back(Fired{sim.now(), token});
+            done[static_cast<std::size_t>(token)] = 1;
+        });
+        pending.push_back(Pending{h, ref.scheduleAt(when, token), token, -1});
+    };
+    const auto cancel = [&](const Pending &p) {
+        const bool ok_sim = sim.cancel(p.handle);
+        ASSERT_EQ(ok_sim, ref.cancel(p.ref_seq)) << "seed " << seed;
+        if (ok_sim)
+            done[static_cast<std::size_t>(p.token)] = 1;
+    };
+    const auto drainRef = [&](double until) {
+        ReferenceQueue::Event e;
+        while (ref.popUpTo(until, e))
+            fired_ref.push_back(Fired{e.when, e.token});
+    };
+
+    for (int op = 0; op < 4000; ++op) {
+        const auto kind = static_cast<int>(rng.uniformInt(0, 99));
+        if (kind < 40) {
+            // Recurring delays, skewed towards a few the way a fleet's
+            // fixed step times are.
+            const int id = static_cast<int>(
+                rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, kRecurring - 1)
+                                          : rng.uniformInt(0, 7));
+            schedule(recurring(id), id);
+        } else if (kind < 46) {
+            schedule(rng.uniformInt(0, 1) == 0 ? 0.0 : -0.0, -1);
+        } else if (kind < 52) {
+            schedule(rng.uniform(0.0, 4.0), -1); // one-off
+        } else if (kind < 58) {
+            const int k = static_cast<int>(rng.uniformInt(1, 4));
+            double when = std::max(order_tail, sim.now());
+            for (int i = 0; i < k; ++i) {
+                when += static_cast<double>(rng.uniformInt(0, 2)) * 0.25;
+                scheduleInOrder(when);
+            }
+        } else if (kind < 72) {
+            // Cancel the oldest or the newest pending event of one
+            // recurring delay: the head or the tail of its lane.
+            const int id = static_cast<int>(rng.uniformInt(0, 7));
+            const bool head = rng.uniformInt(0, 1) == 0;
+            const Pending *target = nullptr;
+            for (const Pending &p : pending) {
+                if (p.delay_id != id ||
+                    done[static_cast<std::size_t>(p.token)])
+                    continue;
+                target = &p;
+                if (head)
+                    break;
+            }
+            if (target != nullptr)
+                cancel(*target);
+        } else if (kind < 76) {
+            if (!pending.empty())
+                cancel(pending[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(pending.size()) - 1))]);
+        } else if (kind < 88) {
+            // Horizons on the delay grid land exactly on event times.
+            const double until =
+                sim.now() + static_cast<double>(rng.uniformInt(0, 12)) * 0.125;
+            sim.runUntil(until);
+            drainRef(until);
+        } else if (kind < 96) {
+            const std::uint64_t n = sim.step(
+                static_cast<std::uint64_t>(rng.uniformInt(1, 6)));
+            for (std::uint64_t k = 0; k < n; ++k) {
+                ReferenceQueue::Event e;
+                ASSERT_TRUE(ref.popUpTo(
+                    std::numeric_limits<double>::infinity(), e));
+                fired_ref.push_back(Fired{e.when, e.token});
+            }
+        } else if (kind < 98) {
+            std::ostringstream os;
+            {
+                dhl::sim::SnapshotWriter w(os);
+                sim.snapshot(w);
+            }
+            saved = os.str();
+        } else if (!saved.empty()) {
+            for (const Pending &p : pending)
+                cancel(p);
+            ASSERT_EQ(sim.pendingEvents(), 0u);
+            std::istringstream is(saved);
+            dhl::sim::SnapshotReader r(is);
+            sim.snapshot(r);
+            order_tail = sim.now();
+        }
+        ASSERT_EQ(fired_sim.size(), fired_ref.size())
+            << "seed " << seed << " op " << op;
+        ASSERT_EQ(sim.pendingEvents(), ref.pending())
+            << "seed " << seed << " op " << op;
+        if (pending.size() > 256) {
+            std::erase_if(pending, [&](const Pending &p) {
+                return done[static_cast<std::size_t>(p.token)] != 0;
+            });
+        }
+    }
+    sim.run();
+    drainRef(std::numeric_limits<double>::infinity());
+
+    ASSERT_EQ(fired_sim.size(), fired_ref.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < fired_sim.size(); ++i) {
+        ASSERT_EQ(fired_sim[i], fired_ref[i])
+            << "seed " << seed << " firing " << i << ": sim={"
+            << fired_sim[i].when << "," << fired_sim[i].token << "} ref={"
+            << fired_ref[i].when << "," << fired_ref[i].token << "}";
+    }
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+} // namespace
+
+TEST(SimulatorDelayLanes, DifferentialVsReferenceQueue)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed)
+        runDelayLaneScript(seed);
+}
+
+TEST(SimulatorDelayLanes, SignedZeroDelaysFireInScheduleOrder)
+{
+    // 0.0 and -0.0 have different bit patterns, so they may sit in
+    // different lanes; both mean "now", and schedule order decides.
+    Simulator sim;
+    std::vector<int> order;
+    for (int i = 0; i < 12; ++i) {
+        const double delay = (i % 3 == 0) ? -0.0 : 0.0;
+        sim.schedule(delay, [&order, i] { order.push_back(i); });
+    }
+    sim.schedule(1.0, [&] {
+        for (int i = 12; i < 24; ++i) {
+            const double delay = (i % 2 == 0) ? -0.0 : 0.0;
+            sim.schedule(delay, [&order, i] { order.push_back(i); });
+        }
+    });
+    sim.run();
+    std::vector<int> want(24);
+    for (int i = 0; i < 24; ++i)
+        want[static_cast<std::size_t>(i)] = i;
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(sim.now(), 1.0);
+    EXPECT_FALSE(std::signbit(sim.now()));
 }

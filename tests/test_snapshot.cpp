@@ -100,6 +100,48 @@ TEST(SnapshotTest, DoublesAreBitExact)
     EXPECT_TRUE(std::signbit(r.getDouble("v2")));
 }
 
+TEST(SnapshotTest, SeriesWritesThePutDoubleBytes)
+{
+    // A series is byte for byte the putDouble() line per indexed key,
+    // inside scopes and across buffer flushes (5000 lines is well past
+    // one flush), and reads back bit-exact.
+    std::vector<double> values = {0.0, -0.0, 1.0 / 3.0, 5e-324,
+                                  std::numeric_limits<double>::infinity()};
+    Rng rng(9);
+    while (values.size() < 5000)
+        values.push_back(rng.lognormal(0.0, 3.0));
+    std::stringstream series, per_key;
+    {
+        SnapshotWriter a(series);
+        SnapshotWriter b(per_key);
+        for (SnapshotWriter *w : {&a, &b})
+            w->push("slo");
+        a.series("l", values.size(), values);
+        for (std::size_t j = 0; j < values.size(); ++j)
+            b.putDouble(IndexedKey("l", j), values[j]);
+        a.series("e", 0, {}); // an empty series writes nothing
+        for (SnapshotWriter *w : {&a, &b}) {
+            w->pop();
+            w->putU64("after", 1);
+        }
+    }
+    ASSERT_EQ(series.str(), per_key.str());
+
+    SnapshotReader r(series);
+    r.push("slo");
+    std::vector<double> got = {7.0}; // appended to, not replaced
+    r.series("l", values.size(), got);
+    ASSERT_EQ(got.size(), values.size() + 1);
+    for (std::size_t j = 0; j < values.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j + 1]),
+                  std::bit_cast<std::uint64_t>(values[j]))
+            << "sample " << j;
+    }
+    // A count past the written samples ends at the first missing key.
+    std::vector<double> more;
+    EXPECT_THROW(r.series("l", values.size() + 1, more), FatalError);
+}
+
 TEST(SnapshotTest, RngContinuesIdentically)
 {
     Rng original(1234);

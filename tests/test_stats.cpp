@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -159,6 +161,40 @@ TEST(PercentileTest, DuplicateValuesFormPlateaus)
     EXPECT_DOUBLE_EQ(percentile(v, 87.5), 2.5);  // rank 3.5
     // An all-equal sample is one big plateau.
     EXPECT_DOUBLE_EQ(percentile({4.0, 4.0, 4.0}, 33.3), 4.0);
+}
+
+TEST(PercentileTest, SloPercentilesShareOneSortBitForBit)
+{
+    // latencyPercentiles() sorts once and reads every p from that copy;
+    // each value must be the bits percentile() returns on its own.
+    dhl::Rng rng(5);
+    for (std::size_t n : {1u, 2u, 7u, 1000u, 4099u}) {
+        SloAccumulator acc;
+        std::vector<double> samples;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Ties and spread: a coarse grid plus a lognormal tail.
+            const double x = i % 3 == 0
+                                 ? static_cast<double>(rng.uniformInt(0, 9))
+                                 : rng.lognormal(0.0, 2.0);
+            acc.complete(x, 1.0);
+            samples.push_back(x);
+        }
+        const std::vector<double> got =
+            acc.latencyPercentiles({0.0, 50.0, 99.0, 99.9, 100.0});
+        const double ps[] = {0.0, 50.0, 99.0, 99.9, 100.0};
+        ASSERT_EQ(got.size(), 5u);
+        for (std::size_t k = 0; k < 5; ++k) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                      std::bit_cast<std::uint64_t>(percentile(samples, ps[k])))
+                << "n=" << n << " p=" << ps[k];
+        }
+        EXPECT_EQ(acc.latencies(), samples); // the samples stay unsorted
+    }
+    // Nothing completed: every percentile reads 0.
+    EXPECT_EQ(SloAccumulator().latencyPercentiles({50.0, 99.0}),
+              (std::vector<double>{0.0, 0.0}));
+    EXPECT_THROW(sortedPercentile({}, 50.0), dhl::FatalError);
+    EXPECT_THROW(sortedPercentile({1.0}, 100.5), dhl::FatalError);
 }
 
 TEST(QuantileSketchTest, ExactWhileSmallThenSwitchesToBins)
