@@ -2,8 +2,8 @@
  * @file
  * Implementation of the max-min fair fluid flow simulator.
  *
- * Four exact facts let the kernel work on path groups while staying
- * bit-identical to the per-flow, id-ordered original:
+ * Five exact facts let the kernel work on path groups, on SIMD lanes,
+ * while staying bit-identical to the per-flow, id-ordered original:
  *
  *  (a) Flows with the same link list share a rate.  They cross the same
  *      links, so water-filling freezes them in the same round at the
@@ -30,6 +30,11 @@
  *      smallest, so a completion event divides once per group (that
  *      smallest by the rate) and finds the bound only for groups where
  *      the division says it matters.
+ *  (e) Both per-flow passes run on SIMD lanes (network/flow_lanes.hpp)
+ *      with the scalar arithmetic in each lane.  A lane compare only
+ *      flags a block, whose flows the scalar test then judges in member
+ *      order, and the survivors' minimum is order-free because every
+ *      survivor is positive and finite.
  */
 
 #include "network/flowsim.hpp"
@@ -40,9 +45,11 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.hpp"
+#include "network/flow_lanes.hpp"
 
 namespace dhl {
 namespace network {
@@ -74,7 +81,99 @@ nextDouble(double x, std::int64_t dir)
     return x;
 }
 
+/** Alignment of a group's member arrays: one cache line, so no vector
+ *  load of up to 64 bytes straddles two.  Each block over-allocates
+ *  and aligns itself: an aligned operator new costs a fresh FlowSim
+ *  more than its small groups' passes do. */
+constexpr std::size_t kBlockAlign = 64;
+
+/**
+ * The lane kernel at the widest vectors the CPU has: one template body
+ * (network/flow_lanes.hpp), compiled once per ISA.  The pick is a cpuid
+ * branch rather than target_clones, whose ifunc resolver crashes
+ * ThreadSanitizer-instrumented programs at load time.
+ */
+#if defined(__x86_64__)
+[[gnu::target("avx512f")]] void
+drainAvx512(double *rem, std::size_t n, double d)
+{
+    detail::drainLanes<detail::LaneIsa::Avx512>(rem, n, d);
+}
+
+[[gnu::target("avx512f")]] double
+sweepAvx512(double *rem, const double *floor, std::size_t n, double d,
+            double below, std::uint32_t *&done)
+{
+    return detail::sweepLanes<detail::LaneIsa::Avx512>(rem, floor, n, d,
+                                                       below, done);
+}
+
+[[gnu::target("avx2")]] void
+drainAvx2(double *rem, std::size_t n, double d)
+{
+    detail::drainLanes<detail::LaneIsa::Avx2>(rem, n, d);
+}
+
+[[gnu::target("avx2")]] double
+sweepAvx2(double *rem, const double *floor, std::size_t n, double d,
+          double below, std::uint32_t *&done)
+{
+    return detail::sweepLanes<detail::LaneIsa::Avx2>(rem, floor, n, d,
+                                                     below, done);
+}
+#endif
+
+void
+drainPortable(double *rem, std::size_t n, double d)
+{
+    detail::drainLanes<detail::LaneIsa::Portable>(rem, n, d);
+}
+
+double
+sweepPortable(double *rem, const double *floor, std::size_t n, double d,
+              double below, std::uint32_t *&done)
+{
+    return detail::sweepLanes<detail::LaneIsa::Portable>(rem, floor, n, d,
+                                                         below, done);
+}
+
+/** The instance FlowSim runs. */
+const detail::FlowLanes &
+flowLanes()
+{
+    static const detail::FlowLanes &lanes =
+        detail::supportedFlowLanes().front();
+    return lanes;
+}
+
 } // namespace
+
+namespace detail {
+
+const std::vector<FlowLanes> &
+supportedFlowLanes()
+{
+    static const std::vector<FlowLanes> lanes = [] {
+        std::vector<FlowLanes> v;
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx512f")) {
+            v.push_back({LaneIsa::Avx512, kLaneWidth<LaneIsa::Avx512>,
+                         drainAvx512, sweepAvx512});
+        }
+        if (__builtin_cpu_supports("avx2")) {
+            v.push_back({LaneIsa::Avx2, kLaneWidth<LaneIsa::Avx2>,
+                         drainAvx2, sweepAvx2});
+        }
+#endif
+        v.push_back({LaneIsa::Portable, kLaneWidth<LaneIsa::Portable>,
+                     drainPortable, sweepPortable});
+        return v;
+    }();
+    return lanes;
+}
+
+} // namespace detail
 
 double
 drainFloor(double size)
@@ -99,6 +198,31 @@ quotientBound(double rate, double limit)
         } while (t / rate > limit);
     }
     return t;
+}
+
+void
+FlowSim::Group::reserve(std::uint32_t slots)
+{
+    if (slots <= capacity)
+        return;
+    // Whole 8-member blocks keep every array on a 64-byte boundary.
+    const std::uint32_t cap = std::max(2 * capacity, (slots + 7) / 8 * 8);
+    const std::size_t bytes =
+        std::size_t{cap} * (2 * sizeof(double) + sizeof(std::uint32_t));
+    std::size_t space = bytes + kBlockAlign - 1;
+    std::unique_ptr<std::byte[]> grown(new std::byte[space]);
+    void *first = grown.get();
+    double *arrays =
+        static_cast<double *>(std::align(kBlockAlign, bytes, first, space));
+    if (size > 0) {
+        std::memcpy(arrays, remaining(), size * sizeof(double));
+        std::memcpy(arrays + cap, floor(), size * sizeof(double));
+        std::memcpy(arrays + 2 * std::size_t{cap}, meta(),
+                    size * sizeof(std::uint32_t));
+    }
+    block = std::move(grown);
+    hot = arrays;
+    capacity = cap;
 }
 
 FlowSim::FlowSim(sim::Simulator &sim, std::string name)
@@ -160,7 +284,7 @@ FlowSim::internGroup(std::vector<int> &links)
     grp.min_remaining = kInf;
     // Room for a few flows up front, so a new group does not regrow on
     // each of its first starts (a recycled slot keeps its capacity).
-    grp.members.reserve(8);
+    grp.reserve(8);
     for (int l : grp.links)
         links_[static_cast<std::size_t>(l)].groups.push_back(g);
     return g;
@@ -195,10 +319,14 @@ FlowSim::startFlow(std::vector<int> links, double bytes, double route_power,
     const std::uint32_t g = internGroup(links);
     Group &grp = groups_[g];
     const FlowId id = next_id_++;
+    const std::uint32_t k = grp.size;
     meta_.push_back(FlowMeta{id, route_power, now(), bytes, std::move(cb), g,
-                             static_cast<std::uint32_t>(grp.count())});
-    grp.members.push_back(Member{bytes, drainFloor(bytes),
-                                 static_cast<std::uint32_t>(meta_.size() - 1)});
+                             k});
+    grp.reserve(k + 1);
+    grp.remaining()[k] = bytes;
+    grp.floor()[k] = drainFloor(bytes);
+    grp.meta()[k] = static_cast<std::uint32_t>(meta_.size() - 1);
+    grp.size = k + 1;
     grp.min_remaining = std::min(grp.min_remaining, bytes);
 
     active_power_ += route_power;
@@ -223,20 +351,22 @@ void
 FlowSim::removeMember(std::uint32_t g, std::uint32_t index)
 {
     Group &grp = groups_[g];
-    const std::uint32_t slot = grp.members[index].meta;
-    if (index + 1 != grp.members.size()) {
-        grp.members[index] = grp.members.back();
-        meta_[grp.members[index].meta].index = index;
+    const std::uint32_t slot = grp.meta()[index];
+    const std::uint32_t last = --grp.size;
+    if (index != last) {
+        grp.remaining()[index] = grp.remaining()[last];
+        grp.floor()[index] = grp.floor()[last];
+        grp.meta()[index] = grp.meta()[last];
+        meta_[grp.meta()[index]].index = index;
     }
-    grp.members.pop_back();
 
     if (slot + 1 != meta_.size()) {
         FlowMeta &m = meta_[slot];
         m = std::move(meta_.back());
-        groups_[m.group].members[m.index].meta = slot;
+        groups_[m.group].meta()[m.index] = slot;
     }
     meta_.pop_back();
-    if (grp.members.empty())
+    if (grp.size == 0)
         retireGroup(g);
 }
 
@@ -277,12 +407,17 @@ FlowSim::drainFlows()
     last_update_ = now();
     if (dt <= 0.0)
         return;
+    const detail::FlowLanes &lanes = flowLanes();
     for (Group &grp : groups_) {
-        if (grp.members.empty())
+        if (grp.size == 0)
             continue;
         const double d = grp.rate * dt;
-        for (Member &f : grp.members)
-            f.remaining = std::max(0.0, f.remaining - d);
+        // A group smaller than one lane block skips the call, as in
+        // onCompletionEvent().
+        if (grp.size < lanes.width)
+            detail::drainScalar(grp.remaining(), 0, grp.size, d);
+        else
+            lanes.drain(grp.remaining(), grp.size, d);
         // Fact (c): the drain is monotone, so it maps the group's
         // minimum to the minimum of the drained members.
         grp.min_remaining = std::max(0.0, grp.min_remaining - d);
@@ -313,7 +448,7 @@ FlowSim::reallocate()
     }
     std::size_t unfrozen_groups = 0;
     for (Group &grp : groups_) {
-        if (grp.members.empty())
+        if (grp.size == 0)
             continue;
         grp.rate = -1.0; // unfrozen marker
         ++unfrozen_groups;
@@ -374,7 +509,7 @@ FlowSim::reallocate()
     // Schedule the next completion (fact (b)).
     double next = kInf;
     for (const Group &grp : groups_) {
-        if (grp.members.empty())
+        if (grp.size == 0)
             continue;
         panic_if(grp.rate <= 0.0, "flow allocated a non-positive rate");
         next = std::min(next, grp.min_remaining / grp.rate);
@@ -393,26 +528,28 @@ FlowSim::onCompletionEvent()
     done_.clear();
     // Drain group g's members by d bytes, collect those left with at
     // most max(floor, below) bytes, and take the minimum of the rest.
-    const auto sweep = [this](std::uint32_t g, double d, double below) {
+    const detail::FlowLanes &lanes = flowLanes();
+    const auto sweep = [this, &lanes](std::uint32_t g, double d,
+                                      double below) {
         Group &grp = groups_[g];
-        double lo = kInf;
-        const std::size_t n = grp.members.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            Member &f = grp.members[k];
-            const double rem = std::max(0.0, f.remaining - d);
-            f.remaining = rem;
-            if (rem <= std::max(f.floor, below)) {
-                done_.push_back(
-                    Done{meta_[f.meta].id, g, static_cast<std::uint32_t>(k)});
-            } else {
-                lo = std::min(lo, rem);
-            }
-        }
-        grp.min_remaining = lo;
+        if (done_index_.size() < grp.size)
+            done_index_.resize(grp.size);
+        std::uint32_t *end = done_index_.data();
+        // A group smaller than one lane block skips the call, which
+        // costs two or three flows more than their loop.
+        grp.min_remaining =
+            grp.size < lanes.width
+                ? detail::sweepScalar(grp.remaining(), grp.floor(), 0,
+                                      grp.size, d, below, end, kInf)
+                : lanes.sweep(grp.remaining(), grp.floor(), grp.size, d,
+                              below, end);
+        const std::uint32_t *meta = grp.meta();
+        for (const std::uint32_t *k = done_index_.data(); k != end; ++k)
+            done_.push_back(Done{meta_[meta[*k]].id, g, *k});
     };
     for (std::uint32_t g = 0; g < groups_.size(); ++g) {
         const Group &grp = groups_[g];
-        if (grp.members.empty())
+        if (grp.size == 0)
             continue;
         const double d = grp.rate * dt;
         // Fact (d): the rate clause takes a member only if it takes the
@@ -433,7 +570,7 @@ FlowSim::onCompletionEvent()
         // bound and the sweep takes exactly rem / rate <= limit.
         double min_tt = kInf;
         for (const Group &grp : groups_) {
-            if (!grp.members.empty())
+            if (grp.size != 0)
                 min_tt = std::min(min_tt, grp.min_remaining / grp.rate);
         }
         panic_if(!std::isfinite(min_tt) || min_tt > 1e-6,
@@ -441,7 +578,7 @@ FlowSim::onCompletionEvent()
         const double limit = min_tt * (1.0 + 1e-9);
         for (std::uint32_t g = 0; g < groups_.size(); ++g) {
             const Group &grp = groups_[g];
-            if (!grp.members.empty())
+            if (grp.size != 0)
                 sweep(g, 0.0, quotientBound(grp.rate, limit));
         }
     }
@@ -451,7 +588,7 @@ FlowSim::onCompletionEvent()
     std::sort(done_.begin(), done_.end(),
               [](const Done &a, const Done &b) { return a.id < b.id; });
     for (const Done &dn : done_) {
-        FlowMeta &m = meta_[groups_[dn.group].members[dn.index].meta];
+        FlowMeta &m = meta_[groups_[dn.group].meta()[dn.index]];
         active_power_ -= m.route_power;
         active_power_tstart_ -= m.route_power * m.start_time;
         FlowRecord rec{};

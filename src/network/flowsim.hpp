@@ -15,12 +15,13 @@
  * receive the same max-min rate, so rates live on an interned path
  * group, and water-filling runs over groups instead of flows.  Each
  * group also owns its members' hot state (remaining bytes, drain floor,
- * cold-state slot) in one contiguous array, so the drain and completion
- * passes walk one group at a time with its rate hoisted, and the
- * completion test is one comparison per flow against a threshold
- * instead of a division.  Groups are retired when their last flow
- * leaves, so the cost tracks the active paths, not every path ever
- * seen.
+ * cold-state slot) as parallel arrays in one allocation, so the drain
+ * and completion passes walk one group at a time with its rate hoisted,
+ * and the completion test is one comparison per flow against a
+ * threshold instead of a division.  Both passes run on SIMD lanes
+ * (network/flow_lanes.hpp): AVX-512, AVX2 or a portable build, picked
+ * at run time.  Groups are retired when their last flow leaves, so the
+ * cost tracks the active paths, not every path ever seen.
  *
  * Determinism: every rate, finish time and energy is bit-identical to
  * the original per-flow, id-ordered kernel (tests/flowsim_reference.hpp
@@ -28,15 +29,18 @@
  * floating-point order depends on flow ids — completion callbacks and
  * the power-aggregate subtractions — run over the completed set sorted
  * by id; everything else is elementwise, a min, or a sequence of
- * identical updates whose order cannot matter.
+ * identical updates whose order cannot matter.  Every lane instance
+ * computes what the scalar loop computes, bit for bit.
  */
 
 #ifndef DHL_NETWORK_FLOWSIM_HPP
 #define DHL_NETWORK_FLOWSIM_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -137,16 +141,12 @@ class FlowSim : public sim::SimObject
     double linkUtilisation(int link) const;
 
   private:
-    /** Hot state of one in-flight flow, held by its group. */
-    struct Member
-    {
-        double remaining;   ///< Bytes left.
-        double floor;       ///< drainFloor(size).
-        std::uint32_t meta; ///< Slot of the flow's cold state in meta_.
-    };
-
     /**
-     * Flows sharing one link list, hence one max-min rate.  Members are
+     * Flows sharing one link list, hence one max-min rate.  The
+     * members' hot state is three parallel arrays (remaining bytes,
+     * drain floor, cold-state slot) carved from one block that starts
+     * on a 64-byte boundary, so the lane kernel streams contiguous
+     * doubles and a new group pays one allocation.  Members are
      * swap-removed (member order is not id order); a group with no
      * members is a free slot.
      */
@@ -155,9 +155,25 @@ class FlowSim : public sim::SimObject
         std::vector<int> links; ///< The shared path, hop order.
         double rate;            ///< Rate of every member flow, bytes/s.
         double min_remaining;   ///< Smallest remaining bytes of a member.
-        std::vector<Member> members;
+        std::uint32_t size = 0;     ///< Member flows.
+        std::uint32_t capacity = 0; ///< Slots in each member array.
+        std::unique_ptr<std::byte[]> block; ///< Owns the arrays.
+        double *hot = nullptr; ///< The arrays: block's first boundary.
 
-        int count() const { return static_cast<int>(members.size()); }
+        int count() const { return static_cast<int>(size); }
+
+        /** Bytes left, per member. */
+        double *remaining() { return hot; }
+        /** drainFloor(size), per member. */
+        double *floor() { return hot + capacity; }
+        /** Slot of the member's cold state in meta_. */
+        std::uint32_t *meta()
+        {
+            return reinterpret_cast<std::uint32_t *>(hot + 2 * capacity);
+        }
+
+        /** Room for at least @p slots members. */
+        void reserve(std::uint32_t slots);
     };
 
     struct Link
@@ -236,7 +252,9 @@ class FlowSim : public sim::SimObject
     std::vector<std::uint32_t> free_groups_; ///< Free group slots.
     std::map<std::vector<int>, std::uint32_t> group_index_; ///< Live.
     // Completion scratch, kept across events so its capacity is reused:
-    // drained flows, then their records.
+    // one group's drained member indices, the drained flows, then their
+    // records.
+    std::vector<std::uint32_t> done_index_;
     std::vector<Done> done_;
     std::vector<std::pair<FlowRecord, Callback>> finished_;
 

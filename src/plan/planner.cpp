@@ -117,8 +117,9 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioBatch &stream,
     std::vector<double> resampled(cfg.bootstrap);
     for (std::size_t b = 0; b < cfg.bootstrap; ++b)
         resampled[b] = static_cast<double>(hits[b]) / n;
-    r.attainment_lo = stats::percentile(resampled, 2.5);
-    r.attainment_hi = stats::percentile(resampled, 97.5);
+    std::sort(resampled.begin(), resampled.end());
+    r.attainment_lo = stats::sortedPercentile(resampled, 2.5);
+    r.attainment_hi = stats::sortedPercentile(resampled, 97.5);
     return r;
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -431,6 +432,147 @@ TEST(FlowSimDifferential, LateClockBitIdenticalToReferenceKernel)
         forced += counts.forced;
     }
     // The forced-completion sweep actually runs.
+    EXPECT_GT(forced, 0u);
+}
+
+namespace {
+
+/**
+ * Drive @p Kernel through a crowded-path workload at @p scale: a burst
+ * of 40 to 99 flows on one path, then scripted arrivals that mostly
+ * join it, with the observables of differentialRun().  A group that
+ * large runs whole lane blocks of the SIMD drain and sweep, where
+ * differentialRun()'s small groups mostly take the scalar tail.
+ * Equal sizes started together complete together, so one block holds
+ * several done flows.  For FlowSim, @p crowd receives the most flows
+ * seen in flight while all of them shared one path.
+ */
+template <typename Kernel>
+std::string
+crowdedRun(std::uint64_t seed, const Scale &scale,
+           std::size_t *crowd = nullptr,
+           reference::FlowSim::Counts *counts = nullptr)
+{
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+
+    Simulator sim;
+    Kernel fs(sim);
+    const int n_links = 1 + static_cast<int>(pick(3));
+    for (int l = 0; l < n_links; ++l)
+        fs.addLink(scale.capacities[pick(4)]);
+
+    // paths[0] is the crowded one; the others overlap it or each other.
+    std::vector<std::vector<int>> paths(1 + pick(3));
+    for (auto &path : paths) {
+        const std::size_t hops = 1 + pick(2);
+        for (std::size_t h = 0; h < hops; ++h)
+            path.push_back(static_cast<int>(pick(n_links)));
+    }
+    const double *sizes = scale.sizes;
+    const double powers[] = {0.0, 24.0, 7.5};
+
+    std::ostringstream out;
+    out << std::hexfloat;
+    std::size_t most = 0;
+
+    std::function<void(const FlowRecord &)> on_done;
+    const auto start = [&](std::size_t path, double bytes, double power) {
+        const FlowId id = fs.startFlow(paths[path], bytes, power, on_done);
+        out << "s" << id << " " << fs.flowRate(id) << "\n";
+        if constexpr (std::is_same_v<Kernel, FlowSim>) {
+            if (fs.pathGroups() == 1)
+                most = std::max(most, fs.activeFlows());
+        }
+    };
+    on_done = [&](const FlowRecord &r) {
+        out << "d" << r.id << " " << r.start_time << " " << r.finish_time
+            << " " << r.energy << " " << r.bytes << "\n";
+        if (r.id % 5 == 0) {
+            const int l = static_cast<int>(r.id % n_links);
+            out << "cu" << l << " " << fs.linkUtilisation(l) << "\n";
+        }
+        if (r.id % 3 == 0 && r.id < 600)
+            start(0, sizes[r.id % 6], powers[r.id % 3]);
+    };
+
+    // The burst: every flow on paths[0], a few instants apart.
+    const std::size_t burst = 40 + pick(60);
+    for (std::size_t i = 0; i < burst; ++i) {
+        const double t = 0.25 * static_cast<double>(pick(4));
+        const double bytes = sizes[pick(6)];
+        const double power = powers[pick(3)];
+        sim.scheduleAt(scale.epoch + t,
+                       [&, bytes, power] { start(0, bytes, power); });
+    }
+    const std::size_t actions = 20 + pick(60);
+    for (std::size_t a = 0; a < actions; ++a) {
+        const double t = 1.0 + 0.25 * static_cast<double>(pick(160));
+        const std::size_t kind = pick(10);
+        if (kind < 8) {
+            const std::size_t path = kind < 6 ? 0 : pick(paths.size());
+            const double bytes = sizes[pick(6)];
+            const double power = powers[pick(3)];
+            const std::size_t copies = 1 + pick(4);
+            sim.scheduleAt(scale.epoch + t, [&, path, bytes, power, copies] {
+                for (std::size_t c = 0; c < copies; ++c)
+                    start(path, bytes, power);
+            });
+        } else {
+            const int l = static_cast<int>(pick(n_links));
+            sim.scheduleAt(scale.epoch + t, [&, l] {
+                out << "u" << l << " " << fs.linkUtilisation(l) << " "
+                    << fs.activeFlows() << " " << fs.totalEnergy()
+                    << "\n";
+            });
+        }
+    }
+    sim.run();
+
+    out << "end " << fs.bytesDelivered() << " " << fs.totalEnergy() << " "
+        << sim.now() << " " << fs.activeFlows() << "\n";
+    if constexpr (std::is_same_v<Kernel, FlowSim>) {
+        if (crowd != nullptr)
+            *crowd = most;
+    } else {
+        if (counts != nullptr)
+            *counts = fs.counts();
+    }
+    return out.str();
+}
+
+} // namespace
+
+TEST(FlowSimDifferential, CrowdedPathBitIdenticalToReferenceKernel)
+{
+    // Byte, gigabyte and late-clock seeds: the size floor, the rate
+    // bound and the forced sweep each decide completions in full lane
+    // blocks.
+    const struct
+    {
+        const Scale *scale;
+        std::uint64_t first;
+    } runs[] = {{&kByteScale, 3001},
+                {&kGigabyteScale, 3101},
+                {&kLateClockScale, 3201}};
+    std::size_t size_floor = 0, forced = 0;
+    for (const auto &run : runs) {
+        for (std::uint64_t seed = run.first; seed < run.first + 40; ++seed) {
+            std::size_t crowd = 0;
+            reference::FlowSim::Counts counts;
+            const std::string want = crowdedRun<reference::FlowSim>(
+                seed, *run.scale, nullptr, &counts);
+            const std::string got =
+                crowdedRun<FlowSim>(seed, *run.scale, &crowd);
+            ASSERT_EQ(want, got) << "seed " << seed;
+            EXPECT_GE(crowd, 40u) << "seed " << seed;
+            size_floor += counts.size_floor;
+            forced += counts.forced;
+        }
+    }
+    EXPECT_GT(size_floor, 0u);
     EXPECT_GT(forced, 0u);
 }
 
