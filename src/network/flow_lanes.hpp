@@ -5,19 +5,20 @@
  * Internal to network/flowsim.cpp.  It is a header only so that tests
  * can run every compiled instance against a scalar loop.
  *
- * One template body on GCC vector types is compiled once per ISA:
- * AVX-512 (8 lanes), AVX2 (4 lanes) and a portable build (2 lanes),
- * each inlined into a function of its own `target`.  The one step that
- * differs per ISA, testing a lane compare for any set lane, is an
- * `if constexpr` on the ISA inside that body.  It is spelt with GCC
- * builtins rather than <immintrin.h> intrinsics: a builtin is expanded
- * in the function it is finally inlined into, while an intrinsic is an
- * always_inline function that cannot be inlined into a template
- * without the matching target attribute.
+ * One template body on GCC vector types is compiled once per x86-64
+ * ISA, AVX-512 (8 lanes) and AVX2 (4 lanes), each inlined into a
+ * function of its own `target`.  The one step that differs per ISA,
+ * testing a lane compare for any set lane, is an `if constexpr` on the
+ * ISA inside that body.  It is spelt with GCC builtins rather than
+ * <immintrin.h> intrinsics: a builtin is expanded in the function it is
+ * finally inlined into, while an intrinsic is an always_inline function
+ * that cannot be inlined into a template without the matching target
+ * attribute.  A host without AVX2 runs the scalar loops below: at the
+ * x86-64 base ISA GCC lowers each four-lane select element by element,
+ * and that build ran about 2.5x slower than they do.
  *
  * FlowSim runs a group smaller than one block through the scalar loops
- * below directly: the call costs two or three flows more than their
- * loop.
+ * directly: the call costs two or three flows more than their loop.
  *
  * Every instance returns what the scalar loop returns, bit for bit:
  *  - Each lane does the scalar arithmetic: rem - d, then std::max's
@@ -51,34 +52,10 @@ namespace detail {
 /** The instruction sets a lane instance is compiled for. */
 enum class LaneIsa
 {
-    Portable, ///< 2 lanes: one SSE2 or NEON register.
-    Avx2,     ///< 4 lanes: one ymm register.
-    Avx512,   ///< 8 lanes: one zmm register.
+    Scalar, ///< 1 lane: the scalar loops, on a host without AVX2.
+    Avx2,   ///< 4 lanes: one ymm register.
+    Avx512, ///< 8 lanes: one zmm register.
 };
-
-/** Two doubles: one SSE2 or NEON register. */
-using F64x2 = double __attribute__((vector_size(16)));
-
-/** Four doubles: one AVX2 register. */
-using F64x4 = double __attribute__((vector_size(32)));
-
-/** Eight doubles: one AVX-512 register. */
-using F64x8 = double __attribute__((vector_size(64)));
-
-/**
- * The lanes of @p I.  The portable build takes two, not four: at the
- * x86-64 base ISA GCC lowers each select on four-lane doubles element
- * by element, which runs slower than the scalar loop.
- */
-template <LaneIsa I>
-using LaneVec = std::conditional_t<
-    I == LaneIsa::Avx512, F64x8,
-    std::conditional_t<I == LaneIsa::Avx2, F64x4, F64x2>>;
-
-/** Lanes per block of @p I. */
-template <LaneIsa I>
-inline constexpr std::size_t kLaneWidth =
-    sizeof(LaneVec<I>) / sizeof(double);
 
 /** rem[k] = max(0, rem[k] - d) for k in [@p k, @p n), one at a time:
  *  the scalar loop, which every lane instance runs on its tail. */
@@ -87,33 +64,6 @@ drainScalar(double *rem, std::size_t k, std::size_t n, double d)
 {
     for (; k < n; ++k)
         rem[k] = std::max(0.0, rem[k] - d);
-}
-
-/**
- * rem[k] = max(0, rem[k] - d) for k < @p n, on the lanes of @p I, with
- * a scalar tail: no access past rem[n - 1].
- */
-template <LaneIsa I>
-[[gnu::always_inline]] inline void
-drainLanes(double *rem, std::size_t n, double d)
-{
-    using Vec = LaneVec<I>;
-    constexpr std::size_t W = kLaneWidth<I>;
-    std::size_t k = 0;
-    // A group smaller than one block touches no vector register, so a
-    // run of small groups never wakes the wide units.
-    if (n >= W) {
-        const Vec zero{};
-        const Vec dv = zero + d;
-        for (; k + W <= n; k += W) {
-            Vec r{};
-            std::memcpy(&r, rem + k, sizeof r);
-            r -= dv;
-            r = zero < r ? r : zero;
-            std::memcpy(rem + k, &r, sizeof r);
-        }
-    }
-    drainScalar(rem, k, n, d);
 }
 
 /**
@@ -134,6 +84,45 @@ sweepScalar(double *rem, const double *floor, std::size_t k, std::size_t n,
             lo = std::min(lo, r);
     }
     return lo;
+}
+
+#if defined(__x86_64__)
+/** Four doubles: one AVX2 register. */
+using F64x4 = double __attribute__((vector_size(32)));
+
+/** Eight doubles: one AVX-512 register. */
+using F64x8 = double __attribute__((vector_size(64)));
+
+/** The lanes of @p I, one of the vector ISAs. */
+template <LaneIsa I>
+using LaneVec = std::conditional_t<I == LaneIsa::Avx512, F64x8, F64x4>;
+
+/** Lanes per block of @p I. */
+template <LaneIsa I>
+inline constexpr std::size_t kLaneWidth =
+    sizeof(LaneVec<I>) / sizeof(double);
+
+/**
+ * rem[k] = max(0, rem[k] - d) for k < @p n, on the lanes of @p I, with
+ * a scalar tail: no access past rem[n - 1].
+ */
+template <LaneIsa I>
+[[gnu::always_inline]] inline void
+drainLanes(double *rem, std::size_t n, double d)
+{
+    using Vec = LaneVec<I>;
+    constexpr std::size_t W = kLaneWidth<I>;
+    const Vec zero{};
+    const Vec dv = zero + d;
+    std::size_t k = 0;
+    for (; k + W <= n; k += W) {
+        Vec r{};
+        std::memcpy(&r, rem + k, sizeof r);
+        r -= dv;
+        r = zero < r ? r : zero;
+        std::memcpy(rem + k, &r, sizeof r);
+    }
+    drainScalar(rem, k, n, d);
 }
 
 /**
@@ -158,56 +147,48 @@ sweepLanes(double *rem, const double *floor, std::size_t n, double d,
     constexpr std::size_t W = kLaneWidth<I>;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::uint32_t *out = done;
+    const Vec zero{};
+    const Vec dv = zero + d;
+    const Vec bv = zero + below;
+    Vec lo_lanes = zero + kInf;
     double lo = kInf;
     std::size_t k = 0;
-    if (n >= W) {
-        const Vec zero{};
-        const Vec dv = zero + d;
-        const Vec bv = zero + below;
-        Vec lo_lanes = zero + kInf;
-        for (; k + W <= n; k += W) {
-            Vec r{}, f{};
-            std::memcpy(&r, rem + k, sizeof r);
-            std::memcpy(&f, floor + k, sizeof f);
-            r -= dv;
-            r = zero < r ? r : zero;
-            std::memcpy(rem + k, &r, sizeof r);
-            const Vec threshold = f < bv ? bv : f;
+    for (; k + W <= n; k += W) {
+        Vec r{}, f{};
+        std::memcpy(&r, rem + k, sizeof r);
+        std::memcpy(&f, floor + k, sizeof f);
+        r -= dv;
+        r = zero < r ? r : zero;
+        std::memcpy(rem + k, &r, sizeof r);
+        const Vec threshold = f < bv ? bv : f;
 
-            bool any = false;
-#if defined(__x86_64__)
-            if constexpr (I == LaneIsa::Avx512) {
-                // _CMP_LE_OS under the current rounding mode.
-                any = __builtin_ia32_cmppd512_mask(r, threshold, 2, 0xff,
-                                                   4) != 0;
-            } else if constexpr (I == LaneIsa::Avx2) {
-                any = __builtin_ia32_movmskpd256(
-                          reinterpret_cast<F64x4>(r <= threshold)) != 0;
-            } else
-#endif
-            {
-                const auto le = r <= threshold;
-                for (std::size_t j = 0; j < W; ++j)
-                    any |= le[j] != 0;
-            }
-
-            if (!any) {
-                lo_lanes = r < lo_lanes ? r : lo_lanes;
-                continue;
-            }
-            // Judge the drained block by the scalar test (d = 0 leaves
-            // it as it is); r stays in a register.
-            lo = sweepScalar(rem, floor, k, k + W, 0.0, below, out, lo);
+        bool any;
+        if constexpr (I == LaneIsa::Avx512) {
+            // _CMP_LE_OS under the current rounding mode.
+            any = __builtin_ia32_cmppd512_mask(r, threshold, 2, 0xff, 4) != 0;
+        } else {
+            any = __builtin_ia32_movmskpd256(
+                      reinterpret_cast<F64x4>(r <= threshold)) != 0;
         }
-        double lanes[W];
-        std::memcpy(lanes, &lo_lanes, sizeof lanes);
-        for (const double x : lanes)
-            lo = std::min(lo, x);
+
+        if (!any) {
+            lo_lanes = r < lo_lanes ? r : lo_lanes;
+            continue;
+        }
+        // Judge the drained block by the scalar test (d = 0 leaves it as
+        // it is); r stays in a register.
+        lo = sweepScalar(rem, floor, k, k + W, 0.0, below, out, lo);
     }
+    double lanes[W];
+    std::memcpy(lanes, &lo_lanes, sizeof lanes);
+    for (const double x : lanes)
+        lo = std::min(lo, x);
     lo = sweepScalar(rem, floor, k, n, d, below, out, lo);
     done = out;
     return lo;
 }
+
+#endif // __x86_64__
 
 /** One compiled lane instance. */
 struct FlowLanes

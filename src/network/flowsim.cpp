@@ -123,18 +123,18 @@ sweepAvx2(double *rem, const double *floor, std::size_t n, double d,
 }
 #endif
 
+/** The scalar loops as a one-lane instance, for a host without AVX2. */
 void
-drainPortable(double *rem, std::size_t n, double d)
+drainScalarAll(double *rem, std::size_t n, double d)
 {
-    detail::drainLanes<detail::LaneIsa::Portable>(rem, n, d);
+    detail::drainScalar(rem, 0, n, d);
 }
 
 double
-sweepPortable(double *rem, const double *floor, std::size_t n, double d,
-              double below, std::uint32_t *&done)
+sweepScalarAll(double *rem, const double *floor, std::size_t n, double d,
+               double below, std::uint32_t *&done)
 {
-    return detail::sweepLanes<detail::LaneIsa::Portable>(rem, floor, n, d,
-                                                         below, done);
+    return detail::sweepScalar(rem, floor, 0, n, d, below, done, kInf);
 }
 
 /** The instance FlowSim runs. */
@@ -166,8 +166,7 @@ supportedFlowLanes()
                          drainAvx2, sweepAvx2});
         }
 #endif
-        v.push_back({LaneIsa::Portable, kLaneWidth<LaneIsa::Portable>,
-                     drainPortable, sweepPortable});
+        v.push_back({LaneIsa::Scalar, 1, drainScalarAll, sweepScalarAll});
         return v;
     }();
     return lanes;

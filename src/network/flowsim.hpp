@@ -19,9 +19,10 @@
  * and completion passes walk one group at a time with its rate hoisted,
  * and the completion test is one comparison per flow against a
  * threshold instead of a division.  Both passes run on SIMD lanes
- * (network/flow_lanes.hpp): AVX-512, AVX2 or a portable build, picked
- * at run time.  Groups are retired when their last flow leaves, so the
- * cost tracks the active paths, not every path ever seen.
+ * (network/flow_lanes.hpp), AVX-512 or AVX2 picked at run time, or as
+ * the scalar loops on a host without AVX2.  Groups are retired when
+ * their last flow leaves, so the cost tracks the active paths, not
+ * every path ever seen.
  *
  * Determinism: every rate, finish time and energy is bit-identical to
  * the original per-flow, id-ordered kernel (tests/flowsim_reference.hpp

@@ -38,8 +38,8 @@ isaName(LaneIsa isa)
         return "avx512";
     case LaneIsa::Avx2:
         return "avx2";
-    case LaneIsa::Portable:
-        return "portable";
+    case LaneIsa::Scalar:
+        return "scalar";
     }
     return "?";
 }
@@ -179,13 +179,13 @@ TEST(FlowLanes, SupportedInstancesWidestFirst)
 {
     const auto &lanes = supportedFlowLanes();
     ASSERT_FALSE(lanes.empty());
-    EXPECT_EQ(lanes.back().isa, LaneIsa::Portable);
+    EXPECT_EQ(lanes.back().isa, LaneIsa::Scalar);
     for (std::size_t i = 1; i < lanes.size(); ++i)
         EXPECT_GT(lanes[i - 1].width, lanes[i].width);
     for (const FlowLanes &l : lanes)
         EXPECT_EQ(l.width, l.isa == LaneIsa::Avx512 ? 8u
                            : l.isa == LaneIsa::Avx2 ? 4u
-                                                    : 2u);
+                                                    : 1u);
 }
 
 TEST(FlowLanes, EveryInstanceMatchesScalarAtEveryGroupSize)
