@@ -5,7 +5,7 @@
  * flow-sim reallocation cost (a synthetic churn and a serving-shaped
  * shared uplink), the closed-form model evaluation rate (how fast the
  * design space can be swept), a whole capacity plan and its bootstrap
- * counts.
+ * counts, and a serving fleet's checkpoint save and restore.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "plan/batch_eval.hpp"
 #include "plan/planner.hpp"
 #include "plan/scenario.hpp"
+#include "serve/serving.hpp"
 #include "sim/simulator.hpp"
 
 using namespace dhl;
@@ -413,5 +416,124 @@ BM_DesBulkTransfer(benchmark::State &state)
                             static_cast<std::int64_t>(carts));
 }
 BENCHMARK(BM_DesBulkTransfer)->Arg(4)->Arg(16)->Arg(64);
+
+//===========================================================================
+// Snapshot layer
+//===========================================================================
+
+/**
+ * A 16-track fleet with faults, shared plants and a maintenance window,
+ * stepped to the middle of a near-capacity day (epoch 72 of 144): the
+ * shape of a long serving soak's checkpoint, about 0.8 MB, nine tenths
+ * of it per-request latency lines.
+ */
+struct MidRunFleet
+{
+    serve::ServeConfig cfg;
+    std::unique_ptr<serve::ServingSim> sim;
+    std::string checkpoint;
+};
+
+static const MidRunFleet &
+midRunFleet()
+{
+    static const MidRunFleet fleet = [] {
+        MidRunFleet f;
+        serve::ServeConfig &cfg = f.cfg;
+        cfg.dhl = core::defaultConfig();
+        cfg.dhl.docking_stations = 2;
+        cfg.tracks = 16;
+        cfg.seed = 1;
+        cfg.epoch = 600.0;
+        cfg.carts_per_track = 4;
+        cfg.max_pending = 1024;
+        cfg.policy = ops::DispatchPolicy::AvailabilityAware;
+        const std::vector<workloads::RequestClass> mix = {
+            {"bulk", 3.0, u::gigabytes(64), 0.8, 0},
+            {"urgent", 1.0, u::gigabytes(16), 0.8, 1},
+        };
+        const double stage = 8.0 * 3600.0;
+        cfg.stages = {{"ramp", stage, 0.0, 0.6, mix},
+                      {"peak", stage, 0.6, 0.6, mix},
+                      {"cool", stage, 0.6, 0.0, mix}};
+        cfg.faults.enabled = true;
+        cfg.faults.seed = deriveSeed(1, 0xfa17);
+        cfg.faults.lim_mtbf = 48.0;
+        cfg.faults.lim_mttr = 0.5;
+        cfg.faults.track_mtbf = 96.0;
+        cfg.faults.track_mttr = 1.0;
+        cfg.faults.station_mtbf = 72.0;
+        cfg.faults.station_mttr = 0.25;
+        cfg.faults.cart_repair_per_trip = 1e-3;
+        cfg.faults.cart_repair_hours = 0.25;
+        cfg.domains.enabled = true;
+        cfg.domains.domain_size = 4;
+        cfg.domains.plant_mtbf = 24.0;
+        cfg.domains.plant_mttr = 0.5;
+        cfg.domains.seed = deriveSeed(1, 0x91a7);
+        cfg.maintenance.windows.push_back(
+            {2.0 * 3600.0, 1800.0, 6.0 * 3600.0, 1});
+        f.sim = std::make_unique<serve::ServingSim>(cfg);
+        f.sim->run(72);
+        std::ostringstream os;
+        f.sim->checkpoint(os);
+        f.checkpoint = os.str();
+        return f;
+    }();
+    return fleet;
+}
+
+/** Counts the bytes it is handed and keeps none, so BM_SnapshotSave
+ *  times the snapshot writer rather than a destination stream growing
+ *  its buffer. */
+struct CountingBuf : std::streambuf
+{
+    std::size_t bytes = 0;
+
+    std::streamsize xsputn(const char *, std::streamsize n) override
+    {
+        bytes += static_cast<std::size_t>(n);
+        return n;
+    }
+    int_type overflow(int_type c) override
+    {
+        ++bytes;
+        return c;
+    }
+};
+
+static void
+BM_SnapshotSave(benchmark::State &state)
+{
+    const MidRunFleet &f = midRunFleet();
+    for (auto _ : state) {
+        CountingBuf buf;
+        std::ostream os(&buf);
+        f.sim->checkpoint(os);
+        benchmark::DoNotOptimize(buf.bytes);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(f.checkpoint.size()));
+}
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
+
+static void
+BM_SnapshotRestore(benchmark::State &state)
+{
+    // Only the restore is timed; building the fresh fleet and the
+    // input stream is not.
+    const MidRunFleet &f = midRunFleet();
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto fresh = std::make_unique<serve::ServingSim>(f.cfg);
+        std::istringstream is(f.checkpoint);
+        state.ResumeTiming();
+        fresh->restore(is);
+        benchmark::DoNotOptimize(fresh->epochsCompleted());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(f.checkpoint.size()));
+}
+BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -37,17 +37,40 @@ percentile(std::vector<double> values, double p)
     return sortedPercentile(values, p);
 }
 
+namespace {
+
+/** Where percentile @p p of @p n sorted samples sits: the ranks lo and
+ *  hi to interpolate between, and the weight of hi. */
+struct PercentileRank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+PercentileRank
+percentileRank(std::size_t n, double p)
+{
+    fatal_if(n == 0, "percentile of an empty sample");
+    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+double
+interpolate(double lo, double hi, double frac)
+{
+    return lo + frac * (hi - lo);
+}
+
+} // namespace
+
 double
 sortedPercentile(const std::vector<double> &sorted, double p)
 {
-    fatal_if(sorted.empty(), "percentile of an empty sample");
-    fatal_if(p < 0.0 || p > 100.0, "percentile must be in [0, 100]");
-    const double rank = p / 100.0 *
-                        static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    const PercentileRank r = percentileRank(sorted.size(), p);
+    return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
 //===========================================================================
@@ -202,11 +225,35 @@ SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
     std::vector<double> out(ps.size(), 0.0);
     if (latencies_.empty())
         return out;
-    std::vector<double> sorted = latencies_;
-    std::sort(sorted.begin(), sorted.end());
-    std::size_t i = 0;
-    for (const double p : ps)
-        out[i++] = sortedPercentile(sorted, p);
+    // Only the ranks the ps interpolate between need their sorted
+    // value.  Settle them in ascending order, each by selection over
+    // the part right of the last one settled: nth_element in general,
+    // a minimum for the rank right after it (hi = lo + 1).
+    std::vector<PercentileRank> ranks;
+    std::vector<std::size_t> wanted;
+    for (const double p : ps) {
+        ranks.push_back(percentileRank(latencies_.size(), p));
+        wanted.push_back(ranks.back().lo);
+        wanted.push_back(ranks.back().hi);
+    }
+    std::sort(wanted.begin(), wanted.end());
+    wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+    std::vector<double> v = latencies_;
+    std::size_t settled = 0; // v[0, settled) holds its sorted values
+    for (const std::size_t k : wanted) {
+        if (k == settled)
+            std::iter_swap(v.begin() + static_cast<std::ptrdiff_t>(k),
+                           std::min_element(v.begin() +
+                                                static_cast<std::ptrdiff_t>(k),
+                                            v.end()));
+        else
+            std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(settled),
+                             v.begin() + static_cast<std::ptrdiff_t>(k),
+                             v.end());
+        settled = k + 1;
+    }
+    for (std::size_t i = 0; i < ranks.size(); ++i)
+        out[i] = interpolate(v[ranks[i].lo], v[ranks[i].hi], ranks[i].frac);
     return out;
 }
 

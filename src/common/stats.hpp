@@ -289,9 +289,11 @@ class SloAccumulator
     double bytesDelivered() const { return bytes_; }
 
     /**
-     * Completion-latency percentiles at each of @p ps, read from one
-     * sorted copy of the samples (bit-identical to percentile() of the
-     * samples at each p); all 0 when nothing completed.
+     * Completion-latency percentiles at each of @p ps, in any order:
+     * the ranks each p interpolates between are selected from one copy
+     * of the samples (std::nth_element, no full sort), and the values
+     * are bit-identical to percentile() of the samples at each p; all
+     * 0 when nothing completed.
      */
     std::vector<double>
     latencyPercentiles(std::initializer_list<double> ps) const;

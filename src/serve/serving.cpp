@@ -318,9 +318,9 @@ ServingSim::pickTrack(bool degraded) const
 }
 
 bool
-ServingSim::tryStart(const workloads::ArrivalEvent &ev)
+ServingSim::tryStart(const workloads::ArrivalEvent &ev, bool degraded)
 {
-    const std::size_t t = pickTrack(anyTrackDown());
+    const std::size_t t = pickTrack(degraded);
     if (t == kNoTrack)
         return false;
     if (cfg_.policy == ops::DispatchPolicy::RoundRobin)
@@ -354,8 +354,11 @@ ServingSim::admit(const workloads::ArrivalEvent &ev)
         return;
     }
 
-    if (queue_.empty() && admissible(ev, anyTrackDown()) && tryStart(ev))
-        return;
+    if (queue_.empty()) {
+        const bool degraded = anyTrackDown();
+        if (admissible(ev, degraded) && tryStart(ev, degraded))
+            return;
+    }
 
     if (queue_.size() >= cfg_.max_pending) {
         slo_[stage].shed();
@@ -389,9 +392,11 @@ ServingSim::admitTe(const workloads::ArrivalEvent &ev)
     // d.admit == false holds the request in the queue until a control
     // tick clears the contention (decide() only withholds admission
     // while a future tick is pending, so the hold always resolves).
-    if (d.admit && queue_.empty() && admissible(ev, anyTrackDown()) &&
-        tryStart(ev))
-        return;
+    if (d.admit && queue_.empty()) {
+        const bool degraded = anyTrackDown();
+        if (admissible(ev, degraded) && tryStart(ev, degraded))
+            return;
+    }
 
     if (queue_.size() >= cfg_.max_pending) {
         slo_[stage].shed();
@@ -472,7 +477,7 @@ ServingSim::pump()
                          .admit)
                     continue;
             }
-            if (!tryStart(it->ev))
+            if (!tryStart(it->ev, degraded))
                 return; // admissible work, no capacity: stop scanning
             queue_.erase(it);
             progressed = true;
@@ -727,6 +732,7 @@ ServingSim::restore(std::istream &is)
              "serving restore requires a freshly constructed fleet");
     sim::SnapshotReader r(is);
     snapshot(r);
+    r.finish();
 }
 
 //===========================================================================

@@ -166,7 +166,9 @@ class ServingSim
     /**
      * Restore from a checkpoint into this freshly constructed fleet
      * (same ServeConfig).  After restore(), stepEpoch()/run() continue
-     * the original run byte-for-byte.
+     * the original run byte-for-byte.  The document must hold exactly
+     * the lines checkpoint() writes, in its order: a reordered, padded,
+     * duplicated or truncated one is a fatal() naming the expected key.
      */
     void restore(std::istream &is);
 
@@ -263,7 +265,9 @@ class ServingSim
     void pump();
     bool anyTrackDown() const;
     bool admissible(const workloads::ArrivalEvent &ev, bool degraded) const;
-    bool tryStart(const workloads::ArrivalEvent &ev);
+    /** Start @p ev on a track if one has a free cart; @p degraded is
+     *  the caller's anyTrackDown(), which nothing changes in between. */
+    bool tryStart(const workloads::ArrivalEvent &ev, bool degraded);
     std::size_t pickTrack(bool degraded) const;
     void runTrip(std::size_t slot);
     void finishTrip(std::size_t slot);

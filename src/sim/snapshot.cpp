@@ -6,8 +6,10 @@
 #include "sim/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
+#include <cstring>
 #include <ios>
 #include <system_error>
 
@@ -23,7 +25,7 @@ constexpr std::string_view kMagic = "dhl-snapshot 1";
 /** The writer hands its buffer to the stream once it holds this much. */
 constexpr std::size_t kFlushBytes = 32 * 1024;
 
-/** Chunk size for reading a document into the reader's buffer. */
+/** Chunk size for reading a stream whose size is unknown. */
 constexpr std::size_t kReadChunk = 16 * 1024;
 
 /** Parse a decimal or `0x`-prefixed hex u64; false on any junk. */
@@ -44,15 +46,96 @@ parseU64(std::string_view text, std::uint64_t &v)
 /** Characters formatHex() writes. */
 constexpr std::size_t kHexChars = 18;
 
+/** The two lowercase hex digits of every byte value. */
+constexpr std::array<char, 512> kByteHex = [] {
+    constexpr char digits[] = "0123456789abcdef";
+    std::array<char, 512> t{};
+    for (std::size_t b = 0; b < 256; ++b) {
+        t[2 * b] = digits[b >> 4];
+        t[2 * b + 1] = digits[b & 0xf];
+    }
+    return t;
+}();
+
 /** Write @p bits as `0x` and 16 lowercase hex digits. */
 void
 formatHex(std::uint64_t bits, char *out)
 {
-    static constexpr char digits[] = "0123456789abcdef";
     out[0] = '0';
     out[1] = 'x';
-    for (int i = 0; i < 16; ++i)
-        out[2 + i] = digits[(bits >> (60 - 4 * i)) & 0xf];
+    for (int i = 0; i < 8; ++i) {
+        const std::size_t byte = (bits >> (56 - 8 * i)) & 0xff;
+        std::memcpy(out + 2 + 2 * i, &kByteHex[2 * byte], 2);
+    }
+}
+
+/** The value of each hex digit character, 0xff for any other byte. */
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(0xff);
+    for (int c = 0; c < 10; ++c)
+        t['0' + c] = static_cast<std::uint8_t>(c);
+    for (int c = 0; c < 6; ++c) {
+        t['a' + c] = static_cast<std::uint8_t>(10 + c);
+        t['A' + c] = static_cast<std::uint8_t>(10 + c);
+    }
+    return t;
+}();
+
+/**
+ * One line of a series, `<head><j> = 0x<16 hex digits>\n`, kept as a
+ * template whose decimal index j counts up in place: the bytes
+ * putDouble(IndexedKey(key, j), v) writes, without a to_chars call or a
+ * key build per line.
+ */
+class SeriesLine
+{
+  public:
+    explicit SeriesLine(std::string head)
+        : text_(std::move(head)), digits_begin_(text_.size())
+    {
+        text_.append("0 = 0x0000000000000000\n");
+    }
+
+    /** The whole line, newline included. */
+    std::string_view text() const { return text_; }
+
+    /** Where the 16 value digits start. */
+    std::size_t valueAt() const { return text_.size() - 17; }
+
+    /** Write sample @p bits into the template. */
+    void setValue(std::uint64_t bits)
+    {
+        formatHex(bits, text_.data() + valueAt() - 2);
+    }
+
+    /** Move on to the next index. */
+    void next()
+    {
+        std::size_t i = valueAt() - 6; // the last index digit
+        while (text_[i] == '9') {
+            text_[i] = '0';
+            if (i-- == digits_begin_) {
+                text_.insert(digits_begin_, 1, '1');
+                return;
+            }
+        }
+        ++text_[i];
+    }
+
+  private:
+    std::string text_;
+    std::size_t digits_begin_;
+};
+
+/** Decimal digits of @p v. */
+std::size_t
+decimalDigits(std::uint64_t v)
+{
+    std::size_t n = 1;
+    for (; v >= 10; v /= 10)
+        ++n;
+    return n;
 }
 
 } // namespace
@@ -156,23 +239,31 @@ SnapshotWriter::series(std::string_view key, std::uint64_t count,
                        const std::vector<double> &values)
 {
     panic_if(count != values.size(), "snapshot series count mismatch");
-    // putLine's format, built here with two appends per line instead of
-    // its five: on 160 k samples (4-vCPU Xeon VM, -O2) this takes 8.7 ms,
-    // a putLine call per sample 10.5 ms, putDouble per IndexedKey 11.4.
+    if (count == 0)
+        return;
+    // putLine's bytes, formatted in batches straight into buf_: one
+    // resize per batch to the longest line times the batch, then cut
+    // back to what was written.
     // SnapshotTest.SeriesWritesThePutDoubleBytes holds the two equal.
-    const std::string head = prefix_ + std::string(key);
-    // One line past the scoped key: index digits, " = ", value, '\n'.
-    char tail[20 + 3 + kHexChars + 1];
-    for (std::uint64_t j = 0; j < count; ++j) {
-        char *p = std::to_chars(tail, tail + 20, j).ptr;
-        *p++ = ' ';
-        *p++ = '=';
-        *p++ = ' ';
-        formatHex(std::bit_cast<std::uint64_t>(values[j]), p);
-        p += kHexChars;
-        *p++ = '\n';
-        buf_.append(head);
-        buf_.append(tail, static_cast<std::size_t>(p - tail));
+    SeriesLine line(prefix_ + std::string(key));
+    const std::size_t line_max =
+        line.text().size() - 1 + decimalDigits(count - 1);
+    for (std::uint64_t j = 0; j < count;) {
+        const std::size_t room =
+            buf_.size() < kFlushBytes ? (kFlushBytes - buf_.size()) / line_max
+                                      : 0;
+        const std::uint64_t batch =
+            std::min<std::uint64_t>(std::max<std::size_t>(room, 1), count - j);
+        const std::size_t start = buf_.size();
+        buf_.resize(start + batch * line_max);
+        char *p = buf_.data() + start;
+        for (const std::uint64_t end = j + batch; j < end; ++j) {
+            line.setValue(std::bit_cast<std::uint64_t>(values[j]));
+            std::memcpy(p, line.text().data(), line.text().size());
+            p += line.text().size();
+            line.next();
+        }
+        buf_.resize(static_cast<std::size_t>(p - buf_.data()));
         if (buf_.size() >= kFlushBytes)
             flush();
     }
@@ -213,30 +304,34 @@ IndexedKey::IndexedKey(std::string_view prefix, std::uint64_t index)
 
 SnapshotReader::SnapshotReader(std::istream &is)
 {
-    char chunk[kReadChunk];
-    while (is.read(chunk, sizeof chunk) || is.gcount() > 0)
-        doc_.append(chunk, static_cast<std::size_t>(is.gcount()));
+    // One read into a buffer sized from the stream when it can seek;
+    // chunks for whatever is left (or for a stream that cannot).
+    const std::streampos kNoPos(-1);
+    std::streambuf *sb = is.rdbuf();
+    const std::streampos here =
+        sb != nullptr ? sb->pubseekoff(0, std::ios::cur, std::ios::in)
+                      : kNoPos;
+    if (here != kNoPos) {
+        const std::streampos end =
+            sb->pubseekoff(0, std::ios::end, std::ios::in);
+        if (sb->pubseekpos(here, std::ios::in) == here && end != kNoPos &&
+            end > here) {
+            doc_.resize(static_cast<std::size_t>(end - here));
+            is.read(doc_.data(), static_cast<std::streamsize>(doc_.size()));
+            doc_.resize(static_cast<std::size_t>(is.gcount()));
+        }
+    }
+    if (is.peek() != std::istream::traits_type::eof()) {
+        char chunk[kReadChunk];
+        while (is.read(chunk, sizeof chunk) || is.gcount() > 0)
+            doc_.append(chunk, static_cast<std::size_t>(is.gcount()));
+    }
 
-    const std::string_view doc(doc_);
-    std::size_t eol = doc.find('\n');
-    if (doc.substr(0, eol) != kMagic)
+    const std::size_t eol = doc_.find('\n');
+    if (std::string_view(doc_).substr(0, eol) != kMagic)
         fatal("snapshot: bad or missing header (expected '" +
               std::string(kMagic) + "')");
-
-    values_.reserve(std::count(doc.begin(), doc.end(), '\n'));
-    while (eol != std::string_view::npos) {
-        const std::size_t start = eol + 1;
-        eol = doc.find('\n', start);
-        const std::string_view line = doc.substr(start, eol - start);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto sep = line.find(" = ");
-        if (sep == std::string_view::npos)
-            fatal("snapshot: malformed line '" + std::string(line) + "'");
-        const std::string_view key = line.substr(0, sep);
-        if (!values_.emplace(key, line.substr(sep + 3)).second)
-            fatal("snapshot: duplicate key '" + std::string(key) + "'");
-    }
+    pos_ = eol == std::string::npos ? doc_.size() : eol + 1;
 }
 
 void
@@ -255,29 +350,45 @@ SnapshotReader::pop()
     scope_lens_.pop_back();
 }
 
-const std::string_view *
-SnapshotReader::find(std::string_view key) const
-{
-    const std::size_t scope_len = prefix_.size();
-    prefix_.append(key);
-    const auto it = values_.find(std::string_view(prefix_));
-    prefix_.resize(scope_len);
-    return it == values_.end() ? nullptr : &it->second;
-}
-
 bool
-SnapshotReader::has(std::string_view key) const
+SnapshotReader::nextLine(std::string_view &line)
 {
-    return find(key) != nullptr;
+    const std::string_view doc(doc_);
+    while (pos_ < doc.size()) {
+        const std::size_t eol = std::min(doc.find('\n', pos_), doc.size());
+        line = doc.substr(pos_, eol - pos_);
+        if (!line.empty() && line[0] != '#')
+            return true;
+        pos_ = eol + 1;
+    }
+    return false;
 }
 
 std::string_view
-SnapshotReader::rawValue(std::string_view key) const
+SnapshotReader::take(std::string_view key)
 {
-    const std::string_view *value = find(key);
-    if (value == nullptr)
-        fatal("snapshot: missing key '" + prefix_ + std::string(key) + "'");
-    return *value;
+    std::string_view line;
+    if (!nextLine(line))
+        fatal("snapshot: expected key '" + prefix_ + std::string(key) +
+              "', found the end of the document");
+    const std::size_t sep = line.find(" = ");
+    const std::string_view found = line.substr(0, sep);
+    if (sep == std::string_view::npos ||
+        found.size() != prefix_.size() + key.size() ||
+        !found.starts_with(prefix_) || !found.ends_with(key))
+        fatal("snapshot: expected key '" + prefix_ + std::string(key) +
+              "', found '" + std::string(line) + "'");
+    pos_ += line.size() + 1;
+    return line.substr(sep + 3);
+}
+
+void
+SnapshotReader::finish()
+{
+    std::string_view line;
+    if (nextLine(line))
+        fatal("snapshot: expected the end of the document, found '" +
+              std::string(line) + "'");
 }
 
 void
@@ -289,15 +400,15 @@ SnapshotReader::badValue(const char *what, std::string_view key,
 }
 
 std::string
-SnapshotReader::getString(std::string_view key) const
+SnapshotReader::getString(std::string_view key)
 {
-    return std::string(rawValue(key));
+    return std::string(take(key));
 }
 
 std::uint64_t
-SnapshotReader::getU64(std::string_view key) const
+SnapshotReader::getU64(std::string_view key)
 {
-    const std::string_view text = rawValue(key);
+    const std::string_view text = take(key);
     std::uint64_t v = 0;
     if (!parseU64(text, v))
         badValue("integer", key, text);
@@ -305,9 +416,9 @@ SnapshotReader::getU64(std::string_view key) const
 }
 
 std::int64_t
-SnapshotReader::getI64(std::string_view key) const
+SnapshotReader::getI64(std::string_view key)
 {
-    const std::string_view text = rawValue(key);
+    const std::string_view text = take(key);
     std::int64_t v = 0;
     const char *last = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), last, v);
@@ -317,9 +428,9 @@ SnapshotReader::getI64(std::string_view key) const
 }
 
 bool
-SnapshotReader::getBool(std::string_view key) const
+SnapshotReader::getBool(std::string_view key)
 {
-    const std::string_view text = rawValue(key);
+    const std::string_view text = take(key);
     if (text == "true")
         return true;
     if (text == "false")
@@ -328,32 +439,61 @@ SnapshotReader::getBool(std::string_view key) const
 }
 
 double
-SnapshotReader::getDouble(std::string_view key) const
+SnapshotReader::getDouble(std::string_view key)
 {
     return std::bit_cast<double>(getU64(key));
 }
 
 void
 SnapshotReader::series(std::string_view key, std::uint64_t count,
-                       std::vector<double> &values) const
+                       std::vector<double> &values)
 {
-    for (std::uint64_t j = 0; j < count; ++j)
+    // The fast path reads a line exactly as the writer formats it,
+    // `<prefix><key><j> = 0x` and 16 hex digits, by comparing it with
+    // the same template the writer copies.  Any other line (a comment,
+    // another key, a value in another spelling) goes through
+    // getDouble(), which reads what it accepts and names what it does
+    // not.
+    SeriesLine expected(prefix_ + std::string(key));
+    const bool fast = expected.text().find(" = ") == expected.valueAt() - 5;
+    const std::string_view doc(doc_);
+    for (std::uint64_t j = 0; j < count; ++j, expected.next()) {
+        const std::size_t len = expected.text().size() - 1;
+        const std::size_t at = expected.valueAt();
+        const std::string_view line = doc.substr(std::min(pos_, doc.size()));
+        if (fast && line.size() >= len &&
+            (line.size() == len || line[len] == '\n') &&
+            line.substr(0, at) == expected.text().substr(0, at)) {
+            std::uint64_t bits = 0;
+            std::uint8_t bad = 0; // a non-digit sets its high bits
+            for (const char c : line.substr(at, 16)) {
+                const std::uint8_t v =
+                    kHexValue[static_cast<unsigned char>(c)];
+                bad |= v;
+                bits = bits << 4 | (v & 0xf);
+            }
+            if ((bad & 0xf0) == 0) {
+                values.push_back(std::bit_cast<double>(bits));
+                pos_ += len + 1;
+                continue;
+            }
+        }
         values.push_back(getDouble(IndexedKey(key, j)));
+    }
 }
 
 void
-SnapshotReader::getRng(std::string_view key, Rng &rng) const
+SnapshotReader::getRng(std::string_view key, Rng &rng)
 {
     RngState s{};
-    auto *self = const_cast<SnapshotReader *>(this);
-    self->push(key);
+    push(key);
     s.state[0] = getU64("s0");
     s.state[1] = getU64("s1");
     s.state[2] = getU64("s2");
     s.state[3] = getU64("s3");
     s.has_spare = getBool("has_spare");
     s.spare = getDouble("spare");
-    self->pop();
+    pop();
     rng.restoreState(s);
 }
 

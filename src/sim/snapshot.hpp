@@ -6,10 +6,11 @@
  * A snapshot is a flat text document of `key = value` lines.  Writers
  * push hierarchical scopes ("track0", "faults") so composed objects
  * serialise without coordinating key names; readers push the same
- * scopes back.  Doubles are serialised as IEEE-754 bit patterns (hex),
- * so a restored value is the *identical* double, not a decimal
- * round-trip approximation — the byte-identity oracle for
- * restore(checkpoint) + run(delta) == uninterrupted run depends on it.
+ * scopes back in the same order.  Doubles are serialised as IEEE-754
+ * bit patterns (hex), so a restored value is the *identical* double,
+ * not a decimal round-trip approximation — the byte-identity oracle
+ * for restore(checkpoint) + run(delta) == uninterrupted run depends on
+ * it.
  *
  * The snapshot contract (DESIGN.md §11): state is captured only at a
  * *drained epoch boundary* — no in-flight request work — where every
@@ -27,11 +28,11 @@
  * that only a restore does sits under `if constexpr (IO::loading)`:
  * cancelling constructor-scheduled events and re-arming the saved
  * ones, growing containers one element per key read (an untrusted
- * count must end at a missing key, not at a huge reservation) and
- * resetting stats.  Counts checked against the constructed object go
- * through io.match(), which the writer answers with true.  With a
- * writer the body only reads; with a reader it runs on a *freshly
- * constructed* object (same configuration, same seeds).
+ * count must end at the first line that is not the next key, not at a
+ * huge reservation) and resetting stats.  Counts checked against the
+ * constructed object go through io.match(), which the writer answers
+ * with true.  With a writer the body only reads; with a reader it runs
+ * on a *freshly constructed* object (same configuration, same seeds).
  */
 
 #ifndef DHL_SIM_SNAPSHOT_HPP
@@ -43,7 +44,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.hpp"
@@ -119,9 +119,10 @@ class SnapshotWriter
     /**
      * Write the @p count doubles of @p values as the keys `<key>0`,
      * `<key>1`, ... in that order, with the bytes putDouble() would
-     * write for each, formatted straight into the buffer.  @p count
-     * must equal values.size(); the reader takes it as the length to
-     * read.
+     * write for each.  Lines are formatted in batches straight into
+     * the buffer, one resize per batch, with the index kept as a
+     * decimal digit string.  @p count must equal values.size(); the
+     * reader takes it as the length to read.
      */
     void series(std::string_view key, std::uint64_t count,
                 const std::vector<double> &values);
@@ -146,17 +147,23 @@ class SnapshotWriter
 };
 
 /**
- * Parses a snapshot document and serves scoped lookups.
+ * Reads a snapshot document back in the order it was written.
  *
- * The reader keeps its own copy of the document and indexes `key`
- * → `value` views into it.  Lookups reuse the scope prefix as their key
- * buffer, so even the const getters mutate internal state: a reader is
+ * A restore runs the same snapshot(IO &) body as the save, so it asks
+ * for keys in exactly the written order.  The reader keeps its own copy
+ * of the document and a cursor into it: every get*, field, match and
+ * series call consumes the next line that is neither blank nor a `#`
+ * comment, and fatal()s unless that line's key is exactly the scoped
+ * key asked for.  No key is looked up, hashed or indexed.  finish()
+ * then fatal()s if any line is left unread, so a reordered, padded,
+ * duplicated or truncated document never restores.  Every read
+ * advances the cursor, so even a lookup mutates the reader: a reader is
  * not safe to share between threads.
  */
 class SnapshotReader
 {
   public:
-    /** Parse @p is fully; fatal() on a malformed document. */
+    /** Read @p is fully and check the header; fatal() if it is wrong. */
     explicit SnapshotReader(std::istream &is);
 
     SnapshotReader(const SnapshotReader &) = delete;
@@ -168,21 +175,22 @@ class SnapshotReader
     void push(std::string_view scope);
     void pop();
 
-    /** True if the (scoped) key exists. */
-    bool has(std::string_view key) const;
-
-    /** Typed lookups; fatal() on a missing key or unparsable value. */
-    std::string getString(std::string_view key) const;
-    std::uint64_t getU64(std::string_view key) const;
-    std::int64_t getI64(std::string_view key) const;
-    bool getBool(std::string_view key) const;
-    double getDouble(std::string_view key) const;
-    void getRng(std::string_view key, Rng &rng) const;
+    /**
+     * Typed reads of the next line, which must hold the (scoped) key;
+     * fatal() names the expected key and the line found, or reports an
+     * unparsable value.
+     */
+    std::string getString(std::string_view key);
+    std::uint64_t getU64(std::string_view key);
+    std::int64_t getI64(std::string_view key);
+    bool getBool(std::string_view key);
+    double getDouble(std::string_view key);
+    void getRng(std::string_view key, Rng &rng);
 
     /** Read @p key into @p value, decoded as SnapshotWriter::field
      *  encodes its type. */
     template <typename T>
-    void field(std::string_view key, T &value) const
+    void field(std::string_view key, T &value)
     {
         if constexpr (std::is_same_v<T, bool>)
             value = getBool(key);
@@ -200,15 +208,17 @@ class SnapshotReader
 
     /**
      * Append the @p count doubles SnapshotWriter::series wrote under
-     * @p key to @p values, one key lookup each.  Nothing is reserved,
-     * so a corrupt count ends at the first missing key.
+     * @p key to @p values, read in place from the run of lines
+     * `<key>0` ... `<key><count-1>`.  Nothing is reserved from the
+     * untrusted count, so a corrupt one ends at the first line that is
+     * not the next sample.
      */
     void series(std::string_view key, std::uint64_t count,
-                std::vector<double> &values) const;
+                std::vector<double> &values);
 
     /** Read @p key and report whether it equals @p expected. */
     template <typename T>
-    bool match(std::string_view key, const T &expected) const
+    bool match(std::string_view key, const T &expected)
     {
         if constexpr (std::is_convertible_v<const T &, std::string_view>) {
             return getString(key) == std::string_view(expected);
@@ -219,17 +229,24 @@ class SnapshotReader
         }
     }
 
+    /** fatal() unless every line of the document has been read. */
+    void finish();
+
   private:
-    /** The value of the scoped key, or nullptr if it is absent. */
-    const std::string_view *find(std::string_view key) const;
-    std::string_view rawValue(std::string_view key) const;
+    /** Skip blank and comment lines; false at the end of the document,
+     *  else the next line in @p line, not yet consumed. */
+    bool nextLine(std::string_view &line);
+    /** Consume the next line, which must hold the scoped @p key, and
+     *  return its value. */
+    std::string_view take(std::string_view key);
     [[noreturn]] void badValue(const char *what, std::string_view key,
                                std::string_view text) const;
 
     std::string doc_;
-    std::unordered_map<std::string_view, std::string_view> values_;
+    /** Offset of the first unread byte of doc_. */
+    std::size_t pos_ = 0;
     std::vector<std::size_t> scope_lens_;
-    mutable std::string prefix_;
+    std::string prefix_;
 };
 
 /** RAII scope guard usable with either side of the snapshot. */

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <set>
@@ -274,8 +275,9 @@ TEST(ServingTest, RestoreRejectsMismatchedConfig)
 TEST(ServingTest, RestoreRejectsCorruptCounts)
 {
     // Counts read from a checkpoint are untrusted: a corrupt one must
-    // end in a clean FatalError at the first missing key, never in an
-    // allocation sized by the document (std::length_error, bad_alloc).
+    // end in a clean FatalError at the first line that is not the next
+    // key, never in an allocation sized by the document
+    // (std::length_error, bad_alloc).
     serve::ServingSim donor(smallConfig());
     donor.run(2);
     std::ostringstream ck;
@@ -428,6 +430,111 @@ TEST(ServingTest, RestoreNamesEachMismatch)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(),
                      "serving restore requires a freshly constructed fleet");
+    }
+}
+
+namespace {
+
+/** @p doc's lines after the magic line, without their newlines. */
+std::vector<std::string>
+bodyLines(const std::string &doc)
+{
+    std::vector<std::string> lines;
+    for (std::size_t at = doc.find('\n') + 1; at < doc.size();) {
+        const std::size_t end = doc.find('\n', at);
+        lines.push_back(doc.substr(at, end - at));
+        at = end + 1;
+    }
+    return lines;
+}
+
+std::string
+withBody(const std::string &doc, const std::vector<std::string> &lines)
+{
+    std::string out = doc.substr(0, doc.find('\n') + 1);
+    for (const std::string &line : lines)
+        out += line + "\n";
+    return out;
+}
+
+} // namespace
+
+TEST(ServingTest, RestoreRejectsTamperedCheckpoints)
+{
+    // restore() reads a checkpoint in the order checkpoint() wrote it
+    // and then requires its end, so a reordered, padded, duplicated or
+    // truncated document fails, naming the key the restore expected.
+    const std::string doc = fullCheckpoint();
+    ASSERT_EQ(restoreError(doc), "");
+    const std::vector<std::string> lines = bodyLines(doc);
+    ASSERT_EQ(withBody(doc, lines), doc);
+    ASSERT_EQ(lines.front().rfind("config.tracks = ", 0), 0u);
+
+    std::vector<std::string> reversed(lines.rbegin(), lines.rend());
+    EXPECT_EQ(restoreError(withBody(doc, reversed)),
+              "snapshot: expected key 'config.tracks', found '" +
+                  lines.back() + "'");
+
+    EXPECT_EQ(restoreError(doc + "bogus.key = 42\n"),
+              "snapshot: expected the end of the document, found "
+              "'bogus.key = 42'");
+
+    std::vector<std::string> doubled = lines;
+    const auto epochs =
+        std::find_if(doubled.begin(), doubled.end(), [](const std::string &l) {
+            return l.rfind("serve.epochs = ", 0) == 0;
+        });
+    ASSERT_NE(epochs, doubled.end());
+    ASSERT_EQ((epochs + 1)->rfind("serve.boundary = ", 0), 0u);
+    const std::string epochs_line = *epochs;
+    doubled.insert(epochs + 1, epochs_line);
+    EXPECT_EQ(restoreError(withBody(doc, doubled)),
+              "snapshot: expected key 'serve.boundary', found '" +
+                  epochs_line + "'");
+
+    // Drop the last latency sample of the first stage that has any.
+    std::vector<std::string> short_series = lines;
+    std::string last_key;
+    for (std::size_t i = 0; i < short_series.size(); ++i) {
+        const std::string &l = short_series[i];
+        if (l.rfind("serve.s", 0) != 0 || l.find(".samples = ") == l.npos)
+            continue;
+        const std::string scope = l.substr(0, l.find(".samples = "));
+        const std::string n = l.substr(l.find(" = ") + 3);
+        if (n == "0")
+            continue;
+        last_key = scope + ".l" + std::to_string(std::stoull(n) - 1);
+        break;
+    }
+    ASSERT_FALSE(last_key.empty());
+    const auto last = std::find_if(
+        short_series.begin(), short_series.end(),
+        [&](const std::string &l) { return l.rfind(last_key + " = ", 0) == 0; });
+    ASSERT_NE(last, short_series.end());
+    const std::string next = *(last + 1);
+    short_series.erase(last);
+    EXPECT_EQ(restoreError(withBody(doc, short_series)),
+              "snapshot: expected key '" + last_key + "', found '" + next +
+                  "'");
+}
+
+TEST(ServingTest, RestoredFleetRecheckpointsIdentically)
+{
+    // A restore followed at once by a checkpoint writes the bytes it
+    // read: nothing is dropped, reordered or re-encoded in between.
+    for (const serve::ServeConfig &cfg : {smallConfig(), fullConfig()}) {
+        serve::ServingSim donor(cfg);
+        donor.trace().enable();
+        donor.run(3);
+        std::ostringstream ck;
+        donor.checkpoint(ck);
+
+        std::istringstream in(ck.str());
+        serve::ServingSim fresh(cfg);
+        fresh.restore(in);
+        std::ostringstream again;
+        fresh.checkpoint(again);
+        EXPECT_EQ(again.str(), ck.str());
     }
 }
 

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -163,10 +165,11 @@ TEST(PercentileTest, DuplicateValuesFormPlateaus)
     EXPECT_DOUBLE_EQ(percentile({4.0, 4.0, 4.0}, 33.3), 4.0);
 }
 
-TEST(PercentileTest, SloPercentilesShareOneSortBitForBit)
+TEST(PercentileTest, SloPercentilesSelectTheSortedBitsBitForBit)
 {
-    // latencyPercentiles() sorts once and reads every p from that copy;
-    // each value must be the bits percentile() returns on its own.
+    // latencyPercentiles() selects only the ranks it interpolates
+    // between; each value must be the bits percentile() returns on its
+    // own.
     dhl::Rng rng(5);
     for (std::size_t n : {1u, 2u, 7u, 1000u, 4099u}) {
         SloAccumulator acc;
@@ -195,6 +198,59 @@ TEST(PercentileTest, SloPercentilesShareOneSortBitForBit)
               (std::vector<double>{0.0, 0.0}));
     EXPECT_THROW(sortedPercentile({}, 50.0), dhl::FatalError);
     EXPECT_THROW(sortedPercentile({1.0}, 100.5), dhl::FatalError);
+}
+
+TEST(PercentileTest, SloSelectionMatchesTheSortInAnyOrderOfPs)
+{
+    // Random samples full of duplicates, every n from 1 to 40 and a few
+    // larger, against sortedPercentile() of a full sort: the same bits
+    // at every p, for p lists in any order, with repeats, 0 and 100.
+    std::mt19937_64 gen(17);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 40; ++n)
+        sizes.push_back(n);
+    for (const std::size_t n : {127u, 1000u, 4097u})
+        sizes.push_back(n);
+    for (const std::size_t n : sizes) {
+        for (int trial = 0; trial < 4; ++trial) {
+            SloAccumulator acc;
+            std::vector<double> samples;
+            const std::uint64_t distinct = 1 + gen() % (n + 1);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double x =
+                    trial % 2 == 0
+                        ? static_cast<double>(gen() % distinct)
+                        : std::ldexp(static_cast<double>(gen() % distinct),
+                                     -static_cast<int>(gen() % 8));
+                acc.complete(x, 1.0);
+                samples.push_back(x);
+            }
+            std::vector<double> sorted = samples;
+            std::sort(sorted.begin(), sorted.end());
+            const auto check = [&](std::initializer_list<double> ps) {
+                const std::vector<double> got = acc.latencyPercentiles(ps);
+                ASSERT_EQ(got.size(), ps.size());
+                std::size_t k = 0;
+                for (const double p : ps) {
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k++]),
+                              std::bit_cast<std::uint64_t>(
+                                  sortedPercentile(sorted, p)))
+                        << "n=" << n << " trial=" << trial << " p=" << p;
+                }
+            };
+            check({50.0, 99.0, 99.9});
+            check({99.9, 50.0, 99.0});
+            check({100.0, 0.0});
+            check({0.0, 0.0, 100.0, 100.0});
+            check({37.5, 12.5, 87.5, 62.5, 25.0, 50.0, 75.0});
+            check({99.0, 99.0, 1.0, 100.0, 0.0, 50.0});
+            EXPECT_EQ(acc.latencies(), samples);
+        }
+    }
+    SloAccumulator one;
+    one.complete(2.0, 1.0);
+    EXPECT_THROW(one.latencyPercentiles({50.0, 100.5}), dhl::FatalError);
+    EXPECT_THROW(one.latencyPercentiles({-1.0}), dhl::FatalError);
 }
 
 TEST(QuantileSketchTest, ExactWhileSmallThenSwitchesToBins)
