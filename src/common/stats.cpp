@@ -226,9 +226,8 @@ SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
     if (latencies_.empty())
         return out;
     // Only the ranks the ps interpolate between need their sorted
-    // value.  Settle them in ascending order, each by selection over
-    // the part right of the last one settled: nth_element in general,
-    // a minimum for the rank right after it (hi = lo + 1).
+    // value.  Settle them in ascending order, each by nth_element over
+    // the part right of the last one settled.
     std::vector<PercentileRank> ranks;
     std::vector<std::size_t> wanted;
     for (const double p : ps) {
@@ -239,17 +238,12 @@ SloAccumulator::latencyPercentiles(std::initializer_list<double> ps) const
     std::sort(wanted.begin(), wanted.end());
     wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
     std::vector<double> v = latencies_;
-    std::size_t settled = 0; // v[0, settled) holds its sorted values
+    // Each wanted rank below `settled` holds its sorted value; the rest
+    // of v[0, settled) is only partitioned.
+    std::size_t settled = 0;
     for (const std::size_t k : wanted) {
-        if (k == settled)
-            std::iter_swap(v.begin() + static_cast<std::ptrdiff_t>(k),
-                           std::min_element(v.begin() +
-                                                static_cast<std::ptrdiff_t>(k),
-                                            v.end()));
-        else
-            std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(settled),
-                             v.begin() + static_cast<std::ptrdiff_t>(k),
-                             v.end());
+        std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(settled),
+                         v.begin() + static_cast<std::ptrdiff_t>(k), v.end());
         settled = k + 1;
     }
     for (std::size_t i = 0; i < ranks.size(); ++i)

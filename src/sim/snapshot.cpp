@@ -69,19 +69,6 @@ formatHex(std::uint64_t bits, char *out)
     }
 }
 
-/** The value of each hex digit character, 0xff for any other byte. */
-constexpr std::array<std::uint8_t, 256> kHexValue = [] {
-    std::array<std::uint8_t, 256> t{};
-    t.fill(0xff);
-    for (int c = 0; c < 10; ++c)
-        t['0' + c] = static_cast<std::uint8_t>(c);
-    for (int c = 0; c < 6; ++c) {
-        t['a' + c] = static_cast<std::uint8_t>(10 + c);
-        t['A' + c] = static_cast<std::uint8_t>(10 + c);
-    }
-    return t;
-}();
-
 /**
  * One line of a series, `<head><j> = 0x<16 hex digits>\n`, kept as a
  * template whose decimal index j counts up in place: the bytes
@@ -371,11 +358,13 @@ SnapshotReader::take(std::string_view key)
     if (!nextLine(line))
         fatal("snapshot: expected key '" + prefix_ + std::string(key) +
               "', found the end of the document");
-    const std::size_t sep = line.find(" = ");
-    const std::string_view found = line.substr(0, sep);
-    if (sep == std::string_view::npos ||
-        found.size() != prefix_.size() + key.size() ||
-        !found.starts_with(prefix_) || !found.ends_with(key))
+    // Keys hold no " = ", so the line is the expected key's exactly
+    // when it starts with the key and then the separator.  Each test
+    // passing keeps the next one's substr inside the line.
+    const std::size_t sep = prefix_.size() + key.size();
+    if (!line.starts_with(prefix_) ||
+        line.substr(prefix_.size(), key.size()) != key ||
+        line.substr(sep, 3) != " = ")
         fatal("snapshot: expected key '" + prefix_ + std::string(key) +
               "', found '" + std::string(line) + "'");
     pos_ += line.size() + 1;
@@ -448,38 +437,8 @@ void
 SnapshotReader::series(std::string_view key, std::uint64_t count,
                        std::vector<double> &values)
 {
-    // The fast path reads a line exactly as the writer formats it,
-    // `<prefix><key><j> = 0x` and 16 hex digits, by comparing it with
-    // the same template the writer copies.  Any other line (a comment,
-    // another key, a value in another spelling) goes through
-    // getDouble(), which reads what it accepts and names what it does
-    // not.
-    SeriesLine expected(prefix_ + std::string(key));
-    const bool fast = expected.text().find(" = ") == expected.valueAt() - 5;
-    const std::string_view doc(doc_);
-    for (std::uint64_t j = 0; j < count; ++j, expected.next()) {
-        const std::size_t len = expected.text().size() - 1;
-        const std::size_t at = expected.valueAt();
-        const std::string_view line = doc.substr(std::min(pos_, doc.size()));
-        if (fast && line.size() >= len &&
-            (line.size() == len || line[len] == '\n') &&
-            line.substr(0, at) == expected.text().substr(0, at)) {
-            std::uint64_t bits = 0;
-            std::uint8_t bad = 0; // a non-digit sets its high bits
-            for (const char c : line.substr(at, 16)) {
-                const std::uint8_t v =
-                    kHexValue[static_cast<unsigned char>(c)];
-                bad |= v;
-                bits = bits << 4 | (v & 0xf);
-            }
-            if ((bad & 0xf0) == 0) {
-                values.push_back(std::bit_cast<double>(bits));
-                pos_ += len + 1;
-                continue;
-            }
-        }
+    for (std::uint64_t j = 0; j < count; ++j)
         values.push_back(getDouble(IndexedKey(key, j)));
-    }
 }
 
 void

@@ -166,6 +166,45 @@ TEST(ServingTest, OverloadShedsInsteadOfDroppingSilently)
     EXPECT_GT(slo.served(), 0u);   // but admitted work still finished
 }
 
+TEST(ServingTest, DegradedFleetStartsWorkOnlyOnTracksThatAreUp)
+{
+    // AvailabilityAware with track 0 held down: low-priority requests
+    // wait in the queue, urgent ones start on track 1 only.
+    serve::ServeConfig cfg = smallConfig();
+    cfg.policy = ops::DispatchPolicy::AvailabilityAware;
+    cfg.min_priority_degraded = 1;
+    workloads::RequestClass bulk{"bulk", 1.0, u::gigabytes(64), 0.0, 0};
+    workloads::RequestClass urgent{"urgent", 1.0, u::gigabytes(16), 0.0,
+                                   1};
+    cfg.stages = {
+        workloads::StageSpec{"high", 300.0, 0.05, 0.05, {urgent}},
+        workloads::StageSpec{"low", 300.0, 0.05, 0.05, {bulk}},
+    };
+    serve::ServingSim sim(cfg);
+    sim.faultState(0).pushLaunchInhibit("test outage");
+    ASSERT_TRUE(sim.stepEpoch());
+    ASSERT_TRUE(sim.stepEpoch());
+
+    const auto &high = sim.stageSlo(0);
+    const auto &low = sim.stageSlo(1);
+    EXPECT_GT(low.offered(), 0u);
+    EXPECT_EQ(low.served(), 0u);
+    EXPECT_EQ(low.deferred(), low.offered());
+    EXPECT_EQ(sim.queueDepth(), low.offered());
+    EXPECT_GT(high.served(), 0u);
+    EXPECT_EQ(high.served(), high.offered());
+    EXPECT_EQ(sim.controller(0).launches(), 0u);
+    EXPECT_EQ(sim.controller(0).heldOpens(), 0u);
+    EXPECT_GT(sim.controller(1).launches(), 0u);
+
+    // Back up: the held requests start, on both tracks.
+    sim.faultState(0).popLaunchInhibit("test outage");
+    sim.run();
+    EXPECT_EQ(low.served(), low.offered());
+    EXPECT_EQ(sim.queueDepth(), 0u);
+    EXPECT_GT(sim.controller(0).launches(), 0u);
+}
+
 TEST(ServingTest, MaintenanceWindowShowsUpInStageAvailability)
 {
     serve::ServeConfig cfg = smallConfig();

@@ -180,9 +180,8 @@ TEST(SnapshotTest, SeriesWritesThePutDoubleBytes)
 
 TEST(SnapshotTest, SeriesReadsOtherSpellingsAndNamesTheMissingSample)
 {
-    // The writer's spelling takes the fast path; a comment, a blank
-    // line, upper-case or short hex and a decimal value are read as
-    // getDouble() reads them.
+    // Each sample is read as getDouble() reads it: a comment, a blank
+    // line, upper-case or short hex and a decimal value all pass.
     std::istringstream doc("dhl-snapshot 1\n"
                            "s.l0 = 0x3ff0000000000000\n"
                            "# comment\n"
@@ -293,6 +292,7 @@ TEST(SnapshotTest, MissingKeyAndMalformedDocumentFail)
     }
     EXPECT_THROW(r.getU64("present.nested"), FatalError);
     EXPECT_THROW(r.getU64("resent"), FatalError); // a suffix is not the key
+    EXPECT_THROW(r.getU64("pres"), FatalError);   // nor is a prefix
     EXPECT_EQ(r.getU64("present"), 1u);
     EXPECT_NO_THROW(r.finish());
     try {
