@@ -19,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "common/lanes.hpp"
 #include "common/random.hpp"
+#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "dhl/analytical.hpp"
 #include "dhl/simulation.hpp"
@@ -304,6 +306,110 @@ BM_BatchedEval(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BatchedEval)->Arg(1 << 10)->Arg(1 << 14);
+
+/** evaluateBatch's window loop at one lane instance this host runs, so
+ *  instances compare on one host from the tree:
+ *  BM_BatchedEval/<isa>/<n>. */
+static void
+BM_BatchedEvalAt(benchmark::State &state, plan::detail::EvalLanes lanes)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const plan::PlanAssumptions assume;
+    const plan::DesignPoint design{4, 8, 1};
+    const plan::ScenarioSampler sampler(plan::ScenarioDistributions{}, 13);
+    plan::ScenarioBatch in;
+    sampler.fill(0, n, in);
+    const plan::DesignConstants constants =
+        plan::designConstants(assume, design);
+    plan::EvalBatch out;
+
+    // Identity gate, as in BM_BatchedEval.
+    lanes.eval(constants, in, 0, n, assume.slo_latency, out);
+    for (std::size_t i = 0; i < n; ++i) {
+        const plan::ScenarioOutcome o =
+            plan::evaluateScalar(assume, design, in.row(i));
+        if (o.latency != out.latency[i] ||
+            o.energy_day != out.energy_day[i]) {
+            state.SkipWithError("lane instance != scalar");
+            return;
+        }
+    }
+
+    for (auto _ : state) {
+        lanes.eval(constants, in, 0, n, assume.slo_latency, out);
+        benchmark::DoNotOptimize(out.latency.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+
+static const bool kBatchedEvalRows = [] {
+    for (const plan::detail::EvalLanes &lanes :
+         plan::detail::supportedEvalLanes()) {
+        const std::string name =
+            std::string("BM_BatchedEval/") + lanes::isaName(lanes.isa);
+        benchmark::RegisterBenchmark(name.c_str(), BM_BatchedEvalAt, lanes)
+            ->Arg(1 << 10)
+            ->Arg(1 << 14);
+    }
+    return true;
+}();
+
+/**
+ * The planner's sketch feed for one lattice point: E21's heavy-tier
+ * latencies (16384 scenarios, clamped as scoreDesign clamps them) in
+ * windows of 1024, through sample() per element (Arg 0) or
+ * sampleBatch() per window (Arg 1).
+ */
+static void
+BM_SketchSample(benchmark::State &state)
+{
+    const bool batch = state.range(0) != 0;
+    plan::PlannerConfig cfg;
+    cfg.demand.users_median = 2.0e6;
+    cfg.assumptions.target_quantile = 0.9;
+    constexpr std::size_t kScenarios = 16384;
+    constexpr std::size_t kWindow = 1024;
+    plan::ScenarioBatch in;
+    plan::ScenarioSampler(cfg.demand, 1).fill(0, kScenarios, in);
+    plan::EvalBatch out;
+    plan::evaluateBatch(plan::designConstants(cfg.assumptions, {8, 6, 2}),
+                        in, cfg.assumptions.slo_latency, out);
+    const double clamp = cfg.latencyClamp();
+    for (double &latency : out.latency)
+        latency = std::min(latency, clamp);
+
+    const auto feed = [&](stats::QuantileSketch &sketch) {
+        for (std::size_t first = 0; first < kScenarios; first += kWindow) {
+            if (batch) {
+                sketch.sampleBatch(out.latency.data() + first, kWindow);
+            } else {
+                for (std::size_t i = first; i < first + kWindow; ++i)
+                    sketch.sample(out.latency[i]);
+            }
+        }
+    };
+
+    // Identity gate: both feeds leave the same sketch.
+    stats::QuantileSketch want(0.0, clamp, cfg.sketch_bins);
+    for (const double latency : out.latency)
+        want.sample(latency);
+    stats::QuantileSketch got(0.0, clamp, cfg.sketch_bins);
+    feed(got);
+    if (!(got == want)) {
+        state.SkipWithError("sampleBatch != sample");
+        return;
+    }
+
+    for (auto _ : state) {
+        stats::QuantileSketch sketch(0.0, clamp, cfg.sketch_bins);
+        feed(sketch);
+        benchmark::DoNotOptimize(sketch.count());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kScenarios));
+}
+BENCHMARK(BM_SketchSample)->Arg(0)->Arg(1);
 
 /** E21's heavy tier (2 M users, tracks <= 8, carts <= 10, 100
  *  bootstrap resamples) at twice E21's stream, DES check off. */

@@ -74,11 +74,9 @@ coefficient(const detail::Gf2Poly &a, std::size_t i)
 }
 
 /**
- * The lane kernel at the widest vectors the CPU has: one template
- * body, compiled once per ISA.  Lanes jump to their exact serial
- * start, so every version returns the same counts.  The pick is a
- * cpuid branch rather than target_clones, whose ifunc resolver crashes
- * ThreadSanitizer-instrumented programs at load time.
+ * The lane kernel's instances: one template body, compiled once per
+ * ISA and picked through common/lanes.hpp.  Lanes jump to their exact
+ * serial start, so every instance returns the same counts.
  */
 #if defined(__x86_64__)
 [[gnu::target("avx512f")]] std::size_t
@@ -96,22 +94,32 @@ laneCountAvx2(std::uint64_t (&s)[4], std::uint64_t bound, std::size_t n,
 }
 #endif
 
+/** A host without AVX2 counts nothing on lanes: the caller's serial
+ *  loop draws the whole run. */
 std::size_t
-laneCount(std::uint64_t (&s)[4], std::uint64_t bound, std::size_t n,
-          std::size_t total, std::uint64_t *hits)
+laneCountScalar(std::uint64_t (&)[4], std::uint64_t, std::size_t,
+                std::size_t, std::uint64_t *)
 {
-#if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f"))
-        return laneCountAvx512(s, bound, n, total, hits);
-    if (__builtin_cpu_supports("avx2"))
-        return laneCountAvx2(s, bound, n, total, hits);
-#endif
-    return detail::countBelowLanes<detail::U64x4>(s, bound, n, total, hits);
+    return 0;
 }
 
 } // namespace
 
 namespace detail {
+
+const std::vector<CountLanes> &
+supportedCountLanes()
+{
+    static const std::vector<CountLanes> instances =
+        lanes::supportedInstances<CountLanes>({
+#if defined(__x86_64__)
+            {lanes::LaneIsa::Avx512, laneCountAvx512},
+            {lanes::LaneIsa::Avx2, laneCountAvx2},
+#endif
+            {lanes::LaneIsa::Scalar, laneCountScalar},
+        });
+    return instances;
+}
 
 Gf2Poly
 squareMod(const Gf2Poly &a)
@@ -227,10 +235,12 @@ Rng::countBelow(std::size_t n, double p, std::span<std::uint64_t> hits)
              "countBelow: n * blocks overflows a draw count");
     std::fill(hits.begin(), hits.end(), 0);
     const std::size_t total = n * hits.size();
+    static const detail::CountLanes &instance =
+        detail::supportedCountLanes().front();
     const std::size_t laned =
         total < detail::kLaneMinDraws
             ? 0
-            : laneCount(state_, bound, n, total, hits.data());
+            : instance.count(state_, bound, n, total, hits.data());
     for (std::size_t i = laned; i < total; ++i)
         hits[i / n] += (next() >> 11) < bound ? 1 : 0;
 }

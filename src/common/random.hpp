@@ -80,7 +80,8 @@ class Rng
      * exact serial position by discard-style jumps, so the result does
      * not depend on the lane count or the ISA that ran it.  A call of
      * fewer than detail::kLaneMinDraws draws in all runs the serial
-     * loop, which is faster than the lanes' jump set-up there.
+     * loop, which is faster than the lanes' jump set-up there, and so
+     * does every call on a host without AVX2.
      */
     void countBelow(std::size_t n, double p, std::span<std::uint64_t> hits);
 

@@ -20,6 +20,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "common/lanes.hpp"
 
 namespace dhl {
 namespace detail {
@@ -45,7 +48,7 @@ void applyJump(std::uint64_t (&s)[4], const Gf2Poly &jump);
  */
 inline constexpr std::size_t kLaneMinDraws = 8192;
 
-/** Four 64-bit lanes: one AVX2 register, two SSE2 ones. */
+/** Four 64-bit lanes: one AVX2 register. */
 using U64x4 = std::uint64_t __attribute__((vector_size(32)));
 
 /** Eight 64-bit lanes: one AVX-512 register. */
@@ -142,6 +145,21 @@ countBelowLanes(std::uint64_t (&s)[4], std::uint64_t bound, std::size_t n,
     s[3] = s3[W - 1];
     return W * len;
 }
+
+/** One compiled instance of countBelowLanes(). */
+struct CountLanes
+{
+    lanes::LaneIsa isa;
+    /** countBelowLanes() at this ISA's width; the scalar instance
+     *  counts nothing and returns 0. */
+    std::size_t (*count)(std::uint64_t (&s)[4], std::uint64_t bound,
+                         std::size_t n, std::size_t total,
+                         std::uint64_t *hits);
+};
+
+/** The instances this host can run, widest first
+ *  (lanes::supportedInstances).  Rng::countBelow uses the first. */
+const std::vector<CountLanes> &supportedCountLanes();
 
 } // namespace detail
 } // namespace dhl

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
@@ -77,6 +79,135 @@ sortedPercentile(const std::vector<double> &sorted, double p)
 // QuantileSketch
 //===========================================================================
 
+namespace {
+
+using lanes::LaneIsa;
+
+/** The bins whose last index (bins - 1) fits an int32 lane. */
+constexpr std::size_t kLaneMaxBins = std::size_t{1} << 31;
+
+#if defined(__x86_64__)
+using I32x4 = std::int32_t __attribute__((vector_size(16)));
+using I32x8 = std::int32_t __attribute__((vector_size(32)));
+
+/**
+ * detail::SketchLanes::bin on the lanes of @p I.  Each lane computes
+ * sample()'s bin index with its operations: (v - lo) / width,
+ * truncated, 0 at or below lo and the last bin at or above hi.  Capping
+ * the quotient at the last bin before truncating gives the same integer
+ * as capping after, and keeps it in range of the int32 conversion
+ * (cvttpd2dq), the only packed double-to-integer one AVX2 has.  The
+ * counts are added one by one.  Each lane folds its own samples into a
+ * running min and max with std::min/std::max's compares; the lanes'
+ * results are folded the same way.  Every extreme but zero has one bit
+ * pattern; a zero extreme is found again by a scalar pass, since the
+ * sign of zero std::min keeps is that of the first zero it met.
+ */
+template <LaneIsa I>
+[[gnu::always_inline]] inline std::size_t
+binLanes(const double *v, std::size_t n, double lo, double hi, double width,
+         std::uint64_t *count, std::size_t bins, double &min, double &max)
+{
+    using Vec = lanes::LaneVec<I>;
+    constexpr std::size_t W = lanes::kLaneWidth<I>;
+    using Index = std::conditional_t<W == 8, I32x8, I32x4>;
+    if (bins > kLaneMaxBins)
+        return 0;
+
+    const Vec zero{};
+    const Vec lo_v = zero + lo;
+    const Vec hi_v = zero + hi;
+    const Vec width_v = zero + width;
+    const Vec last = zero + static_cast<double>(bins - 1);
+    Vec min_v = zero + min;
+    Vec max_v = zero + max;
+    std::size_t k = 0;
+    for (; k + W <= n; k += W) {
+        Vec x;
+        std::memcpy(&x, v + k, sizeof x);
+        if (lanes::anyCompare<I, _CMP_UNORD_Q>(x, x))
+            break; // sample() fatal()s on it
+        min_v = x < min_v ? x : min_v;
+        max_v = max_v < x ? x : max_v;
+        Vec q = (x - lo_v) / width_v;
+        q = q < last ? q : last;
+        q = lo_v < x ? q : zero;
+        q = x >= hi_v ? last : q;
+        const Index idx = __builtin_convertvector(q, Index);
+        for (std::size_t j = 0; j < W; ++j)
+            ++count[idx[j]];
+    }
+
+    double lanes_min[W];
+    double lanes_max[W];
+    std::memcpy(lanes_min, &min_v, sizeof lanes_min);
+    std::memcpy(lanes_max, &max_v, sizeof lanes_max);
+    const double min_in = min;
+    const double max_in = max;
+    for (std::size_t j = 0; j < W; ++j) {
+        min = std::min(min, lanes_min[j]);
+        max = std::max(max, lanes_max[j]);
+    }
+    if (min == 0.0) {
+        min = min_in;
+        for (std::size_t i = 0; i < k; ++i)
+            min = std::min(min, v[i]);
+    }
+    if (max == 0.0) {
+        max = max_in;
+        for (std::size_t i = 0; i < k; ++i)
+            max = std::max(max, v[i]);
+    }
+    return k;
+}
+
+[[gnu::target("avx512f")]] std::size_t
+binAvx512(const double *v, std::size_t n, double lo, double hi,
+          double width, std::uint64_t *count, std::size_t bins, double &min,
+          double &max)
+{
+    return binLanes<LaneIsa::Avx512>(v, n, lo, hi, width, count, bins, min,
+                                     max);
+}
+
+[[gnu::target("avx2")]] std::size_t
+binAvx2(const double *v, std::size_t n, double lo, double hi, double width,
+        std::uint64_t *count, std::size_t bins, double &min, double &max)
+{
+    return binLanes<LaneIsa::Avx2>(v, n, lo, hi, width, count, bins, min,
+                                   max);
+}
+#endif
+
+/** A host without AVX2 bins nothing on lanes: sampleBatch() samples
+ *  every value through sample(). */
+std::size_t
+binScalar(const double *, std::size_t, double, double, double,
+          std::uint64_t *, std::size_t, double &, double &)
+{
+    return 0;
+}
+
+} // namespace
+
+namespace detail {
+
+const std::vector<SketchLanes> &
+supportedSketchLanes()
+{
+    static const std::vector<SketchLanes> instances =
+        lanes::supportedInstances<SketchLanes>({
+#if defined(__x86_64__)
+            {LaneIsa::Avx512, binAvx512},
+            {LaneIsa::Avx2, binAvx2},
+#endif
+            {LaneIsa::Scalar, binScalar},
+        });
+    return instances;
+}
+
+} // namespace detail
+
 QuantileSketch::QuantileSketch(double lo, double hi, std::size_t n_bins,
                                std::size_t exact_capacity)
     : lo_(lo), hi_(hi),
@@ -117,6 +248,24 @@ QuantileSketch::sample(double v)
         exact_.clear();
         exact_.shrink_to_fit(); // the buffer never helps again
     }
+}
+
+void
+QuantileSketch::sampleBatch(const double *v, std::size_t n)
+{
+    static const detail::SketchLanes &instance =
+        detail::supportedSketchLanes().front();
+    // The first sample, the exact phase and its switch to the bins go
+    // through sample(); exact_ stays empty after them.
+    std::size_t i = 0;
+    for (; i < n && n_ <= exact_cap_; ++i)
+        sample(v[i]);
+    const std::size_t binned =
+        instance.bin(v + i, n - i, lo_, hi_, width_, bins_.data(),
+                     bins_.size(), min_, max_);
+    n_ += binned;
+    for (i += binned; i < n; ++i)
+        sample(v[i]);
 }
 
 double

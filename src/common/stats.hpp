@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "common/lanes.hpp"
+
 namespace dhl {
 namespace stats {
 
@@ -205,6 +207,15 @@ class QuantileSketch
     /** Record one sample (finite; fatal() on NaN). */
     void sample(double v);
 
+    /**
+     * Record v[0, n): leaves the state n calls of sample() would, and
+     * fatal()s on the first NaN as sample() does, with the samples
+     * before it recorded.  Once the exact buffer is past, the bin
+     * indices and extremes are computed on SIMD lanes
+     * (common/lanes.hpp).
+     */
+    void sampleBatch(const double *v, std::size_t n);
+
     std::uint64_t count() const { return n_; }
     std::size_t exactCapacity() const { return exact_cap_; }
     /** True while quantile() is still exact (n <= exactCapacity()). */
@@ -222,6 +233,11 @@ class QuantileSketch
      */
     double quantile(double p) const;
 
+    /** Same range, samples and state: every member compares equal
+     *  (min() and max() by value, so +0 equals -0). */
+    friend bool operator==(const QuantileSketch &,
+                           const QuantileSketch &) = default;
+
   private:
     double lo_;
     double hi_;
@@ -233,6 +249,32 @@ class QuantileSketch
     double min_ = 0.0;
     double max_ = 0.0;
 };
+
+namespace detail {
+
+/** One compiled instance of QuantileSketch::sampleBatch()'s binning. */
+struct SketchLanes
+{
+    lanes::LaneIsa isa;
+    /**
+     * Bin v[0, n) as QuantileSketch::sample() does into @p count (of
+     * @p bins, each at width @p width from @p lo, the last one also
+     * taking v >= @p hi) and fold them into @p min and @p max as
+     * std::min and std::max do, block by block of the ISA's lanes.
+     * Stops before the first block holding a NaN and before the
+     * partial block at the end, and returns how many it binned.  The
+     * scalar instance, and every instance when bins > 2^31, bins none.
+     */
+    std::size_t (*bin)(const double *v, std::size_t n, double lo,
+                       double hi, double width, std::uint64_t *count,
+                       std::size_t bins, double &min, double &max);
+};
+
+/** The instances this host can run, widest first
+ *  (lanes::supportedInstances).  sampleBatch() uses the first. */
+const std::vector<SketchLanes> &supportedSketchLanes();
+
+} // namespace detail
 
 /**
  * Jain's fairness index of @p values: (sum x)^2 / (n * sum x^2).

@@ -189,10 +189,13 @@ FaultInjector::rollBreakdown(std::uint32_t cart)
                  "breakdown scale factor must be non-negative");
         p = std::min(p * factor, 1.0);
     }
-    const auto it = cart_rngs_
-                        .try_emplace(cart, Rng(deriveSeed(
-                                               cart_stream_base_, cart)))
-                        .first;
+    // Look the cart up first: an Rng is built on its first roll only.
+    auto it = cart_rngs_.find(cart);
+    if (it == cart_rngs_.end()) {
+        it = cart_rngs_
+                 .try_emplace(cart, deriveSeed(cart_stream_base_, cart))
+                 .first;
+    }
     if (it->second.uniform() >= p)
         return false;
     state_.sendCartToRepair(cart,

@@ -7,13 +7,10 @@
  *
  * One template body on GCC vector types is compiled once per x86-64
  * ISA, AVX-512 (8 lanes) and AVX2 (4 lanes), each inlined into a
- * function of its own `target`.  The one step that differs per ISA,
- * testing a lane compare for any set lane, is an `if constexpr` on the
- * ISA inside that body.  It is spelt with GCC builtins rather than
- * <immintrin.h> intrinsics: a builtin is expanded in the function it is
- * finally inlined into, while an intrinsic is an always_inline function
- * that cannot be inlined into a template without the matching target
- * attribute.  A host without AVX2 runs the scalar loops below: at the
+ * function of its own `target` and picked through common/lanes.hpp.
+ * The one step that differs per ISA, testing a lane compare for any set
+ * lane, is lanes::anyCompare.  A host without AVX2 runs the scalar
+ * loops below: at the
  * x86-64 base ISA GCC lowers each four-lane select element by element,
  * and that build ran about 2.5x slower than they do.
  *
@@ -37,25 +34,15 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
-#if defined(__x86_64__)
-// Declares the builtins below at every ISA, not only the base one.
-#include <immintrin.h>
-#endif
+#include "common/lanes.hpp"
 
 namespace dhl {
 namespace network {
 namespace detail {
 
-/** The instruction sets a lane instance is compiled for. */
-enum class LaneIsa
-{
-    Scalar, ///< 1 lane: the scalar loops, on a host without AVX2.
-    Avx2,   ///< 4 lanes: one ymm register.
-    Avx512, ///< 8 lanes: one zmm register.
-};
+using lanes::LaneIsa;
 
 /** rem[k] = max(0, rem[k] - d) for k in [@p k, @p n), one at a time:
  *  the scalar loop, which every lane instance runs on its tail. */
@@ -87,20 +74,8 @@ sweepScalar(double *rem, const double *floor, std::size_t k, std::size_t n,
 }
 
 #if defined(__x86_64__)
-/** Four doubles: one AVX2 register. */
-using F64x4 = double __attribute__((vector_size(32)));
-
-/** Eight doubles: one AVX-512 register. */
-using F64x8 = double __attribute__((vector_size(64)));
-
-/** The lanes of @p I, one of the vector ISAs. */
-template <LaneIsa I>
-using LaneVec = std::conditional_t<I == LaneIsa::Avx512, F64x8, F64x4>;
-
-/** Lanes per block of @p I. */
-template <LaneIsa I>
-inline constexpr std::size_t kLaneWidth =
-    sizeof(LaneVec<I>) / sizeof(double);
+using lanes::kLaneWidth;
+using lanes::LaneVec;
 
 /**
  * rem[k] = max(0, rem[k] - d) for k < @p n, on the lanes of @p I, with
@@ -162,16 +137,7 @@ sweepLanes(double *rem, const double *floor, std::size_t n, double d,
         std::memcpy(rem + k, &r, sizeof r);
         const Vec threshold = f < bv ? bv : f;
 
-        bool any;
-        if constexpr (I == LaneIsa::Avx512) {
-            // _CMP_LE_OS under the current rounding mode.
-            any = __builtin_ia32_cmppd512_mask(r, threshold, 2, 0xff, 4) != 0;
-        } else {
-            any = __builtin_ia32_movmskpd256(
-                      reinterpret_cast<F64x4>(r <= threshold)) != 0;
-        }
-
-        if (!any) {
+        if (!lanes::anyCompare<I, _CMP_LE_OS>(r, threshold)) {
             lo_lanes = r < lo_lanes ? r : lo_lanes;
             continue;
         }
@@ -200,8 +166,8 @@ struct FlowLanes
                     double d, double below, std::uint32_t *&done);
 };
 
-/** The lane instances this host can run, widest first.  FlowSim uses
- *  the first. */
+/** The lane instances this host can run, widest first
+ *  (lanes::supportedInstances).  FlowSim uses the first. */
 const std::vector<FlowLanes> &supportedFlowLanes();
 
 } // namespace detail

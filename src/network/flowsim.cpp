@@ -88,10 +88,9 @@ nextDouble(double x, std::int64_t dir)
 constexpr std::size_t kBlockAlign = 64;
 
 /**
- * The lane kernel at the widest vectors the CPU has: one template body
- * (network/flow_lanes.hpp), compiled once per ISA.  The pick is a cpuid
- * branch rather than target_clones, whose ifunc resolver crashes
- * ThreadSanitizer-instrumented programs at load time.
+ * The lane kernel's instances: one template body
+ * (network/flow_lanes.hpp), compiled once per ISA and picked through
+ * common/lanes.hpp.
  */
 #if defined(__x86_64__)
 [[gnu::target("avx512f")]] void
@@ -153,23 +152,16 @@ namespace detail {
 const std::vector<FlowLanes> &
 supportedFlowLanes()
 {
-    static const std::vector<FlowLanes> lanes = [] {
-        std::vector<FlowLanes> v;
+    static const std::vector<FlowLanes> instances =
+        lanes::supportedInstances<FlowLanes>({
 #if defined(__x86_64__)
-        __builtin_cpu_init();
-        if (__builtin_cpu_supports("avx512f")) {
-            v.push_back({LaneIsa::Avx512, kLaneWidth<LaneIsa::Avx512>,
-                         drainAvx512, sweepAvx512});
-        }
-        if (__builtin_cpu_supports("avx2")) {
-            v.push_back({LaneIsa::Avx2, kLaneWidth<LaneIsa::Avx2>,
-                         drainAvx2, sweepAvx2});
-        }
+            {LaneIsa::Avx512, kLaneWidth<LaneIsa::Avx512>, drainAvx512,
+             sweepAvx512},
+            {LaneIsa::Avx2, kLaneWidth<LaneIsa::Avx2>, drainAvx2, sweepAvx2},
 #endif
-        v.push_back({LaneIsa::Scalar, 1, drainScalarAll, sweepScalarAll});
-        return v;
-    }();
-    return lanes;
+            {LaneIsa::Scalar, 1, drainScalarAll, sweepScalarAll},
+        });
+    return instances;
 }
 
 } // namespace detail

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "common/logging.hpp"
 #include "cost/cost_model.hpp"
@@ -133,27 +136,186 @@ evaluateScalar(const PlanAssumptions &a, const DesignPoint &d,
                           s.bulk_share, s.request_bytes, a.slo_latency);
 }
 
+namespace {
+
+using lanes::LaneIsa;
+
+/** The columns of one evaluateBatch() window. */
+struct Window
+{
+    const double *users;
+    const double *bytes;
+    const double *peak;
+    const double *bulk;
+    const double *req;
+    double *utilisation;
+    double *latency;
+    double *energy_day;
+    std::uint8_t *meets_slo;
+};
+
+/** Check the window [first, first + n) against @p in, size @p out to
+ *  n and point at both. */
+Window
+openWindow(const ScenarioBatch &in, std::size_t first, std::size_t n,
+           EvalBatch &out)
+{
+    panic_if(first > in.size() || n > in.size() - first,
+             "evaluateBatch window out of range");
+    out.resize(n);
+    return {in.users.data() + first,
+            in.bytes_per_user_day.data() + first,
+            in.peak_factor.data() + first,
+            in.bulk_share.data() + first,
+            in.request_bytes.data() + first,
+            out.utilisation.data(),
+            out.latency.data(),
+            out.energy_day.data(),
+            out.meets_slo.data()};
+}
+
+/** scenarioKernel over window elements [k, n): the scalar loop, which
+ *  every lane instance runs on its tail. */
+[[gnu::always_inline]] inline void
+evalScalar(const DesignConstants &c, const Window &w, std::size_t k,
+           std::size_t n, double slo_latency)
+{
+    for (; k < n; ++k) {
+        const ScenarioOutcome o =
+            scenarioKernel(c, w.users[k], w.bytes[k], w.peak[k], w.bulk[k],
+                           w.req[k], slo_latency);
+        w.utilisation[k] = o.utilisation;
+        w.latency[k] = o.latency;
+        w.energy_day[k] = o.energy_day;
+        w.meets_slo[k] = o.meets_slo ? 1 : 0;
+    }
+}
+
+#if defined(__x86_64__)
+/** One meets_slo byte per lane. */
+using U8x4 = std::uint8_t __attribute__((vector_size(4)));
+using U8x8 = std::uint8_t __attribute__((vector_size(8)));
+
+/**
+ * scenarioKernel over window elements [0, n) on the lanes of @p I, with
+ * a scalar tail.  Each lane does the kernel's operations in its order,
+ * so every output has the scalar bits; its two branches become
+ * selects, each of which keeps the scalar result in the lanes it
+ * picks.  The selected-away arithmetic (a division by a zero fleet
+ * rate, a wait past saturation) only makes values nobody reads.
+ */
+template <LaneIsa I>
+[[gnu::always_inline]] inline void
+evalLanes(const DesignConstants &c, const Window &w, std::size_t n,
+          double slo_latency)
+{
+    using Vec = lanes::LaneVec<I>;
+    using Mask = decltype(Vec{} < Vec{});
+    constexpr std::size_t W = lanes::kLaneWidth<I>;
+    using Bytes = std::conditional_t<W == 8, U8x8, U8x4>;
+
+    const Vec zero{};
+    const Vec one = zero + 1.0;
+    const Vec two = zero + 2.0;
+    const Vec inf = zero + std::numeric_limits<double>::infinity();
+    const Vec day = zero + units::days(1.0);
+    const Vec capacity = zero + c.cart_capacity;
+    const Vec fleet = zero + c.fleet_launch_rate;
+    const Vec trip = zero + c.trip_time;
+    const Vec read_per_byte = zero + c.read_per_byte;
+    const Vec launch_energy = zero + c.launch_energy;
+    const Vec hotel_day = zero + c.hotel_power * units::days(1.0);
+    const Vec slo = zero + slo_latency;
+    const bool rated = c.feasible && c.fleet_launch_rate > 0.0;
+
+    std::size_t k = 0;
+    for (; k + W <= n; k += W) {
+        Vec users, bytes, peak, bulk, req;
+        std::memcpy(&users, w.users + k, sizeof users);
+        std::memcpy(&bytes, w.bytes + k, sizeof bytes);
+        std::memcpy(&peak, w.peak + k, sizeof peak);
+        std::memcpy(&bulk, w.bulk + k, sizeof bulk);
+        std::memcpy(&req, w.req + k, sizeof req);
+
+        const Vec mean_bw = users * bytes / day;
+        const Vec bulk_launch = mean_bw * bulk / capacity;
+        const Vec interactive_launch = mean_bw * (one - bulk) / req;
+        const Vec launches = bulk_launch + interactive_launch;
+        const Vec utilisation = rated ? launches * peak / fleet : inf;
+        const Vec wait =
+            trip * utilisation / (two * (one - utilisation));
+        const Vec latency = utilisation < one
+                                ? trip + req * read_per_byte + wait
+                                : inf;
+        const Mask meets = latency <= slo;
+        const Vec energy_day =
+            two * (launches * day) * launch_energy + hotel_day;
+        const Bytes meets_slo = __builtin_convertvector(-meets, Bytes);
+
+        std::memcpy(w.utilisation + k, &utilisation, sizeof utilisation);
+        std::memcpy(w.latency + k, &latency, sizeof latency);
+        std::memcpy(w.energy_day + k, &energy_day, sizeof energy_day);
+        std::memcpy(w.meets_slo + k, &meets_slo, sizeof meets_slo);
+    }
+    evalScalar(c, w, k, n, slo_latency);
+}
+
+[[gnu::target("avx512f")]] void
+evalAvx512(const DesignConstants &c, const ScenarioBatch &in,
+           std::size_t first, std::size_t n, double slo_latency,
+           EvalBatch &out)
+{
+    evalLanes<LaneIsa::Avx512>(c, openWindow(in, first, n, out), n,
+                               slo_latency);
+}
+
+[[gnu::target("avx2")]] void
+evalAvx2(const DesignConstants &c, const ScenarioBatch &in,
+         std::size_t first, std::size_t n, double slo_latency,
+         EvalBatch &out)
+{
+    evalLanes<LaneIsa::Avx2>(c, openWindow(in, first, n, out), n,
+                             slo_latency);
+}
+#endif
+
+/** The scalar loop as a one-lane instance, for a host without AVX2. */
+void
+evalScalarAll(const DesignConstants &c, const ScenarioBatch &in,
+              std::size_t first, std::size_t n, double slo_latency,
+              EvalBatch &out)
+{
+    evalScalar(c, openWindow(in, first, n, out), 0, n, slo_latency);
+}
+
+} // namespace
+
+namespace detail {
+
+const std::vector<EvalLanes> &
+supportedEvalLanes()
+{
+    static const std::vector<EvalLanes> instances =
+        lanes::supportedInstances<EvalLanes>({
+#if defined(__x86_64__)
+            {LaneIsa::Avx512, evalAvx512},
+            {LaneIsa::Avx2, evalAvx2},
+#endif
+            {LaneIsa::Scalar, evalScalarAll},
+        });
+    return instances;
+}
+
+} // namespace detail
+
 void
 evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
               std::size_t first, std::size_t n, double slo_latency,
               EvalBatch &out)
 {
-    panic_if(first > in.size() || n > in.size() - first,
-             "evaluateBatch window out of range");
-    out.resize(n);
-    const double *users = in.users.data() + first;
-    const double *bytes = in.bytes_per_user_day.data() + first;
-    const double *peak = in.peak_factor.data() + first;
-    const double *bulk = in.bulk_share.data() + first;
-    const double *req = in.request_bytes.data() + first;
-    for (std::size_t i = 0; i < n; ++i) {
-        const ScenarioOutcome o = scenarioKernel(
-            c, users[i], bytes[i], peak[i], bulk[i], req[i], slo_latency);
-        out.utilisation[i] = o.utilisation;
-        out.latency[i] = o.latency;
-        out.energy_day[i] = o.energy_day;
-        out.meets_slo[i] = o.meets_slo ? 1 : 0;
-    }
+    static const detail::EvalLanes &instance =
+        detail::supportedEvalLanes().front();
+    instance.eval(c, in, first, n, slo_latency, out);
 }
 
 void

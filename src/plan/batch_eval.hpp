@@ -14,10 +14,12 @@
  * kernel.
  *
  * Identity contract: evaluateBatch() produces bit-identical outputs
- * to evaluateScalar() for every scenario — both funnel through the
- * same inline kernel, the batched path merely amortises the constant
- * derivation.  BM_BatchedEval gates on this before timing either
- * path, and test_plan pins it.
+ * to evaluateScalar() for every scenario.  The batched path runs
+ * scenarioKernel's arithmetic on SIMD lanes (8 for AVX-512, 4 for
+ * AVX2, the scalar loop on a host without AVX2; common/lanes.hpp), each
+ * lane doing the scalar operations in the scalar order, with selects
+ * where the kernel branches.  BM_BatchedEval gates on this before
+ * timing either path, and test_plan pins every instance.
  */
 
 #ifndef DHL_PLAN_BATCH_EVAL_HPP
@@ -28,6 +30,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/lanes.hpp"
 #include "common/units.hpp"
 #include "dhl/config.hpp"
 #include "plan/scenario.hpp"
@@ -156,9 +159,9 @@ struct ScenarioOutcome
  * interactive requests each ride one cart launch; bulk bytes ride
  * full carts.  The diurnal peak scales the launch-rate demand, an
  * M/D/1-flavoured wait models queueing below saturation, and the
- * request latency adds the trip plus the docked PCIe read.  Both
- * evaluation paths inline exactly this function, which is what makes
- * them bit-identical.
+ * request latency adds the trip plus the docked PCIe read.  The
+ * scalar path inlines exactly this function; every lane instance of
+ * evaluateBatch() repeats its operations in the same order.
  */
 inline ScenarioOutcome
 scenarioKernel(const DesignConstants &c, double users,
@@ -208,7 +211,8 @@ ScenarioOutcome evaluateScalar(const PlanAssumptions &a,
  * streamed contiguously.  Scores the window [first, first + n) of
  * @p in into out[0, n) (@p out is resized to n), so a planner can walk
  * one shared read-only stream in fixed-size chunks.  Bit-identical to
- * evaluateScalar on every element.
+ * evaluateScalar on every element, on the widest lane instance the host
+ * runs.
  */
 void evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
                    std::size_t first, std::size_t n, double slo_latency,
@@ -217,6 +221,25 @@ void evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
 /** The whole-batch form: the window [0, in.size()). */
 void evaluateBatch(const DesignConstants &c, const ScenarioBatch &in,
                    double slo_latency, EvalBatch &out);
+
+namespace detail {
+
+/** One compiled instance of evaluateBatch()'s window loop. */
+struct EvalLanes
+{
+    lanes::LaneIsa isa;
+    /** evaluateBatch(c, in, first, n, slo_latency, out) on this ISA's
+     *  lanes, with a scalar tail: no access past in[first + n - 1]. */
+    void (*eval)(const DesignConstants &c, const ScenarioBatch &in,
+                 std::size_t first, std::size_t n, double slo_latency,
+                 EvalBatch &out);
+};
+
+/** The instances this host can run, widest first
+ *  (lanes::supportedInstances).  evaluateBatch() uses the first. */
+const std::vector<EvalLanes> &supportedEvalLanes();
+
+} // namespace detail
 
 } // namespace plan
 } // namespace dhl

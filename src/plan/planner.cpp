@@ -89,8 +89,11 @@ scoreDesign(const PlannerConfig &cfg, const ScenarioBatch &stream,
         const std::size_t n = std::min(cfg.batch, cfg.scenarios - first);
         evaluateBatch(r.constants, stream, first, n,
                       cfg.assumptions.slo_latency, out);
+        for (double &latency : out.latency)
+            latency = std::min(latency, clamp);
+        sketch.sampleBatch(out.latency.data(), n);
+        // Sequential adds in scenario order: the sums' bits depend on it.
         for (std::size_t i = 0; i < n; ++i) {
-            sketch.sample(std::min(out.latency[i], clamp));
             met += out.meets_slo[i];
             util_sum += std::min(out.utilisation[i], 1.0);
             energy_sum += out.energy_day[i];

@@ -212,8 +212,9 @@ ServingSim::stepEpoch()
     pump();
     // The arrivals come in time order, so they ride the kernel's
     // in-order lane instead of the heap; every one fires before the
-    // epoch ends, so the vector outlives its events.
-    epoch_arrivals_ = arrivals_->take(target);
+    // epoch ends, so the vector outlives its events and the next epoch
+    // refills its capacity.
+    arrivals_->take(target, epoch_arrivals_);
     for (std::size_t i = 0; i < epoch_arrivals_.size(); ++i) {
         const double when = std::max(epoch_arrivals_[i].at, sim_.now());
         sim_.scheduleInOrder(when, [this, i] { admit(epoch_arrivals_[i]); });

@@ -42,6 +42,10 @@ StagedArrivalProcess::StagedArrivalProcess(std::vector<StageSpec> stages,
             fatal_if(c.sigma < 0.0, "mix sigma must be non-negative");
         }
         starts_.push_back(starts_.back() + s.duration);
+        std::vector<double> logs;
+        for (const auto &c : s.mix)
+            logs.push_back(std::log(c.median_bytes));
+        log_medians_.push_back(std::move(logs));
     }
     total_duration_ = starts_.back();
 }
@@ -70,8 +74,16 @@ StagedArrivalProcess::rateAt(double t) const
 std::vector<ArrivalEvent>
 StagedArrivalProcess::take(double until)
 {
-    fatal_if(until < cursor_, "arrival cursor cannot move backwards");
     std::vector<ArrivalEvent> out;
+    take(until, out);
+    return out;
+}
+
+void
+StagedArrivalProcess::take(double until, std::vector<ArrivalEvent> &out)
+{
+    fatal_if(until < cursor_, "arrival cursor cannot move backwards");
+    out.clear();
     while (stage_ < stages_.size() && cursor_ < until) {
         const auto &s = stages_[stage_];
         const double stage_end = stageEnd(stage_);
@@ -102,22 +114,24 @@ StagedArrivalProcess::take(double until)
         if (accept * rate_cap > rateAt(t_cand))
             continue;
         // Class selection by cumulative weight, then size.
-        const RequestClass *cls = &s.mix.front();
+        std::size_t pick_class = 0;
         if (s.mix.size() > 1) {
             double total_w = 0.0;
             for (const auto &c : s.mix)
                 total_w += c.weight;
             double pick = rng_.uniform(0.0, total_w);
-            for (const auto &c : s.mix) {
-                cls = &c;
-                pick -= c.weight;
+            for (std::size_t j = 0; j < s.mix.size(); ++j) {
+                pick_class = j;
+                pick -= s.mix[j].weight;
                 if (pick <= 0.0)
                     break;
             }
         }
+        const RequestClass *cls = &s.mix[pick_class];
         const double bytes =
             cls->sigma > 0.0
-                ? rng_.lognormal(std::log(cls->median_bytes), cls->sigma)
+                ? rng_.lognormal(log_medians_[stage_][pick_class],
+                                 cls->sigma)
                 : cls->median_bytes;
         out.push_back(ArrivalEvent{t_cand, bytes, cls->tag,
                                    static_cast<int>(stage_),
@@ -126,7 +140,6 @@ StagedArrivalProcess::take(double until)
     }
     if (cursor_ < until)
         cursor_ = until;
-    return out;
 }
 
 template <typename IO>

@@ -94,6 +94,10 @@ class StagedArrivalProcess
     /** Arrivals in (cursor, until], advancing the cursor. */
     std::vector<ArrivalEvent> take(double until);
 
+    /** take(until) into @p out, which is cleared first: a caller that
+     *  keeps one buffer reuses its capacity. */
+    void take(double until, std::vector<ArrivalEvent> &out);
+
     /** Current cursor position, s. */
     double cursor() const { return cursor_; }
 
@@ -123,11 +127,13 @@ class StagedArrivalProcess
     double stageStart(std::size_t k) const { return starts_[k]; }
     double stageEnd(std::size_t k) const { return starts_[k + 1]; }
 
-    // dhl-analyze: transient(stages_, starts_, total_duration_): the
-    // load profile — constructor input and values derived from it,
-    // never mutated after construction
+    // dhl-analyze: transient(stages_, starts_, log_medians_,
+    // total_duration_): the load profile — constructor input and values
+    // derived from it, never mutated after construction
     std::vector<StageSpec> stages_;
     std::vector<double> starts_; ///< Cumulative stage starts + total end.
+    /** log(median_bytes) of each stage's mix classes, in mix order. */
+    std::vector<std::vector<double>> log_medians_;
     double total_duration_;
     Rng rng_;
     std::size_t stage_ = 0;

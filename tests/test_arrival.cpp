@@ -161,6 +161,41 @@ TEST(StagedArrival, SnapshotContinuesByteForByteOnSameGrid)
         EXPECT_TRUE(sameEvent(got[i], want[i])) << "event " << i;
 }
 
+TEST(StagedArrival, BufferTakeMatchesReturningTakeAcrossARestore)
+{
+    // Oracle: the returning take() on a fixed grid, uninterrupted.
+    StagedArrivalProcess oracle(rampHoldDrain(), 99);
+    const auto want = drainOnGrid(oracle, 150.0, oracle.totalDuration());
+    ASSERT_GT(want.size(), 100u);
+
+    // Subject: take(t, buffer) into one reused buffer that starts with
+    // stale events, restored into a fresh process at an interior epoch.
+    std::vector<ArrivalEvent> buffer(3);
+    std::vector<ArrivalEvent> got;
+    StagedArrivalProcess first(rampHoldDrain(), 99);
+    double t = 150.0;
+    for (; t <= 900.0 + 1e-9; t += 150.0) {
+        first.take(t, buffer);
+        got.insert(got.end(), buffer.begin(), buffer.end());
+    }
+    std::stringstream doc;
+    {
+        sim::SnapshotWriter w(doc);
+        first.snapshot(w);
+    }
+    StagedArrivalProcess second(rampHoldDrain(), 1); // wrong seed on purpose
+    sim::SnapshotReader r(doc);
+    second.snapshot(r);
+    for (; t <= second.totalDuration() + 1e-9; t += 150.0) {
+        second.take(t, buffer);
+        got.insert(got.end(), buffer.begin(), buffer.end());
+    }
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(sameEvent(got[i], want[i])) << "event " << i;
+}
+
 TEST(StagedArrival, RateAtAndStageAtFollowTheProfile)
 {
     StagedArrivalProcess p(rampHoldDrain(), 1);

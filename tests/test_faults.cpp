@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/random.hpp"
 #include "dhl/fleet.hpp"
 #include "dhl/reliability.hpp"
 #include "dhl/simulation.hpp"
@@ -341,6 +342,37 @@ TEST(FaultInjectorTest, CartBreakdownDice)
     for (int i = 0; i < 100; ++i)
         EXPECT_FALSE(state2.rollCartBreakdown(0));
     EXPECT_EQ(state2.cartRepairs(), 0u);
+}
+
+TEST(FaultInjectorTest, CartRollsFollowOneStreamPerCart)
+{
+    // Each cart's rolls are consecutive uniform() draws of one
+    // Rng(deriveSeed(base, cart)), base = deriveSeed(seed, "CARTS"),
+    // however the carts' rolls interleave.
+    sim::Simulator sim;
+    FaultState state(sim);
+    FaultConfig fc = manualConfig();
+    fc.seed = 9;
+    fc.cart_repair_per_trip = 0.4;
+    fc.cart_repair_hours = 0.0; // a broken cart is back at once
+    FaultInjector injector(sim, state, fc, 1);
+
+    const std::uint64_t base = deriveSeed(fc.seed, 0x4341525453ull);
+    Rng cart3(deriveSeed(base, 3));
+    Rng cart7(deriveSeed(base, 7));
+    std::uint64_t broken = 0;
+    for (int i = 0; i < 300; ++i) {
+        const bool want7 = cart7.uniform() < fc.cart_repair_per_trip;
+        EXPECT_EQ(state.rollCartBreakdown(7), want7) << "roll " << i;
+        broken += want7 ? 1 : 0;
+        if (i % 3 == 0) {
+            const bool want3 = cart3.uniform() < fc.cart_repair_per_trip;
+            EXPECT_EQ(state.rollCartBreakdown(3), want3) << "roll " << i;
+            broken += want3 ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(state.cartRepairs(), broken);
+    EXPECT_GT(broken, 0u);
 }
 
 TEST(FaultInjectorTest, AgreesWithAnalyticalBridge)

@@ -23,26 +23,13 @@
 
 using dhl::network::drainFloor;
 using dhl::network::detail::FlowLanes;
-using dhl::network::detail::LaneIsa;
+using dhl::lanes::isaName;
+using dhl::lanes::LaneIsa;
 using dhl::network::detail::supportedFlowLanes;
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::string
-isaName(LaneIsa isa)
-{
-    switch (isa) {
-    case LaneIsa::Avx512:
-        return "avx512";
-    case LaneIsa::Avx2:
-        return "avx2";
-    case LaneIsa::Scalar:
-        return "scalar";
-    }
-    return "?";
-}
 
 std::uint64_t
 bitsOf(double x)
@@ -95,8 +82,8 @@ expectMatchesScalar(const FlowLanes &lanes, const Case &c, Seen &seen,
                     const std::string &what)
 {
     const std::size_t n = c.rem.size();
-    SCOPED_TRACE(isaName(lanes.isa) + " n=" + std::to_string(n) + " " +
-                 what);
+    SCOPED_TRACE(std::string(isaName(lanes.isa)) + " n=" +
+                 std::to_string(n) + " " + what);
 
     std::vector<double> want_drain = c.rem;
     for (double &r : want_drain)

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,8 +22,84 @@
 
 using namespace dhl;
 using namespace dhl::plan;
+using dhl::plan::detail::EvalLanes;
+using dhl::plan::detail::supportedEvalLanes;
 
 namespace {
+
+/** Bit equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** What the lane tests saw, for their coverage checks. */
+struct EvalSeen
+{
+    std::size_t met = 0;
+    std::size_t missed = 0;
+    std::size_t saturated = 0;
+};
+
+/**
+ * Run @p lanes on the window [first, first + n) of @p in and compare
+ * every output's bits with scenarioKernel on the same scenario.
+ */
+void
+expectLanesMatchKernel(const EvalLanes &lanes, const DesignConstants &c,
+                       const ScenarioBatch &in, std::size_t first,
+                       std::size_t n, double slo, EvalSeen &seen)
+{
+    SCOPED_TRACE(std::string(lanes::isaName(lanes.isa)) + " first=" +
+                 std::to_string(first) + " n=" + std::to_string(n));
+    EvalBatch out;
+    lanes.eval(c, in, first, n, slo, out);
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t k = first + i;
+        const ScenarioOutcome o = scenarioKernel(
+            c, in.users[k], in.bytes_per_user_day[k], in.peak_factor[k],
+            in.bulk_share[k], in.request_bytes[k], slo);
+        EXPECT_TRUE(sameBits(out.utilisation[i], o.utilisation))
+            << "utilisation " << i;
+        EXPECT_TRUE(sameBits(out.latency[i], o.latency)) << "latency " << i;
+        EXPECT_TRUE(sameBits(out.energy_day[i], o.energy_day))
+            << "energy " << i;
+        EXPECT_EQ(out.meets_slo[i], o.meets_slo ? 1 : 0) << "meets " << i;
+        seen.met += o.meets_slo ? 1 : 0;
+        seen.missed += o.meets_slo ? 0 : 1;
+        seen.saturated += std::isinf(o.latency) ? 1 : 0;
+    }
+}
+
+/** @p n scenarios drawn from wide ranges, so a design meets, misses
+ *  and saturates. */
+ScenarioBatch
+wideScenarios(std::uint64_t seed, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    ScenarioBatch in;
+    in.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        in.users[i] = std::pow(10.0, 3.0 + 4.0 * unit(rng));
+        in.bytes_per_user_day[i] = units::gigabytes(0.1 + 10.0 * unit(rng));
+        in.peak_factor[i] = 1.0 + 2.0 * unit(rng);
+        in.bulk_share[i] = unit(rng);
+        in.request_bytes[i] = units::gigabytes(1.0 + 100.0 * unit(rng));
+    }
+    return in;
+}
+
+/** A feasible design, one without plants (infeasible, zero fleet
+ *  rate), one short of plants, and a one-cart track that saturates. */
+std::vector<DesignConstants>
+laneDesigns(const PlanAssumptions &a)
+{
+    return {designConstants(a, {3, 6, 1}), designConstants(a, {2, 4, 0}),
+            designConstants(a, {8, 6, 1}), designConstants(a, {1, 1, 1})};
+}
 
 /** A small, fast planner setup with an attainable target. */
 PlannerConfig
@@ -184,6 +262,64 @@ TEST(BatchEvalTest, BatchedIsBitIdenticalToScalar)
         EXPECT_EQ(s.latency, out.latency[i]);
         EXPECT_EQ(s.energy_day, out.energy_day[i]);
         EXPECT_EQ(s.meets_slo, out.meets_slo[i] != 0);
+    }
+}
+
+TEST(BatchEvalTest, SupportedInstancesWidestFirst)
+{
+    const auto &instances = supportedEvalLanes();
+    ASSERT_FALSE(instances.empty());
+    EXPECT_EQ(instances.back().isa, lanes::LaneIsa::Scalar);
+    for (std::size_t i = 1; i < instances.size(); ++i)
+        EXPECT_GT(lanes::laneWidth(instances[i - 1].isa),
+                  lanes::laneWidth(instances[i].isa));
+}
+
+TEST(BatchEvalTest, EveryInstanceMatchesKernelAtEveryWindow)
+{
+    // Windows of 0 to 2W + 3 scenarios at aligned and unaligned starts,
+    // each the end of its columns, so a read past the window is a heap
+    // overflow under AddressSanitizer.
+    const PlanAssumptions a;
+    const std::vector<DesignConstants> designs = laneDesigns(a);
+    EXPECT_FALSE(designs[1].feasible);
+    EXPECT_EQ(designs[1].fleet_launch_rate, 0.0);
+    EXPECT_FALSE(designs[2].feasible);
+    for (const EvalLanes &lanes : supportedEvalLanes()) {
+        EvalSeen seen;
+        const std::size_t w = lanes::laneWidth(lanes.isa);
+        for (std::size_t first : {0u, 1u, 3u}) {
+            for (std::size_t n = 0; n <= 2 * w + 3; ++n) {
+                const ScenarioBatch in =
+                    wideScenarios(1000 + 31 * first + n, first + n);
+                for (const DesignConstants &c : designs)
+                    expectLanesMatchKernel(lanes, c, in, first, n,
+                                           a.slo_latency, seen);
+            }
+        }
+        EXPECT_GT(seen.met, 0u) << lanes::isaName(lanes.isa);
+        EXPECT_GT(seen.saturated, 0u) << lanes::isaName(lanes.isa);
+    }
+}
+
+TEST(BatchEvalTest, EveryInstanceMatchesKernelOnRandomScenarios)
+{
+    // 16 k scenarios per seed, through every design and two SLOs.
+    const PlanAssumptions a;
+    const std::vector<DesignConstants> designs = laneDesigns(a);
+    for (const EvalLanes &lanes : supportedEvalLanes()) {
+        EvalSeen seen;
+        for (std::uint64_t seed : {5u, 6u, 7u}) {
+            const ScenarioBatch in = wideScenarios(seed, 16384);
+            for (const DesignConstants &c : designs) {
+                for (const double slo : {a.slo_latency, 600.0})
+                    expectLanesMatchKernel(lanes, c, in, 0, in.size(), slo,
+                                           seen);
+            }
+        }
+        EXPECT_GT(seen.met, 1000u) << lanes::isaName(lanes.isa);
+        EXPECT_GT(seen.missed, 1000u) << lanes::isaName(lanes.isa);
+        EXPECT_GT(seen.saturated, 1000u) << lanes::isaName(lanes.isa);
     }
 }
 

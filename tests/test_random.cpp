@@ -340,11 +340,51 @@ TEST(Rng, CountBelowMatchesAtTheLaneCutoff)
 
 TEST(Rng, LaneTemplateMatchesSerialCountAtThisIsa)
 {
-    // The lane template compiled here, at the tests' own ISA, is the
-    // algorithm the portable version runs; the 8-lane instance checks
-    // the AVX-512 split on hosts without AVX-512.
+    // The lane template compiled here, at the tests' own ISA, checks
+    // the 4- and 8-lane splits on any host, whichever instances it
+    // can run.
     expectLanesMatchSerial<dhl::detail::U64x4>();
     expectLanesMatchSerial<dhl::detail::U64x8>();
+}
+
+TEST(Rng, EverySupportedCountInstanceMatchesSerial)
+{
+    // Each instance this host runs counts a prefix of the run, a whole
+    // number of lane ranges, that equals the serial count, and leaves
+    // the stream where the serial draws do; the scalar one counts
+    // nothing and leaves the stream alone.
+    const auto &instances = dhl::detail::supportedCountLanes();
+    ASSERT_FALSE(instances.empty());
+    EXPECT_EQ(instances.back().isa, dhl::lanes::LaneIsa::Scalar);
+    Rng pick(43);
+    for (const dhl::detail::CountLanes &lanes : instances) {
+        const std::size_t width = dhl::lanes::laneWidth(lanes.isa);
+        for (std::size_t n : {1u, 7u, 1000u}) {
+            for (std::size_t blocks : {1u, 5u, 13u}) {
+                const std::size_t total = n * blocks;
+                const std::uint64_t bound = pick.next() >> 11;
+                Rng serial(pick.next());
+                const dhl::RngState start = serial.saveState();
+                std::uint64_t s[4] = {start.state[0], start.state[1],
+                                      start.state[2], start.state[3]};
+                std::vector<std::uint64_t> got(blocks, 0);
+                const std::size_t done =
+                    lanes.count(s, bound, n, total, got.data());
+                EXPECT_EQ(done, width == 1 ? 0 : total - total % width)
+                    << dhl::lanes::isaName(lanes.isa);
+
+                std::vector<std::uint64_t> want(blocks, 0);
+                for (std::size_t i = 0; i < done; ++i)
+                    want[i / n] += (serial.next() >> 11) < bound ? 1 : 0;
+                EXPECT_EQ(got, want) << dhl::lanes::isaName(lanes.isa)
+                                     << " n=" << n << " blocks=" << blocks;
+                const dhl::RngState end = serial.saveState();
+                for (int w = 0; w < 4; ++w)
+                    EXPECT_EQ(s[w], end.state[w])
+                        << dhl::lanes::isaName(lanes.isa);
+            }
+        }
+    }
 }
 
 TEST(Rng, DiscardEqualsRepeatedNext)

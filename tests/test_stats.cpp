@@ -9,8 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -347,6 +350,205 @@ TEST(QuantileSketchTest, InsertionOrderDoesNotMatter)
         rev.sample(*it);
     for (double p : {0.0, 12.5, 50.0, 99.0, 100.0})
         EXPECT_DOUBLE_EQ(fwd.quantile(p), rev.quantile(p));
+}
+
+namespace {
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/** Equal state, and extremes equal bit for bit (the sign of zero). */
+void
+expectSameSketch(const QuantileSketch &a, const QuantileSketch &b)
+{
+    EXPECT_TRUE(a == b);
+    ASSERT_EQ(a.count(), b.count());
+    if (a.count() > 0) {
+        EXPECT_EQ(bitsOf(a.min()), bitsOf(b.min()));
+        EXPECT_EQ(bitsOf(a.max()), bitsOf(b.max()));
+    }
+}
+
+/** Values on and around the edges of the range [2, 10) in 64 bins:
+ *  lo, hi, bin edges and one ulp either side, zeros, and out of range. */
+std::vector<double>
+sketchEdgeValues()
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double lo = 2.0;
+    const double hi = 10.0;
+    const double width = (hi - lo) / 64.0;
+    std::vector<double> out = {0.0, -0.0, -kInf, kInf, -1e300, 1e300, -3.0,
+                               25.0};
+    for (int k = 0; k <= 64; ++k) {
+        const double edge = lo + width * k;
+        out.push_back(edge);
+        out.push_back(std::nextafter(edge, -kInf));
+        out.push_back(std::nextafter(edge, kInf));
+    }
+    out.push_back(hi);
+    return out;
+}
+
+/** Feed @p v to a per-sample sketch and, cut into batches of the given
+ *  sizes (the rest as one last batch), to a batch sketch. */
+void
+expectBatchesMatch(const std::vector<double> &v,
+                   std::initializer_list<std::size_t> cuts,
+                   std::size_t exact_capacity, double lo, double hi,
+                   std::size_t bins)
+{
+    QuantileSketch one(lo, hi, bins, exact_capacity);
+    QuantileSketch batch(lo, hi, bins, exact_capacity);
+    for (const double x : v)
+        one.sample(x);
+    std::size_t at = 0;
+    for (const std::size_t cut : cuts) {
+        const std::size_t take = std::min(cut, v.size() - at);
+        batch.sampleBatch(v.data() + at, take);
+        at += take;
+    }
+    batch.sampleBatch(v.data() + at, v.size() - at);
+    expectSameSketch(one, batch);
+}
+
+} // namespace
+
+TEST(QuantileSketchTest, SampleBatchMatchesSample)
+{
+    std::mt19937_64 rng(23);
+    const std::vector<double> edges = sketchEdgeValues();
+    std::uniform_real_distribution<double> around(-1.0, 13.0);
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<double> v = edges;
+        const std::size_t extra = rng() % 300;
+        for (std::size_t i = 0; i < extra; ++i)
+            v.push_back(around(rng));
+        std::shuffle(v.begin(), v.end(), rng);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        // Batches that straddle the exact buffer's capacity, and ones
+        // that end inside or on a lane block.
+        for (const std::size_t cap : {0u, 1u, 5u, 16u, 256u})
+            expectBatchesMatch(v, {0, 3, 1, 9, 17, 8, 64}, cap, 2.0, 10.0,
+                               64);
+        expectBatchesMatch(v, {}, 0, 2.0, 10.0, 64);
+        expectBatchesMatch(v, {1}, 7, 2.0, 10.0, 1);
+    }
+}
+
+TEST(QuantileSketchTest, SampleBatchKeepsTheSignOfZeroExtremes)
+{
+    // std::min/std::max keep the first of two equal extremes, so the
+    // sign of a zero minimum or maximum is that of the first zero.
+    for (const double first : {0.0, -0.0}) {
+        std::vector<double> up = {5.0, first, 1.0, 3.0, 2.0, 7.0, 1.5, 4.0};
+        std::vector<double> down = {-5.0, first, -1.0, -3.0, -2.0, -7.0};
+        for (int i = 0; i < 40; ++i) {
+            up.push_back(i % 3 == 0 ? -first : 1.0 + i);
+            down.push_back(i % 3 == 0 ? -first : -1.0 - i);
+        }
+        expectBatchesMatch(up, {}, 0, 0.0, 8.0, 16);
+        expectBatchesMatch(up, {2}, 1, 0.0, 8.0, 16);
+        expectBatchesMatch(down, {}, 0, -8.0, 1.0, 16);
+        expectBatchesMatch(down, {3}, 1, -8.0, 1.0, 16);
+    }
+}
+
+TEST(QuantileSketchTest, SampleBatchNaNFatalsLikeSample)
+{
+    // The NaN's message, and the state it leaves (every sample before
+    // it recorded), whether it falls in the exact phase or on lanes.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const std::size_t at : {0u, 2u, 5u, 20u, 21u, 40u, 47u}) {
+        std::vector<double> v;
+        for (int i = 0; i < 48; ++i)
+            v.push_back(0.25 * i);
+        v[at] = nan;
+        QuantileSketch one(0.0, 10.0, 32, 4);
+        QuantileSketch batch(0.0, 10.0, 32, 4);
+        std::string one_msg;
+        std::string batch_msg;
+        try {
+            for (const double x : v)
+                one.sample(x);
+        } catch (const dhl::FatalError &e) {
+            one_msg = e.what();
+        }
+        try {
+            batch.sampleBatch(v.data(), v.size());
+        } catch (const dhl::FatalError &e) {
+            batch_msg = e.what();
+        }
+        EXPECT_FALSE(one_msg.empty());
+        EXPECT_EQ(batch_msg, one_msg) << "NaN at " << at;
+        EXPECT_EQ(batch.count(), at);
+        expectSameSketch(one, batch);
+    }
+}
+
+TEST(QuantileSketchTest, EverySketchLaneInstanceMatchesScalarBinning)
+{
+    // Each instance this host runs against sample()'s binning and
+    // std::min/std::max, on raw counts, including a block with a NaN
+    // (where it must stop) and a bin count past the int32 lanes.
+    using dhl::stats::detail::SketchLanes;
+    const double lo = 2.0;
+    const double hi = 10.0;
+    const std::size_t bins = 64;
+    const double width = (hi - lo) / static_cast<double>(bins);
+    std::vector<double> v = sketchEdgeValues();
+    std::mt19937_64 rng(29);
+    std::shuffle(v.begin(), v.end(), rng);
+    const auto &instances = dhl::stats::detail::supportedSketchLanes();
+    ASSERT_FALSE(instances.empty());
+    EXPECT_EQ(instances.back().isa, dhl::lanes::LaneIsa::Scalar);
+    for (const SketchLanes &lanes : instances) {
+        SCOPED_TRACE(dhl::lanes::isaName(lanes.isa));
+        const std::size_t w = dhl::lanes::laneWidth(lanes.isa);
+        for (const std::size_t nan_at : {v.size(), std::size_t{13}}) {
+            std::vector<double> in = v;
+            if (nan_at < in.size())
+                in[nan_at] = std::numeric_limits<double>::quiet_NaN();
+            std::vector<std::uint64_t> got(bins, 0);
+            double got_min = 4.0;
+            double got_max = 4.0;
+            const std::size_t done =
+                lanes.bin(in.data(), in.size(), lo, hi, width, got.data(),
+                          bins, got_min, got_max);
+            const std::size_t whole = std::min(in.size(), nan_at) / w * w;
+            EXPECT_EQ(done, w == 1 ? 0 : whole);
+
+            std::vector<std::uint64_t> want(bins, 0);
+            double want_min = 4.0;
+            double want_max = 4.0;
+            for (std::size_t i = 0; i < done; ++i) {
+                const double x = in[i];
+                want_min = std::min(want_min, x);
+                want_max = std::max(want_max, x);
+                std::size_t idx = 0;
+                if (x >= hi) {
+                    idx = bins - 1;
+                } else if (x > lo) {
+                    idx = static_cast<std::size_t>((x - lo) / width);
+                    idx = std::min(idx, bins - 1);
+                }
+                ++want[idx];
+            }
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(bitsOf(got_min), bitsOf(want_min));
+            EXPECT_EQ(bitsOf(got_max), bitsOf(want_max));
+        }
+        double m = 0.0;
+        double x = 0.0;
+        EXPECT_EQ(lanes.bin(v.data(), v.size(), lo, hi, width, nullptr,
+                            (std::size_t{1} << 31) + 1, m, x),
+                  0u);
+    }
 }
 
 TEST(QuantileSketchTest, RejectsBadInput)
